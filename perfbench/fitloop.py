@@ -5,17 +5,22 @@ loop). Only the fit call itself is timed; every result is then checked
 outside the timed region, and a fit that raises, warns or fails a check is
 counted as failed under its exception or check name.
 
-Each round also times `reference_fit`, a fixed plain-numpy computation of
-the same shape that shares no code with the package. The host this runs on
-changes the speed it gives one process by a third for tens of seconds at a
-time (process CPU time moves with wall time, so it is not descheduling);
-dividing each fit by the reference timed in the same second cancels that
-drift.
+Each round also times `reference_fit`, a fixed plain-numpy computation
+of the same shape that shares no code with the package. The host this
+runs on changes the speed it gives one process by up to a half for tens
+of seconds at a time (process CPU time moves with wall time, so it is
+not descheduling); dividing each fit by the reference timed in the same
+few rounds cancels that drift. The reference mixes the kinds of work a
+fit does (BLAS products, a LAPACK call and a Python loop of small numpy
+operations) because the drift slows them by different shares: a
+reference without the loop slowed more than the sub-millisecond fits
+did, and its ratio to them moved by a fifth between runs.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 import statistics
 import tracemalloc
 from collections import Counter
@@ -46,18 +51,22 @@ ROUTES = {"lic": _fit_lic, "ls": _fit_ls, "both": _fit_both}
 
 
 def reference_fit(x, k: int):
-    """Stack the regressors of `x`, form their Gram matrix and factor it
-    with plain numpy, then walk the factor's rows in a Python loop, as the
-    package's column-wise kernels do; a ridge of the trace keeps the factor
-    defined."""
+    """Stack the regressors of `x` and form their Gram matrix, factor it
+    with LAPACK, then factor it again column by column in a Python loop of
+    small numpy operations, as the package's kernels do; a ridge of the
+    trace keeps the factor defined. Returns the larger difference between
+    the two factors."""
     n = x.shape[1]
     t = np.vstack([np.ones((1, n - k), dtype=x.dtype)]
                   + [x[:, j:n - k + j] for j in range(k + 1)])
     g = t @ t.conj().T
-    c = np.linalg.cholesky(g + np.trace(g).real * np.eye(len(g)))
-    for i in range(len(c)):
-        c[i, :i] @ c[:i, i]
-    return c
+    g += np.trace(g).real * np.eye(len(g))
+    c = np.linalg.cholesky(g)
+    d = np.zeros_like(g)
+    for j in range(len(g)):
+        d[j, j] = math.sqrt((g[j, j] - d[j, :j] @ d[j, :j].conj()).real)
+        d[j + 1:, j] = (g[j + 1:, j] - d[j + 1:, :j] @ d[j, :j].conj()) / d[j, j]
+    return np.abs(c - d).max()
 
 
 def reference_seconds(x, k: int) -> float:
@@ -155,15 +164,20 @@ def median(values) -> float:
     return statistics.median(values) if values else float("nan")
 
 
-def block_medians(starts: list[float], values: list[float], block_s: float) -> list[float]:
-    """For each value, the median of all values whose start time falls in
-    the same `block_s`-second block of the run."""
+def block_medians(keys: list[int], values: list[float]) -> list[float]:
+    """For each value, the median of all values with the same block key."""
     blocks: dict[int, list[float]] = {}
-    keys = [int(t // block_s) for t in starts]
     for key, value in zip(keys, values):
         blocks.setdefault(key, []).append(value)
     medians = {key: statistics.median(vals) for key, vals in blocks.items()}
     return [medians[key] for key in keys]
+
+
+def batch_medians(values: list[float], size: int) -> list[float]:
+    """Medians of consecutive batches of `size` values; a last, short batch
+    is dropped."""
+    return [statistics.median(values[i:i + size])
+            for i in range(0, len(values) - size + 1, size)]
 
 
 #: Percentiles a tail may be reported at. A p99 of the sub-millisecond

@@ -15,9 +15,22 @@ line of output is one JSON object with the keys ``correct``, ``attempted``,
 ``failed`` and ``metrics``; the line before it, ``record {...}``, holds the
 environment, error classes, tail percentiles and raw wall times.
 
+A latency sample is the median of a workload's `batch` consecutive fits of
+a route (``fits_per_sample`` in the record): 32 on rolling_panel, 8 on
+tall_real, one fit elsewhere. The median and tail are taken over these
+samples, so on the first two the tail is that of the typical fit over
+short stretches of the run, not of single fits: single fits of a few
+milliseconds or less swing with every stall of a shared host.
+
+The traced run also fits a scale probe, untimed: the workload's windows with
+each branch rescaled by units drawn over 10^+-4. Its failures are reported as
+``scale_probe.failure_ratio`` and in the record, and are not counted in
+``attempted`` or ``failed``, which belong to the timed loop.
+
 Fit and setup times are reference-normalised: each fit is divided by the
-median time of `fitloop.reference_fit` in the same second of the run, the
-median setup by that of the whole run, and both are multiplied by the
+median time of `fitloop.reference_fit` in the rounds of its latency
+sample, each setup repeat by the
+reference times right before and after it, and both are multiplied by the
 workload's `reference_s`, so they read as seconds on the machine the
 benchmark was defined on and do not move with the host's speed. The raw
 wall times are in the record.
@@ -38,10 +51,9 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREADS = "1"
 SETUP_REPEATS = 3
-#: Each fit is divided by the median reference time of the rounds that
-#: started in the same block of this many seconds: short enough to follow
-#: the host's drift, long enough that one stalled reference does not count.
-REFERENCE_BLOCK_S = 1.0
+#: Seconds of reference fits timed right before and right after each setup
+#: repeat (at least 3 fits), which scale that repeat.
+SETUP_REFERENCE_S = 0.25
 #: Windows sampled, evenly spread, for the peak-memory pass.
 MEMORY_WINDOWS = 16
 
@@ -110,13 +122,24 @@ def _environment(seed: int) -> dict:
 def _setup(workload, seed: int):
     """Generate the inputs and warm every route up, SETUP_REPEATS times.
 
-    Returns the inputs and the seconds of every repeat.
+    Returns the inputs, the seconds of every repeat and the median reference
+    time around every repeat: the mean of those timed right before and right
+    after it.
     """
-    from fitloop import ROUTES
-    from workloads import make_inputs
+    from fitloop import ROUTES, median, reference_seconds
+    from workloads import make_inputs, reference_input
 
-    runs, times = [], []
+    x = reference_input(workload)
+
+    def reference() -> float:
+        times, end = [], perf_counter() + SETUP_REFERENCE_S
+        while len(times) < 3 or perf_counter() < end:
+            times.append(reference_seconds(x, workload.k))
+        return median(times)
+
+    runs, times, references = [], [], []
     for _ in range(SETUP_REPEATS):
+        before = reference()
         t0 = perf_counter()
         inputs = make_inputs(workload, seed)
         for fit in ROUTES.values():
@@ -125,8 +148,9 @@ def _setup(workload, seed: int):
             except Exception:  # warm-up only; the timed loop counts failures
                 pass
         times.append(perf_counter() - t0)
+        references.append((before + reference()) / 2)
         runs.append(inputs)
-    return runs, times
+    return runs, times, references
 
 
 def _same_windows(a, b) -> bool:
@@ -195,13 +219,13 @@ def _layer_metrics(tally, traced, untraced, workload, runs) -> dict:
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict]:
     """Set up and measure one workload; return (summary, record)."""
-    from fitloop import (ROUTES, Tally, block_medians, fit_round, median, peak_mib, tail,
-                         verify_round)
+    from fitloop import (ROUTES, Tally, batch_medians, block_medians, fit_round, median,
+                         peak_mib, tail, verify_round)
     from tracing import Tracer
-    from workloads import WORKLOADS
+    from workloads import PROBE_DECADES, WORKLOADS, probe_windows
 
     workload = WORKLOADS[name]
-    runs, setup_times = _setup(workload, seed)
+    runs, setup_times, setup_references = _setup(workload, seed)
     reproducible = all(_same_windows(runs[0], other) for other in runs[1:])
     windows, k = runs[-1].windows, workload.k
 
@@ -209,11 +233,10 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> tuple[dic
     tracer = Tracer()
     traced = {route: [] for route in ROUTES}
     untraced = {route: [] for route in ROUTES}
-    references, starts = [], []
+    references = []
     rounds = 0
     start = perf_counter()
-    while (now := perf_counter()) < start + seconds:
-        starts.append(now - start)
+    while perf_counter() < start + seconds:
         x = windows[rounds % len(windows)]
         traced_round = trace and rounds % 2 == 1
         if traced_round:
@@ -233,7 +256,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> tuple[dic
     record = {
         "workload": name,
         "shape": {"M": workload.m, "K": workload.k, "N": workload.n,
-                  "complex": workload.complex_field, "windows": len(windows)},
+                  "complex": workload.complex_field, "windows": len(windows),
+                  "unit_decades": workload.unit_decades},
         "why": workload.why,
         "seconds": seconds,
         "rounds": rounds,
@@ -241,24 +265,34 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> tuple[dic
         "errors": dict(sorted(tally.errors.items())),
         "wrong_outputs": tally.wrong,
         "setup_wall_s": setup_times,
+        "setup_reference_s": setup_references,
     }
     metrics = {}
     if trace:
         record["absent_functions"] = tracer.absent
         metrics = _layer_metrics(tally, traced, untraced, workload, runs)
+        probe = Tally()
+        for i, x in enumerate(probe_windows(workload, runs[-1], seed)):
+            verify_round(fit_round(x, k, probe)[0], i, x, probe)
+        record["scale_probe"] = {"unit_decades": PROBE_DECADES, "attempted": probe.attempted,
+                                 "failed": probe.failed, "errors": dict(sorted(probe.errors.items()))}
+        metrics["scale_probe.failure_ratio"] = (probe.error_rate, "ratio")
     else:
         scale = workload.reference_s
-        smoothed = block_medians(starts, references, REFERENCE_BLOCK_S)
-        # The host's speed flips faster than one setup repeat lasts, so setup
-        # is scaled by the reference median of the whole run instead.
-        metrics["setup_s"] = (median(setup_times) / median(references) * scale, "s")
+        # Each fit is divided by the median reference time of the rounds of
+        # its latency sample, which follows the host's drift closely.
+        smoothed = block_medians([i // workload.batch for i in range(rounds)], references)
+        metrics["setup_s"] = (median([t / r for t, r in zip(setup_times, setup_references)])
+                              * scale, "s")
         memory_windows = windows[::max(1, len(windows) // MEMORY_WINDOWS)]
         record["tail"], record["wall"] = {}, {}
         for route, fit in ROUTES.items():
-            samples = [sec / smoothed[i] * scale for sec, i in tally.latency[route]]
+            samples = batch_medians([sec / smoothed[i] * scale for sec, i in tally.latency[route]],
+                                  workload.batch)
             wall = [sec for sec, _ in tally.latency[route]]
             value, pct = tail(samples)
-            record["tail"][route] = {"percentile": round(pct, 2), "samples": len(samples)}
+            record["tail"][route] = {"percentile": round(pct, 2), "samples": len(samples),
+                                     "fits_per_sample": workload.batch}
             record["wall"][route] = {"p50_s": median(wall), "tail_s": tail(wall)[0]}
             metrics[f"{route}_fit_p50_s"] = (median(samples), "s")
             metrics[f"{route}_fit_tail_s"] = (value, "s")

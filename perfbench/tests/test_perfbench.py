@@ -52,6 +52,27 @@ def test_seeded_inputs_reproduce_bit_for_bit(workload):
     assert run._same_windows(a, b) and not run._same_windows(a, other)
 
 
+def test_scale_probe_rescales_each_branch_from_the_seed():
+    inputs = workloads.make_inputs(TINY_PANEL, 5)
+    probe = workloads.probe_windows(TINY_PANEL, inputs, 5)
+    assert len(probe) == len(inputs.windows)
+    assert all(x.tobytes() == y.tobytes()
+               for x, y in zip(probe, workloads.probe_windows(TINY_PANEL, inputs, 5)))
+    for x, y in zip(probe, inputs.windows):
+        units = x[:, :1] / y[:, :1]
+        np.testing.assert_allclose(x, units * y, rtol=1e-12)
+        assert np.all(np.abs(np.log10(units)) <= workloads.PROBE_DECADES)
+
+    single = dataclasses.replace(workloads.WORKLOADS["tall_real"], n=512)
+    one = workloads.make_inputs(single, 5)
+    assert len(workloads.probe_windows(single, one, 5)) == workloads.PROBE_MIN
+
+
+def test_batch_medians_drop_a_short_last_batch():
+    assert fitloop.batch_medians([1.0, 9.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3) == [2.0, 4.0]
+    assert fitloop.batch_medians([1.0, 2.0], 1) == [1.0, 2.0]
+
+
 def test_wrappers_are_installed_and_restored():
     before = _svarlic_bindings()
     x = workloads.make_inputs(dataclasses.replace(
@@ -131,6 +152,12 @@ def test_run_survives_failures_and_names_every_metric(monkeypatch, trace):
     assert summary["correct"] is True
     assert summary["attempted"] >= 3 and summary["failed"] > 0
     assert sum(record["errors"].values()) == summary["failed"]
+
+    if trace:
+        probe = record["scale_probe"]
+        assert probe["attempted"] == 3 * record["shape"]["windows"]
+        assert summary["metrics"]["scale_probe.failure_ratio"][0] \
+            == probe["failed"] / probe["attempted"]
 
     spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
     declared = {m["name"]: m["unit"] for m in spec["per_layer" if trace else "end_to_end"]}
