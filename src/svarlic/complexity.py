@@ -9,6 +9,9 @@ are fractional for odd dimensions on purpose.
 The model describes the algorithms' arithmetic, not this implementation's
 instruction trace: the least-squares route here solves rather than inverts
 the Gram matrix, but the tally follows the conventional inversion recipe.
+Likewise the direct route computes only the bottom M rows of the inverse
+factor, yet ``U_hat`` is charged the full ``q^3/2`` for factorizing and
+inverting, as in the paper's cost table.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ Cholesky factor of ``V V^H`` and rescale every coefficient by it
 (`fit_rvar_ls` followed by `rvar_to_svar`).
 
 Route 2, direct: build the taller stacked matrix T (lags plus current
-samples), take the inverse of the lower Cholesky factor of ``T T^H``, and
-read the structural coefficients straight out of its bottom block rows
+samples), factor ``T T^H`` as ``C C^H``, compute only the bottom block rows
+of ``C^-1``, and read the structural coefficients straight out of them
 (`fit_svar_lic`). One factorization of a slightly larger matrix replaces
 the whole least-squares chain.
 
@@ -36,6 +36,7 @@ from .exceptions import (
 )
 from .linalg import (
     _conj_transpose,
+    _inverse_bottom_rows,
     cholesky_lower,
     gram_hermitian,
     invert_lower,
@@ -143,7 +144,9 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
     With ``U = (cholesky(T T^H))^{-1}`` (lower, positive real diagonal) and
     1-based index sets ``alpha = (MK+2 .. M(K+1)+1)`` over the bottom block
     and ``beta_j = ((j-1)M+2 .. jM+1)`` over lag block j of T, the
-    coefficients are block reads:
+    coefficients are block reads from the bottom M rows ``U[alpha, :]``,
+    which are the only rows of `U` computed (one triangular solve against
+    the last M unit vectors):
 
     * ``L = U[alpha, alpha]``
     * ``R_i = -U[alpha, beta_{K-i+1}]`` (T stacks oldest lag first)
@@ -160,23 +163,23 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
         raise InsufficientSamples(
             f"direct route needs N - K >= M*(K+1) + 1; "
             f"got N-K={n - k} < {m * (k + 1) + 1} for M={m}, K={k}")
-    t_mat = build_regressor_t(x, k)
+    # T is not kept past its Gram product: it is the largest array of the fit.
+    gram = gram_hermitian(build_regressor_t(x, k))
     try:
-        factor = cholesky_lower(gram_hermitian(t_mat))
+        factor = cholesky_lower(gram)
     except NotPositiveDefinite as exc:
         raise RankDeficient(
             f"stacked Gram matrix TT^H is singular ({exc}); "
             "the signal is deterministic or has collinear branches") from exc
-    u = invert_lower(factor)
-    alpha = slice(m * k + 1, m * (k + 1) + 1)
+    u_alpha = _inverse_bottom_rows(factor, m)
     lags = []
     for i in range(1, k + 1):
         j = k - i + 1
-        lags.append(-u[alpha, (j - 1) * m + 1:j * m + 1].copy())
+        lags.append(-u_alpha[:, (j - 1) * m + 1:j * m + 1])
     return SvarCoefficients(
-        L=u[alpha, alpha].copy(),
+        L=u_alpha[:, m * k + 1:].copy(),
         R=tuple(lags),
-        t=-u[alpha, 0].copy(),
+        t=-u_alpha[:, 0],
     )
 
 

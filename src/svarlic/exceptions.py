@@ -31,5 +31,6 @@ class RankDeficient(NotPositiveDefinite):
 
 
 class NumericalOverflow(SvarlicError):
-    """A simulated sample exceeded the overflow guard; the model is
-    unstable or was run too long."""
+    """A computed value left the range double precision can hold: a
+    simulated sample exceeded the overflow guard (the model is unstable
+    or was run too long), or a Gram product of a fit's input overflowed."""

@@ -7,7 +7,11 @@ complex. Conjugate transpose is written ``H`` throughout; for real matrices
 it degenerates to the plain transpose. Cholesky factors follow one fixed
 convention: lower triangular with a strictly positive real diagonal, which
 makes the factor unique and lets two estimation routes be compared exactly
-rather than up to sign.
+rather than up to sign. LAPACK's ``potrf`` returns exactly that factor, so
+the factorization and the triangular and positive-definite solves go
+through numpy's LAPACK bindings; the package adds the pivot rule
+(`PIVOT_RTOL`) on top. The direct route needs only the bottom M rows of
+the inverse factor and computes just those rows.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -16,12 +20,10 @@ differences.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .exceptions import DimensionMismatch, NotPositiveDefinite
+from .exceptions import DimensionMismatch, NotPositiveDefinite, NumericalOverflow
 
 #: Relative tolerance for the Hermitian-symmetry check in `cholesky_lower`.
 HERMITIAN_RTOL = 1e-10
@@ -71,28 +73,70 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
     The result is Hermitian exactly, entry for entry: the upper triangle is
     the conjugate mirror of the computed lower triangle and the diagonal is
     forced real.
+
+    Raises
+    ------
+    NumericalOverflow
+        If an entry of the product overflows double precision.
     """
     a = as_matrix(a)
-    g = a @ _conj_transpose(a)
-    lower = np.tril(g)
-    g = lower + _conj_transpose(np.tril(g, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.tril(a @ _conj_transpose(a))
+    if not np.isfinite(g).all():
+        raise NumericalOverflow(
+            "Gram product overflows double precision; rescale the input")
+    g += _conj_transpose(np.tril(g, -1))
     if np.iscomplexobj(g):
         np.fill_diagonal(g, g.diagonal().real)
     return g
+
+
+def _checked_factor(h: NDArray, threshold: float) -> NDArray | None:
+    """LAPACK's lower Cholesky factor of `h`, or None if a pivot
+    ``C[j, j]**2`` is at or below `threshold` or the factorization stops."""
+    try:
+        c = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return None
+    return c if np.all(c.diagonal().real ** 2 > threshold) else None
+
+
+def _first_failing_pivot(h: NDArray, threshold: float) -> tuple[int, float]:
+    """Index and value of the first Cholesky pivot of `h` at or below
+    `threshold`, for an `h` known to have one.
+
+    The pivots of a leading block are the leading pivots of the whole, so
+    the largest passing leading block is found by bisection; the failing
+    pivot is the Schur complement of that block at the next index.
+    """
+    good, bad = 0, h.shape[0]
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _checked_factor(h[:mid, :mid], threshold) is None:
+            bad = mid
+        else:
+            good = mid
+    pivot = h[good, good].real
+    if good:
+        z = np.linalg.solve(np.linalg.cholesky(h[:good, :good]), h[good, :good].conj())
+        pivot -= (z.conj() @ z).real
+    return good, float(pivot)
 
 
 def cholesky_lower(h: ArrayLike) -> NDArray:
     """Factor a Hermitian positive-definite `h` as ``C @ C^H``.
 
     Returns the unique lower-triangular factor `C` with strictly positive
-    real diagonal. Only the lower triangle of `h` is read once the
-    symmetry check passes.
+    real diagonal, as computed by LAPACK ``potrf``. Only the lower
+    triangle of `h` is read once the symmetry check passes.
 
     Raises
     ------
     NotPositiveDefinite
-        If a pivot falls at or below ``PIVOT_RTOL * max(diag(h))``, which
-        signals a rank-deficient or indefinite input.
+        If a pivot ``C[j, j]**2`` falls at or below
+        ``PIVOT_RTOL * max(diag(h))``, which signals a rank-deficient or
+        indefinite input. The message names the index of the first such
+        pivot.
     ValueError
         If `h` is not square or departs from Hermitian symmetry by more
         than ``HERMITIAN_RTOL`` relative to its largest entry.
@@ -105,20 +149,14 @@ def cholesky_lower(h: ArrayLike) -> NDArray:
     if scale > 0 and np.abs(h - _conj_transpose(h)).max() > HERMITIAN_RTOL * scale:
         raise ValueError("h is not Hermitian within tolerance")
 
-    diag = h.diagonal().real
-    threshold = PIVOT_RTOL * max(float(diag.max()), 0.0)
-    c = np.zeros_like(h)
-    for j in range(n):
-        pivot = float(diag[j] - (c[j, :j] @ c[j, :j].conj()).real)
-        if pivot <= threshold:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at index {j} is below threshold "
-                f"{threshold:.3e}; matrix is not positive definite"
-            )
-        cjj = math.sqrt(pivot)
-        c[j, j] = cjj
-        if j + 1 < n:
-            c[j + 1:, j] = (h[j + 1:, j] - c[j + 1:, :j] @ c[j, :j].conj()) / cjj
+    threshold = PIVOT_RTOL * max(float(h.diagonal().real.max()), 0.0)
+    c = _checked_factor(h, threshold)
+    if c is None:
+        j, pivot = _first_failing_pivot(h, threshold)
+        raise NotPositiveDefinite(
+            f"pivot {pivot:.3e} at index {j} is below threshold "
+            f"{threshold:.3e}; matrix is not positive definite"
+        )
     return c
 
 
@@ -137,6 +175,19 @@ def _check_lower_factor(c: NDArray) -> NDArray:
     return c
 
 
+def _inverse_bottom_rows(c: NDArray, rows: int) -> NDArray:
+    """The bottom `rows` rows of ``c^-1`` for a checked lower factor `c`.
+
+    They solve ``Y @ c = E^T``, i.e. ``c^T @ Y^T = E`` with `E` the last
+    `rows` columns of the identity. ``c^T`` is upper triangular with a
+    nonzero diagonal, so the LU inside the solve does no row exchanges and
+    reduces to back substitution.
+    """
+    n = c.shape[0]
+    e = np.eye(n, rows, rows - n, dtype=c.dtype)
+    return np.ascontiguousarray(np.linalg.solve(c.T, e).T)
+
+
 def invert_lower(c: ArrayLike) -> NDArray:
     """Invert a lower-triangular factor with positive real diagonal.
 
@@ -144,38 +195,15 @@ def invert_lower(c: ArrayLike) -> NDArray:
     exact zeros above the diagonal.
     """
     c = _check_lower_factor(c)
-    n = c.shape[0]
-    u = np.zeros_like(c)
-    for i in range(n):
-        # Row i of the forward solve C @ U = I; columns past i stay exactly +0.
-        u[i, :i] = -(c[i, :i] @ u[:i, :i]) / c[i, i]
-        u[i, i] = 1.0 / c[i, i]
-    return u
-
-
-def _solve_lower(c: NDArray, b: NDArray) -> NDArray:
-    """Solve ``c @ z = b`` for lower-triangular `c` by forward substitution."""
-    n = c.shape[0]
-    z = np.zeros((n, b.shape[1]), dtype=np.promote_types(c.dtype, b.dtype))
-    for i in range(n):
-        z[i, :] = (b[i, :] - c[i, :i] @ z[:i, :]) / c[i, i]
-    return z
-
-
-def _solve_lower_conj_t(c: NDArray, b: NDArray) -> NDArray:
-    """Solve ``c^H @ z = b`` for lower-triangular `c` by back substitution."""
-    n = c.shape[0]
-    z = np.zeros((n, b.shape[1]), dtype=np.promote_types(c.dtype, b.dtype))
-    for i in range(n - 1, -1, -1):
-        z[i, :] = (b[i, :] - c[i + 1:, i].conj() @ z[i + 1:, :]) / c[i, i].conj()
-    return z
+    return _inverse_bottom_rows(c, c.shape[0])
 
 
 def solve_hpd(h: ArrayLike, b: ArrayLike) -> NDArray:
     """Solve ``y @ h = b`` (right division) for Hermitian positive-definite `h`.
 
-    Factors `h` once and substitutes through the triangular factors instead
-    of forming an explicit inverse. `b` must have ``h.shape[0]`` columns.
+    `cholesky_lower` decides positive definiteness under the package's
+    pivot rule; the solve itself is one LU solve of ``h^T @ y^T = b^T``,
+    never an explicit inverse. `b` must have ``h.shape[0]`` columns.
 
     Raises
     ------
@@ -188,7 +216,4 @@ def solve_hpd(h: ArrayLike, b: ArrayLike) -> NDArray:
         raise DimensionMismatch(
             f"b has {b.shape[1]} columns but h is {c.shape[0]}x{c.shape[0]}"
         )
-    # y @ h = b  <=>  h @ y^H = b^H  <=>  C (C^H y^H) = b^H
-    g = _solve_lower(c, _conj_transpose(b))
-    yh = _solve_lower_conj_t(c, g)
-    return _conj_transpose(yh)
+    return np.linalg.solve(np.asarray(h).T, b.T).T

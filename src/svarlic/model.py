@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .exceptions import DimensionMismatch, OrderTooLarge
-from .linalg import _solve_lower, as_matrix, gram_hermitian, invert_lower
+from .linalg import as_matrix, gram_hermitian, invert_lower
 
 __all__ = [
     "SvarCoefficients",
@@ -229,12 +229,12 @@ def companion_matrix(a: tuple[NDArray, ...] | list[NDArray]) -> NDArray:
 def companion_spectral_radius(model: SvarCoefficients | RvarCoefficients) -> float:
     """Spectral radius of the implied reduced-form companion matrix.
 
-    For structural coefficients the implied lag matrices ``A_i = L^{-1} R_i``
-    are obtained by triangular substitution. Zero for K = 0. The process is
-    covariance stable iff the radius is below one.
+    For structural coefficients the implied lag matrices are
+    ``A_i = L^{-1} R_i``. Zero for K = 0. The process is covariance stable
+    iff the radius is below one.
     """
     if isinstance(model, SvarCoefficients):
-        a = tuple(_solve_lower(model.L, r) for r in model.R)
+        _, a, _ = _implied_reduced_form(model)
     else:
         a = model.A
     if len(a) == 0:

@@ -12,9 +12,10 @@ from numpy.typing import NDArray
 
 from .exceptions import NumericalOverflow
 from .model import (
+    RvarCoefficients,
     SvarCoefficients,
     _implied_reduced_form,
-    companion_matrix,
+    companion_spectral_radius,
     validate_order,
 )
 
@@ -22,10 +23,6 @@ from .model import (
 OVERFLOW_LIMIT = 1e12
 
 __all__ = ["OVERFLOW_LIMIT", "random_stable_svar", "simulate_series"]
-
-
-def _spectral_radius(a: tuple[NDArray, ...]) -> float:
-    return float(np.abs(np.linalg.eigvals(companion_matrix(a))).max())
 
 
 def random_stable_svar(
@@ -58,9 +55,10 @@ def random_stable_svar(
 
     lags = tuple(draw(m, m) / (k * np.sqrt(m)) for _ in range(k))
     if k:
-        radius = _spectral_radius(lags)
+        radius = companion_spectral_radius(RvarCoefficients(np.zeros(m), lags))
         scale = min(1.0, target_radius / radius) if radius > 0 else 1.0
-        while _spectral_radius(tuple(scale * a for a in lags)) > target_radius:
+        while companion_spectral_radius(RvarCoefficients(
+                np.zeros(m), tuple(scale * a for a in lags))) > target_radius:
             scale *= 0.95
         lags = tuple(scale * a for a in lags)
 

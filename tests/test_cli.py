@@ -72,6 +72,16 @@ class TestFit:
         assert err.count("\n") == 1
         assert "singular" in err
 
+    def test_gram_overflow_exits_3(self, tmp_path, capsys):
+        path = simulate(tmp_path, capsys, m=2, k=1, n=256)
+        scaled = tmp_path / "scaled.csv"
+        np.savetxt(scaled, np.loadtxt(path, delimiter=",") * 1e160, delimiter=",")
+        code, out, err = run(capsys, "fit", "-i", str(scaled), "-k", "1")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "overflows" in err
+
     def test_order_too_large_exits_2(self, tmp_path, capsys):
         path = simulate(tmp_path, capsys, n=16)
         code, _, err = run(capsys, "fit", "-i", str(path), "-k", "16")

@@ -2,6 +2,8 @@
 direct inverse-Cholesky route, and the equivalence between them.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from svarlic.exceptions import (
     DimensionMismatch,
     InsufficientSamples,
     NotPositiveDefinite,
+    NumericalOverflow,
     OrderTooLarge,
     RankDeficient,
 )
@@ -165,6 +168,15 @@ class TestFitSvarLic:
     def test_order_too_large(self):
         with pytest.raises(OrderTooLarge):
             fit_svar_lic(np.ones((1, 2)), 2)
+
+
+class TestGramOverflow:
+    def test_fit_both_raises_numerical_overflow_without_warnings(self):
+        x = stable_series(2, 1, 256, seed=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflow, match="overflows"):
+                fit_both(x * 1e160, 1)
 
 
 class TestEquivalence:

@@ -4,13 +4,16 @@ Hand-checkable oracles are frozen as literals; the property tests draw
 random well-conditioned inputs in both scalar fields.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svarlic.exceptions import DimensionMismatch, NotPositiveDefinite
+from svarlic.exceptions import DimensionMismatch, NotPositiveDefinite, NumericalOverflow
 from svarlic.linalg import (
+    PIVOT_RTOL,
     as_matrix,
     cholesky_lower,
     gram_hermitian,
@@ -91,6 +94,12 @@ class TestGramHermitian:
             assert np.array_equal(g, g.conj().T)
             assert np.all(g.diagonal().imag == 0) if field == "complex" else True
 
+    def test_overflow_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflow):
+                gram_hermitian([[1e160, 1e160]])
+
     def test_matches_direct_product(self):
         rng = np.random.default_rng(7)
         a = random_matrix(rng, 4, 9, "complex")
@@ -126,6 +135,27 @@ class TestCholeskyLower:
         with pytest.raises(ValueError, match="Hermitian"):
             cholesky_lower([[1.0, 0.5], [0.0, 1.0]])
 
+    def test_small_positive_pivot_names_its_index(self):
+        # LAPACK factors this; the pivot rule rejects C[2, 2]**2 = 1e-14
+        c = np.array([[1.0, 0.0, 0.0, 0.0],
+                      [0.5, 1.0, 0.0, 0.0],
+                      [0.3, -0.2, 1e-7, 0.0],
+                      [0.1, 0.4, 0.2, 1.0]])
+        with pytest.raises(NotPositiveDefinite, match="at index 2 "):
+            cholesky_lower(c @ c.T)
+
+    def test_lapack_stop_names_its_index(self):
+        with pytest.raises(NotPositiveDefinite, match="pivot -3.000e.00 at index 1 "):
+            cholesky_lower([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_pivot_just_above_threshold_factors(self):
+        c = cholesky_lower(np.diag([1.0, 1.01 * PIVOT_RTOL]))
+        assert c[1, 1] ** 2 > PIVOT_RTOL
+
+    def test_pivot_just_below_threshold_raises(self):
+        with pytest.raises(NotPositiveDefinite, match="at index 1 "):
+            cholesky_lower(np.diag([1.0, 0.99 * PIVOT_RTOL]))
+
     def test_non_square_raises(self):
         with pytest.raises(ValueError, match="square"):
             cholesky_lower(np.ones((2, 3)))
@@ -145,6 +175,20 @@ class TestCholeskyLower:
         assert np.all(c.diagonal().real > 0)
         if field == "complex":
             assert np.all(c.diagonal().imag == 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 20), seed=st.integers(0, 2**31),
+           field=st.sampled_from(FIELDS), data=st.data())
+    def test_first_collapsed_pivot_is_named(self, dim, seed, field, data):
+        # The pivots of C C^H are diag(C)**2 exactly, so shrinking some
+        # diagonal entries to 1e-9 puts the first failing pivot (1e-18,
+        # far below PIVOT_RTOL times the last row's untouched diagonal) at
+        # the first shrunk index.
+        tiny = data.draw(st.lists(st.integers(0, dim - 2), min_size=1, max_size=3))
+        c = random_lower(np.random.default_rng(seed), dim, field)
+        c[tiny, tiny] = 1e-9
+        with pytest.raises(NotPositiveDefinite, match=f"at index {min(tiny)} "):
+            cholesky_lower(c @ c.conj().T)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 20), seed=st.integers(0, 2**31),
