@@ -1,14 +1,14 @@
 """Structural vector autoregression estimation via least squares or a
 single large inverse Cholesky factor, with an exact multiply-count cost
 model for comparing the two routes.
+
+The top level holds the estimation routes, the coefficient containers, the
+synthetic generator, the cost model and the exceptions. The kernels
+(`svarlic.linalg`), the regressor builders and residual helpers
+(`svarlic.model`) are imported from their own modules.
 """
 
-from .complexity import (
-    MultiplyCount,
-    lic_multiply_count,
-    ls_multiply_count,
-    savings_ratio,
-)
+from .complexity import lic_multiply_count, ls_multiply_count, savings_ratio
 from .estimators import (
     FitComparison,
     coefficient_discrepancy,
@@ -26,18 +26,7 @@ from .exceptions import (
     RankDeficient,
     SvarlicError,
 )
-from .linalg import cholesky_lower, gram_hermitian, invert_lower, solve_hpd
-from .model import (
-    RvarCoefficients,
-    SvarCoefficients,
-    build_regressor_s,
-    build_regressor_t,
-    companion_matrix,
-    companion_spectral_radius,
-    rvar_residuals,
-    svar_residuals,
-    whitening_error,
-)
+from .model import RvarCoefficients, SvarCoefficients, whitening_error
 from .synthetic import random_stable_svar, simulate_series
 
 __version__ = "0.1.0"
@@ -46,7 +35,6 @@ __all__ = [
     "DimensionMismatch",
     "FitComparison",
     "InsufficientSamples",
-    "MultiplyCount",
     "NotPositiveDefinite",
     "NumericalOverflow",
     "OrderTooLarge",
@@ -54,26 +42,16 @@ __all__ = [
     "RvarCoefficients",
     "SvarCoefficients",
     "SvarlicError",
-    "build_regressor_s",
-    "build_regressor_t",
-    "cholesky_lower",
     "coefficient_discrepancy",
-    "companion_matrix",
-    "companion_spectral_radius",
     "fit_both",
     "fit_rvar_ls",
     "fit_svar_lic",
-    "gram_hermitian",
-    "invert_lower",
     "lic_multiply_count",
     "ls_multiply_count",
     "random_stable_svar",
-    "rvar_residuals",
     "rvar_to_svar",
     "savings_ratio",
     "simulate_series",
-    "solve_hpd",
-    "svar_residuals",
     "whitening_error",
     "__version__",
 ]

@@ -39,18 +39,9 @@ from .linalg import (
     _inverse_bottom_rows,
     cholesky_lower,
     gram_hermitian,
-    invert_lower,
     solve_hpd,
 )
-from .model import (
-    RvarCoefficients,
-    SvarCoefficients,
-    _check_usable,
-    as_signal,
-    build_regressor_s,
-    build_regressor_t,
-    validate_order,
-)
+from .model import RvarCoefficients, SvarCoefficients, _stack_regressor
 
 #: Residuals whose Frobenius norm falls below this fraction of the signal's
 #: are pure cancellation noise from an exact fit (deterministic series) and
@@ -66,6 +57,14 @@ __all__ = [
     "FitComparison",
     "coefficient_discrepancy",
 ]
+
+
+def _require_samples(stacked: NDArray, rule: str, m: int, k: int) -> None:
+    """Raise `InsufficientSamples` if the regressor `stacked` has fewer
+    columns (samples) than rows, so its Gram matrix cannot be full rank."""
+    rows, cols = stacked.shape
+    if cols < rows:
+        raise InsufficientSamples(f"{rule}; got N-K={cols} < {rows} for M={m}, K={k}")
 
 
 def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
@@ -84,15 +83,9 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
     RankDeficient
         If the regressors are collinear (e.g. a constant branch).
     """
-    x = as_signal(x)
-    k = validate_order(k)
-    _check_usable(x, k)
-    m, n = x.shape
-    if n - k < m * k + 1:
-        raise InsufficientSamples(
-            f"least squares needs N - K >= M*K + 1; "
-            f"got N-K={n - k} < {m * k + 1} for M={m}, K={k}")
-    s = build_regressor_s(x, k)
+    x, k, s = _stack_regressor(x, k, direct=False)
+    m = x.shape[0]
+    _require_samples(s, "least squares needs N - K >= M*K + 1", m, k)
     current = x[:, k:]
     try:
         a = solve_hpd(gram_hermitian(s), current @ _conj_transpose(s))
@@ -130,7 +123,7 @@ def rvar_to_svar(model: RvarCoefficients) -> SvarCoefficients:
         raise RankDeficient(
             f"residual Gram matrix VV^H is singular ({exc}); "
             "residuals are rank deficient") from exc
-    mixing = invert_lower(factor)
+    mixing = _inverse_bottom_rows(factor, factor.shape[0])
     return SvarCoefficients(
         L=mixing,
         R=tuple(mixing @ a for a in model.A),
@@ -155,16 +148,12 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
     Raises the same errors as `fit_rvar_ls`, with the stricter sample
     requirement N - K >= M*(K+1) + 1.
     """
-    x = as_signal(x)
-    k = validate_order(k)
-    _check_usable(x, k)
-    m, n = x.shape
-    if n - k < m * (k + 1) + 1:
-        raise InsufficientSamples(
-            f"direct route needs N - K >= M*(K+1) + 1; "
-            f"got N-K={n - k} < {m * (k + 1) + 1} for M={m}, K={k}")
+    x, k, t = _stack_regressor(x, k, direct=True)
+    m = x.shape[0]
+    _require_samples(t, "direct route needs N - K >= M*(K+1) + 1", m, k)
     # T is not kept past its Gram product: it is the largest array of the fit.
-    gram = gram_hermitian(build_regressor_t(x, k))
+    gram = gram_hermitian(t)
+    del t
     try:
         factor = cholesky_lower(gram)
     except NotPositiveDefinite as exc:
@@ -211,10 +200,9 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
 
     The least-squares result serves as the reference in the discrepancy
     metric. On well-conditioned inputs the discrepancy sits at rounding
-    level (far below 1e-8); a large value flags ill conditioning.
+    level (far below 1e-8); a large value flags ill conditioning. Each
+    route checks the signal and order itself.
     """
-    x = as_signal(x)
-    k = validate_order(k)
     ls = rvar_to_svar(fit_rvar_ls(x, k))
     lic = fit_svar_lic(x, k)
     return FitComparison(ls=ls, lic=lic, discrepancy=coefficient_discrepancy(ls, lic))

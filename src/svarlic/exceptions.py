@@ -14,9 +14,10 @@ class OrderTooLarge(SvarlicError, ValueError):
 
 
 class InsufficientSamples(SvarlicError):
-    """Too few samples for the requested fit; the Gram matrix cannot be
-    full rank. Least squares needs N - K >= M*K + 1, the direct
-    inverse-Cholesky route needs N - K >= M*(K+1) + 1."""
+    """Too few samples for the requested fit: the route's stacked regressor
+    has fewer columns (N - K samples) than rows, so its Gram matrix cannot
+    be full rank. Least squares stacks M*K + 1 rows, the direct
+    inverse-Cholesky route M*(K+1) + 1."""
 
 
 class NotPositiveDefinite(SvarlicError):

@@ -13,6 +13,13 @@ through numpy's LAPACK bindings; the package adds the pivot rule
 (`PIVOT_RTOL`) on top. The direct route needs only the bottom M rows of
 the inverse factor and computes just those rows.
 
+Finiteness is checked where caller input enters: `as_matrix` makes one pass
+over a signal, container or small kernel operand. `gram_hermitian` makes
+none over its input, which is the largest array of a fit: a non-finite
+input entry makes a diagonal entry of the product non-finite, so the check
+on the q x q product catches it, and only then is the input inspected.
+Arrays the package computes from checked input are not checked again.
+
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
 differences.
@@ -43,8 +50,9 @@ __all__ = [
 ]
 
 
-def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray:
-    """Coerce `a` to a 2-D float64 or complex128 array with finite entries."""
+def _as_float_matrix(a: ArrayLike, name: str) -> NDArray:
+    """Coerce `a` to a nonempty 2-D float64 or complex128 array without
+    reading its entries."""
     arr = np.asarray(a)
     if arr.dtype.kind in "iub":
         arr = arr.astype(np.float64)
@@ -58,6 +66,12 @@ def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name} must have nonzero dimensions, got {arr.shape}")
+    return arr
+
+
+def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray:
+    """Coerce `a` to a 2-D float64 or complex128 array with finite entries."""
+    arr = _as_float_matrix(a, name)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -70,24 +84,33 @@ def _conj_transpose(a: NDArray) -> NDArray:
 def gram_hermitian(a: ArrayLike) -> NDArray:
     """Return the Gram matrix ``a @ a^H`` of shape (rows, rows).
 
-    The result is Hermitian exactly, entry for entry: the upper triangle is
-    the conjugate mirror of the computed lower triangle and the diagonal is
-    forced real.
+    The result is Hermitian exactly, entry for entry: the product is
+    averaged with its conjugate transpose, halved first so that nothing
+    that fits overflows, which also makes the diagonal real. numpy forms
+    a real ``a @ a.T`` symmetric already, so it comes back unchanged
+    except in subnormal entries, which the halving rounds.
+
+    The input is not scanned for finiteness up front: a non-finite entry
+    of `a` makes a diagonal entry of the product non-finite, so the input
+    is inspected only when the product fails its finiteness check.
 
     Raises
     ------
+    ValueError
+        If `a` has non-finite entries.
     NumericalOverflow
-        If an entry of the product overflows double precision.
+        If an entry of the product of a finite `a` overflows double
+        precision.
     """
-    a = as_matrix(a)
+    a = _as_float_matrix(a, "matrix")
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.tril(a @ _conj_transpose(a))
+        g = a @ _conj_transpose(a)
     if not np.isfinite(g).all():
+        as_matrix(a)  # raises ValueError if the input is to blame
         raise NumericalOverflow(
             "Gram product overflows double precision; rescale the input")
-    g += _conj_transpose(np.tril(g, -1))
-    if np.iscomplexobj(g):
-        np.fill_diagonal(g, g.diagonal().real)
+    g *= 0.5
+    g += _conj_transpose(g)
     return g
 
 
@@ -160,23 +183,23 @@ def cholesky_lower(h: ArrayLike) -> NDArray:
     return c
 
 
-def _check_lower_factor(c: NDArray) -> NDArray:
-    c = as_matrix(c, "c")
-    n = c.shape[0]
-    if c.shape[1] != n:
-        raise ValueError(f"factor must be square, got shape {c.shape}")
+def _check_lower_factor(c: NDArray, name: str) -> None:
+    """Check that the matrix `c`, named `name` in messages, is a factor in
+    the package's convention: square, nothing above the diagonal, and a
+    strictly positive real diagonal."""
+    if c.shape[0] != c.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {c.shape}")
     if np.any(np.triu(c, 1) != 0):
-        raise ValueError("factor has nonzero entries above the diagonal")
+        raise ValueError(f"{name} must be lower triangular, "
+                         "got nonzero entries above the diagonal")
     d = c.diagonal()
-    if np.iscomplexobj(c) and np.any(d.imag != 0):
-        raise ValueError("factor diagonal must be real")
-    if np.any(d.real <= 0):
-        raise ValueError("factor diagonal must be strictly positive")
-    return c
+    if np.any(d.real <= 0) or (np.iscomplexobj(c) and np.any(d.imag != 0)):
+        raise ValueError(f"{name} must have a strictly positive real diagonal")
 
 
 def _inverse_bottom_rows(c: NDArray, rows: int) -> NDArray:
-    """The bottom `rows` rows of ``c^-1`` for a checked lower factor `c`.
+    """The bottom `rows` rows of ``c^-1`` for a lower factor `c` in the
+    package's convention (LAPACK's, or one `_check_lower_factor` passed).
 
     They solve ``Y @ c = E^T``, i.e. ``c^T @ Y^T = E`` with `E` the last
     `rows` columns of the identity. ``c^T`` is upper triangular with a
@@ -194,7 +217,8 @@ def invert_lower(c: ArrayLike) -> NDArray:
     The inverse is again lower triangular with positive real diagonal and
     exact zeros above the diagonal.
     """
-    c = _check_lower_factor(c)
+    c = as_matrix(c, "c")
+    _check_lower_factor(c, "factor")
     return _inverse_bottom_rows(c, c.shape[0])
 
 

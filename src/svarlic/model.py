@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .exceptions import DimensionMismatch, OrderTooLarge
-from .linalg import as_matrix, gram_hermitian, invert_lower
+from .linalg import _check_lower_factor, as_matrix, gram_hermitian, invert_lower
 
 __all__ = [
     "SvarCoefficients",
@@ -87,14 +87,8 @@ class SvarCoefficients:
 
     def __post_init__(self):
         self.L = as_matrix(self.L, "L")
+        _check_lower_factor(self.L, "L")
         m = self.L.shape[0]
-        if self.L.shape[1] != m:
-            raise DimensionMismatch(f"L must be square, got shape {self.L.shape}")
-        if np.any(np.triu(self.L, 1) != 0):
-            raise ValueError("L must be lower triangular")
-        d = self.L.diagonal()
-        if np.any(d.real <= 0) or (np.iscomplexobj(self.L) and np.any(d.imag != 0)):
-            raise ValueError("L must have a strictly positive real diagonal")
         self.R = tuple(_as_square(r, m, f"R_{i}") for i, r in enumerate(self.R, 1))
         self.t = (np.zeros(m, dtype=self.L.dtype) if self.t is None
                   else _as_vector(self.t, m, "t"))
@@ -143,20 +137,32 @@ def _check_usable(x: NDArray, k: int) -> None:
         raise OrderTooLarge(f"order K={k} too large for N={n} samples (need N > K)")
 
 
+def _stack_regressor(x: ArrayLike, k: int, direct: bool) -> tuple[NDArray, int, NDArray]:
+    """Check the signal `x` and order `k`, then stack a regressor matrix.
+
+    Returns the signal as an array, the order as an int and the stack: a
+    row of ones over K blocks of M rows, lag 1 first (the least-squares
+    layout), or with `direct` over K+1 blocks, oldest first, whose last
+    block is the current samples (the direct layout). The routes call this
+    once per fit, so the signal is checked once.
+    """
+    x = as_signal(x)
+    k = validate_order(k)
+    _check_usable(x, k)
+    n = x.shape[1]
+    starts = range(k + 1) if direct else range(k - 1, -1, -1)
+    blocks = [np.ones((1, n - k), dtype=x.dtype)]
+    blocks.extend(x[:, j:n - k + j] for j in starts)
+    return x, k, np.vstack(blocks)
+
+
 def build_regressor_s(x: ArrayLike, k: int) -> NDArray:
     """Stack the least-squares regressor matrix of shape (M*K+1) x (N-K).
 
     Row 1 is all ones; below it sit K blocks of M rows, lag 1 first: block
     j holds the samples ``x(K+1-j) .. x(N-j)``.
     """
-    x = as_signal(x)
-    k = validate_order(k)
-    _check_usable(x, k)
-    n = x.shape[1]
-    blocks = [np.ones((1, n - k), dtype=x.dtype)]
-    for lag in range(1, k + 1):
-        blocks.append(x[:, k - lag:n - lag])
-    return np.vstack(blocks)
+    return _stack_regressor(x, k, direct=False)[2]
 
 
 def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
@@ -167,14 +173,7 @@ def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
     ``x(K+1) .. x(N)``, so the top M*K+1 rows are a block-reversed
     permutation of `build_regressor_s` output.
     """
-    x = as_signal(x)
-    k = validate_order(k)
-    _check_usable(x, k)
-    n = x.shape[1]
-    blocks = [np.ones((1, n - k), dtype=x.dtype)]
-    for j in range(1, k + 2):
-        blocks.append(x[:, j - 1:n - k + j - 1])
-    return np.vstack(blocks)
+    return _stack_regressor(x, k, direct=True)[2]
 
 
 def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:

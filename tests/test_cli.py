@@ -95,6 +95,18 @@ class TestFit:
         assert code == 3
         assert "N - K" in err
 
+    def test_non_finite_csv_exits_2(self, tmp_path, capsys):
+        path = simulate(tmp_path, capsys, m=2, k=1, n=64)
+        rows = path.read_text().splitlines()
+        rows[10] = "nan," + rows[10].split(",", 1)[1]
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "fit", "-i", str(bad), "-k", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "non-finite" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", "-i", str(tmp_path / "no.csv"), "-k", "1")
         assert code == 2

@@ -2,11 +2,13 @@
 direct inverse-Cholesky route, and the equivalence between them.
 """
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from svarlic import linalg
 from svarlic.estimators import (
     coefficient_discrepancy,
     fit_both,
@@ -177,6 +179,62 @@ class TestGramOverflow:
             warnings.simplefilter("error")
             with pytest.raises(NumericalOverflow, match="overflows"):
                 fit_both(x * 1e160, 1)
+
+
+ROUTES = {
+    "lic": fit_svar_lic,
+    "ls": lambda x, k: rvar_to_svar(fit_rvar_ls(x, k)),
+    "both": fit_both,
+}
+
+
+class TestNonFiniteSignal:
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_raises_value_error(self, route, bad, field):
+        x = stable_series(2, 1, 64, seed=11)
+        if field == "complex":
+            x = x.astype(np.complex128)
+            x[1, 5] = complex(1.0, bad)
+        else:
+            x[1, 5] = bad
+        with pytest.raises(ValueError, match="signal contains non-finite entries"):
+            ROUTES[route](x, 1)
+
+
+class TestSignalCheckedOnce:
+    """Finiteness passes over arrays with at least N - K columns: the
+    signal once per route and the residuals once, through
+    `RvarCoefficients`; never the stacked regressors T or S."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        seen = []
+        original = linalg.as_matrix
+
+        def spy(a, name="matrix"):
+            seen.append(a)
+            return original(a, name)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "svarlic" or module_name.startswith("svarlic."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, spy)
+        return seen
+
+    @pytest.mark.parametrize("route, passes", [("lic", 1), ("ls", 2), ("both", 3)])
+    def test_passes_per_route(self, checked, route, passes):
+        m, k, n = 2, 2, 200
+        x = stable_series(m, k, n, seed=12)
+        ROUTES[route](x, k)
+        shapes = [np.shape(a) for a in checked]
+        assert sum(shape[1] >= n - k for shape in shapes) == passes
+        assert sum(a is x for a in checked) == (2 if route == "both" else 1)
+        assert (m * (k + 1) + 1, n - k) not in shapes  # T
+        assert (m * k + 1, n - k) not in shapes  # S
+        assert shapes.count((m, n - k)) == (0 if route == "lic" else 1)  # V
 
 
 class TestEquivalence:

@@ -20,6 +20,7 @@ from svarlic.linalg import (
     invert_lower,
     solve_hpd,
 )
+from svarlic.model import SvarCoefficients
 
 FIELDS = ["real", "complex"]
 
@@ -100,11 +101,36 @@ class TestGramHermitian:
             with pytest.raises(NumericalOverflow):
                 gram_hermitian([[1e160, 1e160]])
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_product_near_overflow_still_fits(self, field):
+        a = np.full((2, 1), 1.2e154, dtype=np.complex128 if field == "complex" else float)
+        assert np.array_equal(gram_hermitian(a), np.full((2, 2), 1.2e154**2))
+
     def test_matches_direct_product(self):
         rng = np.random.default_rng(7)
         a = random_matrix(rng, 4, 9, "complex")
         np.testing.assert_allclose(gram_hermitian(a), a @ a.conj().T,
                                    rtol=0, atol=1e-13)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf)]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_gram_hermitian_raises_value_error(self, bad):
+        a = np.ones((3, 4), dtype=type(bad))
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            gram_hermitian(a)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("where", [(1, 1), (2, 0)])
+    def test_cholesky_lower_raises_value_error(self, bad, where):
+        h = np.eye(3, dtype=type(bad))
+        h[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cholesky_lower(h)
 
 
 class TestCholeskyLower:
@@ -224,6 +250,18 @@ class TestInvertLower:
     def test_rejects_complex_diagonal(self):
         with pytest.raises(ValueError, match="real"):
             invert_lower(np.array([[1.0 + 1.0j, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("check", [invert_lower, lambda c: SvarCoefficients(L=c)],
+                             ids=["invert_lower", "SvarCoefficients"])
+    @pytest.mark.parametrize("c, error, phrase", [
+        (np.ones((2, 3)), DimensionMismatch, "square"),
+        ([[1.0, 0.5], [0.0, 1.0]], ValueError, "lower triangular"),
+        ([[1.0, 0.0], [1.0, 0.0]], ValueError, "strictly positive"),
+        (np.diag([1.0, 1.0 + 1e-3j]), ValueError, "real"),
+    ])
+    def test_shares_the_factor_check_with_svar_coefficients(self, check, c, error, phrase):
+        with pytest.raises(error, match=phrase):
+            check(c)
 
     def test_upper_triangle_exactly_zero(self):
         rng = np.random.default_rng(3)
