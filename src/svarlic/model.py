@@ -201,14 +201,12 @@ def rvar_residuals(model: RvarCoefficients, x: ArrayLike) -> NDArray:
     expression the least-squares fit uses, so on a fitted model the result
     reproduces the stored `V` bit for bit.
     """
-    x = as_signal(x)
+    x, k, s = _stack_regressor(x, model.order, direct=False)
     if x.shape[0] != model.branches:
         raise DimensionMismatch(
             f"signal has {x.shape[0]} branches, model expects {model.branches}")
-    k = model.order
-    _check_usable(x, k)
     stacked = np.hstack([model.c[:, None], *model.A])
-    return x[:, k:] - stacked @ build_regressor_s(x, k)
+    return x[:, k:] - stacked @ s
 
 
 def companion_matrix(a: tuple[NDArray, ...] | list[NDArray]) -> NDArray:

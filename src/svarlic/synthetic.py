@@ -89,8 +89,12 @@ def simulate_series(
     Each step draws a unit shock w(n), standard normal per branch for real
     models and circularly symmetric unit normal for complex ones, and solves
     ``x(n) = L^{-1}(t + sum_i R_i x(n-i) + w(n))`` from zero initial
-    conditions. The first `burn_in` samples (default ``10*K*M``) are
-    discarded to wash out the start-up transient.
+    conditions. The samples live in a time-major buffer led by K zero rows,
+    which are those initial conditions; each row starts as its driving term
+    ``L^{-1}(t + w(n))`` and each step adds one product of ``[A_K .. A_1]``
+    with the K previous samples, read as one contiguous slice. The first
+    `burn_in` samples (default ``10*K*M``) are discarded to wash out the
+    start-up transient.
 
     With ``return_noise=True`` also returns the M x `n` shock block aligned
     with the returned samples, for round-trip checks against
@@ -100,7 +104,8 @@ def simulate_series(
     ------
     NumericalOverflow
         If any sample magnitude exceeds `OVERFLOW_LIMIT` (unstable model
-        run too long).
+        run too long). The whole run is checked in one pass after the
+        loop; the message names the first such sample, burn-in counted.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -113,8 +118,7 @@ def simulate_series(
     total = burn_in + n
 
     rng = np.random.default_rng(seed)
-    is_complex = np.iscomplexobj(model.L)
-    if is_complex:
+    if np.iscomplexobj(model.L):
         noise = (rng.standard_normal((m, total))
                  + 1j * rng.standard_normal((m, total))) / np.sqrt(2.0)
     else:
@@ -122,19 +126,23 @@ def simulate_series(
 
     linv, lag_mats, intercept = _implied_reduced_form(model)
     driven = linv @ noise + intercept[:, None]
+    stacked = np.hstack([np.zeros((m, 0)), *lag_mats[::-1]])
 
-    x = np.zeros((m, total), dtype=driven.dtype)
-    for step in range(total):
-        col = driven[:, step].copy()
-        for i, a in enumerate(lag_mats, 1):
-            if step >= i:
-                col += a @ x[:, step - i]
-        if np.abs(col).max() > OVERFLOW_LIMIT:
-            raise NumericalOverflow(
-                f"sample {step + 1} exceeded {OVERFLOW_LIMIT:g}; "
-                "model is unstable or run too long")
-        x[:, step] = col
+    buf = np.zeros((k + total, m), dtype=driven.dtype)
+    buf[k:] = driven.T
+    flat = buf.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(total):
+            buf[k + step] += stacked @ flat[step * m:(step + k) * m]
+        # Written as "not <=" so that a NaN sample counts as beyond the limit.
+        over = np.flatnonzero(~(np.abs(buf[k:]).max(axis=1) <= OVERFLOW_LIMIT))
+    if over.size:
+        raise NumericalOverflow(
+            f"sample {over[0] + 1} exceeded {OVERFLOW_LIMIT:g}; "
+            "model is unstable or run too long")
 
+    # Fits copy rows of the series, so hand back rows that are contiguous.
+    x = np.ascontiguousarray(buf[k + burn_in:].T)
     if return_noise:
-        return x[:, burn_in:], noise[:, burn_in:]
-    return x[:, burn_in:]
+        return x, noise[:, burn_in:]
+    return x

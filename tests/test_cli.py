@@ -230,6 +230,13 @@ class TestBench:
         assert code == 2
         assert "trials" in err
 
+    def test_negative_trials_exits_2(self, capsys):
+        code, _, err = run(capsys, "bench", "-m", "2", "-k", "1", "-n", "64",
+                           "--trials", "-1")
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "trials" in err
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):

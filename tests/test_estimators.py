@@ -236,6 +236,13 @@ class TestSignalCheckedOnce:
         assert (m * k + 1, n - k) not in shapes  # S
         assert shapes.count((m, n - k)) == (0 if route == "lic" else 1)  # V
 
+    def test_rvar_residuals_scans_signal_once(self, checked):
+        x = stable_series(2, 2, 200, seed=12)
+        fit = fit_rvar_ls(x, 2)
+        checked.clear()
+        rvar_residuals(fit, x)
+        assert [np.shape(a) for a in checked] == [x.shape]
+
 
 class TestEquivalence:
     @pytest.mark.parametrize("m,k", [(1, 0), (1, 2), (2, 1), (2, 2), (3, 1), (4, 3)])

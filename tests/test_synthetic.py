@@ -1,11 +1,47 @@
 """Generator tests: stability, determinism, and the forward recursion."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from svarlic.exceptions import NumericalOverflow
 from svarlic.model import SvarCoefficients, companion_spectral_radius, svar_residuals
-from svarlic.synthetic import random_stable_svar, simulate_series
+from svarlic.synthetic import OVERFLOW_LIMIT, random_stable_svar, simulate_series
+
+
+def reference_recursion(model, noise):
+    """The recursion stepped lag by lag from rest, with no overflow check:
+    ``x(n) = L^{-1}(t + sum_i R_i x(n-i) + w(n))`` for every column of
+    `noise`."""
+    linv = np.linalg.inv(model.L)
+    lags = [linv @ r for r in model.R]
+    driven = linv @ (noise + model.t[:, None])
+    x = np.zeros_like(driven)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(x.shape[1]):
+            col = driven[:, step].copy()
+            for i, a in enumerate(lags, 1):
+                if step >= i:
+                    col += a @ x[:, step - i]
+            x[:, step] = col
+    return x
+
+
+def full_noise(model, total, seed):
+    """The shocks of a `total`-step run of `model`, burn-in included. The
+    draw depends only on the branch count, the field and the seed, so a
+    lag-free model of the same shape, which cannot overflow, returns them
+    all when run with no burn-in."""
+    white = SvarCoefficients(L=np.eye(model.branches, dtype=model.L.dtype))
+    return simulate_series(white, total, seed, burn_in=0, return_noise=True)[1]
+
+
+def unstable(m, k, seed, gain):
+    """A generated model with every lag matrix multiplied by `gain`."""
+    model = random_stable_svar(m, k, seed)
+    return SvarCoefficients(L=model.L, R=tuple(gain * r for r in model.R), t=model.t)
 
 
 class TestRandomStableSvar:
@@ -101,3 +137,65 @@ class TestSimulateSeries:
             simulate_series(model, 0, seed=0)
         with pytest.raises(ValueError):
             simulate_series(model, 10, seed=0, burn_in=-1)
+
+
+class TestAgainstReferenceRecursion:
+    @pytest.mark.parametrize("m,k", [(1, 0), (2, 1), (3, 2), (4, 3)])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("burn_in", [None, 0])
+    def test_matches_per_lag_loop(self, m, k, complex_field, burn_in):
+        model = random_stable_svar(m, k, seed=m + k, complex_field=complex_field)
+        n = 257
+        burn = 10 * k * m if burn_in is None else burn_in
+        x, noise = simulate_series(model, n, seed=21, burn_in=burn_in,
+                                   return_noise=True)
+        shocks = full_noise(model, burn + n, seed=21)
+        expected = reference_recursion(model, shocks)[:, burn:]
+        assert x.shape == noise.shape == (m, n)
+        assert np.array_equal(noise, shocks[:, burn:])
+        assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("model", [
+        SvarCoefficients(L=np.eye(1), R=(np.array([[1.5]]),), t=[0.0]),
+        unstable(2, 2, seed=9, gain=3.0),
+        unstable(3, 1, seed=4, gain=2.5),
+    ])
+    def test_names_first_sample_beyond_limit(self, model):
+        n = 400
+        burn = 10 * model.order * model.branches
+        with pytest.raises(NumericalOverflow) as exc:
+            simulate_series(model, n, seed=8)
+        x = reference_recursion(model, full_noise(model, burn + n, seed=8))
+        first = np.flatnonzero(np.abs(x).max(axis=0) > OVERFLOW_LIMIT)[0] + 1
+        assert re.match(rf"sample {first} exceeded 1e\+12; model is unstable",
+                        str(exc.value))
+
+    @pytest.mark.parametrize("model", [
+        SvarCoefficients(L=np.eye(1), R=(np.array([[1.5]]),), t=[0.0]),
+        unstable(3, 2, seed=2, gain=4.0),
+    ])
+    def test_run_to_infinity_raises_without_warnings(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflow, match="unstable"):
+                simulate_series(model, 5000, seed=3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stable_run_never_raises(self, seed):
+        model = random_stable_svar(3, 2, seed, target_radius=0.95)
+        x = simulate_series(model, 20000, seed=seed)
+        assert np.isfinite(x).all()
+
+
+class TestLayout:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("burn_in", [None, 0])
+    def test_rows_are_contiguous(self, complex_field, burn_in):
+        # Fits copy rows of the series, and a strided row makes each copy slow.
+        model = random_stable_svar(3, 2, seed=1, complex_field=complex_field)
+        x, noise = simulate_series(model, 100, seed=2, burn_in=burn_in,
+                                   return_noise=True)
+        assert x.strides[1] == x.itemsize
+        assert noise.strides[1] == noise.itemsize
