@@ -108,8 +108,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
     model = random_stable_svar(args.branches, args.order, args.seed, args.radius)
     x = simulate_series(model, args.length, seed=args.seed + 1)
 
@@ -186,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--branches", "-m", required=True, type=_positive_int)
     bench.add_argument("--order", "-k", required=True, type=_nonneg_int)
     bench.add_argument("--length", "-n", required=True, type=_positive_int)
-    bench.add_argument("--trials", type=int, default=20)
+    bench.add_argument("--trials", type=_positive_int, default=20)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--radius", type=float, default=0.8)
     bench.add_argument("--output", "-o", default=None)

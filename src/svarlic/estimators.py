@@ -5,11 +5,16 @@ equations ``A (S S^H) = X S^H``, then whiten the residuals with the inverse
 Cholesky factor of ``V V^H`` and rescale every coefficient by it
 (`fit_rvar_ls` followed by `rvar_to_svar`).
 
-Route 2, direct: build the taller stacked matrix T (lags plus current
-samples), factor ``T T^H`` as ``C C^H``, compute only the bottom block rows
-of ``C^-1``, and read the structural coefficients straight out of them
-(`fit_svar_lic`). One factorization of a slightly larger matrix replaces
-the whole least-squares chain.
+Route 2, direct: build the taller stacked matrix T, which is the
+least-squares regressor S with the current samples appended, factor
+``T T^H`` as ``C C^H``, compute only the bottom block rows of ``C^-1``, and
+read the structural coefficients straight out of them (`fit_svar_lic`).
+One factorization of a slightly larger matrix replaces the whole
+least-squares chain.
+
+Both routes share S's row layout, so both read their coefficients through
+one block split, `model._unstack_coefficients`: from ``[c | A_1 .. A_K]``
+in route 1 and from ``-[t | R_1 .. R_K]`` in route 2.
 
 Under the shared positive-diagonal factor convention the two routes agree
 exactly in exact arithmetic; `fit_both` runs them side by side and reports
@@ -41,7 +46,12 @@ from .linalg import (
     gram_hermitian,
     solve_hpd,
 )
-from .model import RvarCoefficients, SvarCoefficients, _stack_regressor
+from .model import (
+    RvarCoefficients,
+    SvarCoefficients,
+    _stack_regressor,
+    _unstack_coefficients,
+)
 
 #: Residuals whose Frobenius norm falls below this fraction of the signal's
 #: are pure cancellation noise from an exact fit (deterministic series) and
@@ -98,8 +108,8 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
     v = current - a @ s
     if np.linalg.norm(v) <= RESIDUAL_FLUSH_RTOL * np.linalg.norm(current):
         v = np.zeros_like(v)
-    lags = tuple(a[:, 1 + (i - 1) * m:1 + i * m].copy() for i in range(1, k + 1))
-    return RvarCoefficients(c=a[:, 0].copy(), A=lags, V=v)
+    c, lags = _unstack_coefficients(a)
+    return RvarCoefficients(c=c, A=lags, V=v)
 
 
 def rvar_to_svar(model: RvarCoefficients) -> SvarCoefficients:
@@ -136,14 +146,20 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
 
     With ``U = (cholesky(T T^H))^{-1}`` (lower, positive real diagonal) and
     1-based index sets ``alpha = (MK+2 .. M(K+1)+1)`` over the bottom block
-    and ``beta_j = ((j-1)M+2 .. jM+1)`` over lag block j of T, the
+    and ``beta_i = ((i-1)M+2 .. iM+1)`` over the block of lag i in T, the
     coefficients are block reads from the bottom M rows ``U[alpha, :]``,
     which are the only rows of `U` computed (one triangular solve against
     the last M unit vectors):
 
     * ``L = U[alpha, alpha]``
-    * ``R_i = -U[alpha, beta_{K-i+1}]`` (T stacks oldest lag first)
+    * ``R_i = -U[alpha, beta_i]``
     * ``t = -U[alpha, 1]``
+
+    The paper stacks T oldest lag first and reads ``R_i`` from block
+    ``K-i+1``. The rows read here are the same: with ``T T^H`` split at
+    the current block into ``G11, G21, G22``, the bottom rows of `U` are
+    ``C22^-1 [-G21 G11^-1, I]``, where ``C22`` factors the Schur
+    complement, so reordering the regressor rows only permutes columns.
 
     Raises the same errors as `fit_rvar_ls`, with the stricter sample
     requirement N - K >= M*(K+1) + 1.
@@ -161,15 +177,8 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
             f"stacked Gram matrix TT^H is singular ({exc}); "
             "the signal is deterministic or has collinear branches") from exc
     u_alpha = _inverse_bottom_rows(factor, m)
-    lags = []
-    for i in range(1, k + 1):
-        j = k - i + 1
-        lags.append(-u_alpha[:, (j - 1) * m + 1:j * m + 1])
-    return SvarCoefficients(
-        L=u_alpha[:, m * k + 1:].copy(),
-        R=tuple(lags),
-        t=-u_alpha[:, 0],
-    )
+    t, lags = _unstack_coefficients(-u_alpha[:, :m * k + 1])
+    return SvarCoefficients(L=u_alpha[:, m * k + 1:].copy(), R=lags, t=t)
 
 
 def coefficient_discrepancy(ref: SvarCoefficients, other: SvarCoefficients) -> float:

@@ -13,10 +13,12 @@ Two model forms appear throughout:
   innovations `v`.
 
 The two estimation routes in :mod:`svarlic.estimators` consume the stacked
-regressor matrices built here. Note their lag orderings differ on purpose:
-`build_regressor_s` stacks lag 1 first, `build_regressor_t` stacks the
-oldest sample first and the current samples last. The block-extraction map
-in the direct estimator absorbs the difference.
+regressor matrices built here, and both use one row layout: a row of ones,
+then K lag blocks of M rows, lag 1 first (`build_regressor_s`); the direct
+route's `build_regressor_t` appends the current samples as one more block.
+So every coefficient block the routes read, ``[c | A_1 .. A_K]`` or
+``-[t | R_1 .. R_K]``, has the same columns, and `_unstack_coefficients`
+is the one place that splits it into lags.
 """
 
 from __future__ import annotations
@@ -50,9 +52,12 @@ def as_signal(x: ArrayLike) -> NDArray:
 
 
 def validate_order(k: int) -> int:
-    if int(k) != k or k < 0:
-        raise ValueError(f"order K must be a nonnegative integer, got {k!r}")
-    return int(k)
+    try:
+        if int(k) == k and k >= 0:
+            return int(k)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, infinity
+        pass
+    raise ValueError(f"order K must be a nonnegative integer, got {k!r}")
 
 
 def _as_vector(v: ArrayLike, m: int, name: str) -> NDArray:
@@ -112,8 +117,7 @@ class RvarCoefficients:
     V: NDArray | None = None
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c)).ravel()
-        self.c = _as_vector(c, c.shape[0], "c")
+        self.c = _as_vector(self.c, np.size(self.c), "c")
         m = self.c.shape[0]
         self.A = tuple(_as_square(a, m, f"A_{i}") for i, a in enumerate(self.A, 1))
         if self.V is not None:
@@ -131,29 +135,34 @@ class RvarCoefficients:
         return len(self.A)
 
 
-def _check_usable(x: NDArray, k: int) -> None:
-    n = x.shape[1]
-    if n <= k:
-        raise OrderTooLarge(f"order K={k} too large for N={n} samples (need N > K)")
-
-
 def _stack_regressor(x: ArrayLike, k: int, direct: bool) -> tuple[NDArray, int, NDArray]:
     """Check the signal `x` and order `k`, then stack a regressor matrix.
 
     Returns the signal as an array, the order as an int and the stack: a
-    row of ones over K blocks of M rows, lag 1 first (the least-squares
-    layout), or with `direct` over K+1 blocks, oldest first, whose last
-    block is the current samples (the direct layout). The routes call this
-    once per fit, so the signal is checked once.
+    row of ones over K blocks of M rows, lag 1 first, with `direct` over
+    one more block, the current samples. This is the package's only row
+    layout. The routes call this once per fit, so the signal is checked
+    once.
     """
     x = as_signal(x)
     k = validate_order(k)
-    _check_usable(x, k)
     n = x.shape[1]
-    starts = range(k + 1) if direct else range(k - 1, -1, -1)
+    if n <= k:
+        raise OrderTooLarge(f"order K={k} too large for N={n} samples (need N > K)")
+    lags = [*range(1, k + 1), 0] if direct else range(1, k + 1)
     blocks = [np.ones((1, n - k), dtype=x.dtype)]
-    blocks.extend(x[:, j:n - k + j] for j in starts)
+    blocks.extend(x[:, k - i:n - i] for i in lags)
     return x, k, np.vstack(blocks)
+
+
+def _unstack_coefficients(block: NDArray) -> tuple[NDArray, tuple[NDArray, ...]]:
+    """Split an M x (M*K+1) coefficient block, whose columns follow the
+    rows of `build_regressor_s`, into copies of its column 0 and of its K
+    square lag blocks, lag 1 first."""
+    m = block.shape[0]
+    k = (block.shape[1] - 1) // m
+    return block[:, 0].copy(), tuple(block[:, 1 + i * m:1 + (i + 1) * m].copy()
+                                     for i in range(k))
 
 
 def build_regressor_s(x: ArrayLike, k: int) -> NDArray:
@@ -168,10 +177,9 @@ def build_regressor_s(x: ArrayLike, k: int) -> NDArray:
 def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
     """Stack the one-shot regressor matrix of shape (M*(K+1)+1) x (N-K).
 
-    Row 1 is all ones; then K+1 blocks of M rows, oldest first: block j
-    holds ``x(j) .. x(N-K+j-1)``. The final block is the current samples
-    ``x(K+1) .. x(N)``, so the top M*K+1 rows are a block-reversed
-    permutation of `build_regressor_s` output.
+    The top M*K+1 rows are `build_regressor_s` output, entry for entry;
+    below them sits one more block of M rows, the current samples
+    ``x(K+1) .. x(N)``.
     """
     return _stack_regressor(x, k, direct=True)[2]
 
@@ -179,19 +187,16 @@ def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
 def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:
     """Structural residuals ``w(n) = L x(n) - t - sum_i R_i x(n-i)``.
 
-    Returns an M x (N-K) array, one column per sample n = K+1 .. N.
+    Evaluated as one stacked product ``L X - [t, R_1..R_K] S``, the form
+    `rvar_residuals` uses. Returns an M x (N-K) array, one column per
+    sample n = K+1 .. N.
     """
-    x = as_signal(x)
+    x, k, s = _stack_regressor(x, model.order, direct=False)
     if x.shape[0] != model.branches:
         raise DimensionMismatch(
             f"signal has {x.shape[0]} branches, model expects {model.branches}")
-    k = model.order
-    _check_usable(x, k)
-    n = x.shape[1]
-    w = model.L @ x[:, k:] - model.t[:, None]
-    for i, r in enumerate(model.R, 1):
-        w = w - r @ x[:, k - i:n - i]
-    return w
+    stacked = np.hstack([model.t[:, None], *model.R])
+    return model.L @ x[:, k:] - stacked @ s
 
 
 def rvar_residuals(model: RvarCoefficients, x: ArrayLike) -> NDArray:

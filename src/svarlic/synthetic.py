@@ -34,11 +34,15 @@ def random_stable_svar(
     complex_field: bool = False,
 ) -> SvarCoefficients:
     """Draw structural coefficients whose implied companion spectral radius
-    is at most `target_radius`.
+    is at most `target_radius`, up to rounding.
 
-    Reduced-form lag matrices are sampled, then shrunk by a common factor
-    until the radius bound holds; a random lower-triangular mixing matrix
-    with positive diagonal maps the system to structural form.
+    Reduced-form lag matrices are sampled. If their companion radius
+    exceeds the target, lag i is multiplied by ``s**i`` with
+    ``s = target_radius / radius``, which scales every companion
+    eigenvalue by exactly `s`, so one eigenvalue computation puts the
+    radius on the target up to rounding (under 1e-14 above it). A random
+    lower-triangular mixing matrix with positive diagonal maps the system
+    to structural form.
     """
     if not 0.0 < target_radius < 1.0:
         raise ValueError(f"target_radius must be in (0, 1), got {target_radius}")
@@ -54,13 +58,10 @@ def random_stable_svar(
         return z
 
     lags = tuple(draw(m, m) / (k * np.sqrt(m)) for _ in range(k))
-    if k:
-        radius = companion_spectral_radius(RvarCoefficients(np.zeros(m), lags))
-        scale = min(1.0, target_radius / radius) if radius > 0 else 1.0
-        while companion_spectral_radius(RvarCoefficients(
-                np.zeros(m), tuple(scale * a for a in lags))) > target_radius:
-            scale *= 0.95
-        lags = tuple(scale * a for a in lags)
+    radius = companion_spectral_radius(RvarCoefficients(np.zeros(m), lags))
+    if radius > target_radius:
+        scale = target_radius / radius
+        lags = tuple(scale**i * a for i, a in enumerate(lags, 1))
 
     mixing = np.zeros((m, m), dtype=np.complex128 if complex_field else np.float64)
     idx = np.tril_indices(m, -1)

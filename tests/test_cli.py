@@ -225,15 +225,16 @@ class TestBench:
         assert "lic_faster:" in out
 
     def test_zero_trials_exits_2(self, capsys):
-        code, _, err = run(capsys, "bench", "-m", "2", "-k", "1", "-n", "64",
-                           "--trials", "0")
-        assert code == 2
-        assert "trials" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "-m", "2", "-k", "1", "-n", "64", "--trials", "0"])
+        assert exc.value.code == 2
+        assert "trials" in capsys.readouterr().err
 
     def test_negative_trials_exits_2(self, capsys):
-        code, _, err = run(capsys, "bench", "-m", "2", "-k", "1", "-n", "64",
-                           "--trials", "-1")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "-m", "2", "-k", "1", "-n", "64", "--trials", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "trials" in err
 

@@ -171,6 +171,27 @@ class TestFitSvarLic:
         with pytest.raises(OrderTooLarge):
             fit_svar_lic(np.ones((1, 2)), 2)
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    def test_matches_paper_layout(self, k, complex_field):
+        # The paper's reading: T stacked oldest lag first, the full inverse
+        # of its Gram's Cholesky factor, and R_i from lag block K-i+1.
+        m, n = 3, 600
+        x = stable_series(m, k, n, seed=11, complex_field=complex_field)
+        t = np.vstack([np.ones((1, n - k)), *(x[:, j:n - k + j] for j in range(k + 1))])
+        u = np.linalg.inv(np.linalg.cholesky(t @ t.conj().T))
+        bottom = u[m * k + 1:]
+        fit = fit_svar_lic(x, k)
+
+        def close(got, want):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+        close(fit.L, bottom[:, m * k + 1:])
+        close(fit.t, -bottom[:, 0])
+        for i, r in enumerate(fit.R, 1):
+            j = k - i + 1
+            close(r, -bottom[:, (j - 1) * m + 1:j * m + 1])
+
 
 class TestGramOverflow:
     def test_fit_both_raises_numerical_overflow_without_warnings(self):

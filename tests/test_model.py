@@ -13,6 +13,7 @@ from svarlic.model import (
     companion_spectral_radius,
     rvar_residuals,
     svar_residuals,
+    validate_order,
 )
 from svarlic.synthetic import random_stable_svar, simulate_series
 
@@ -63,6 +64,24 @@ class TestRvarCoefficients:
     def test_scalar_intercept(self):
         m = RvarCoefficients(c=0.5)
         assert m.branches == 1
+
+    @pytest.mark.parametrize("c", [[[1.0, 2.0, 3.0]], [[1.0], [2.0], [3.0]]])
+    def test_row_or_column_intercept(self, c):
+        assert RvarCoefficients(c=c).branches == 3
+
+    def test_rejects_matrix_intercept(self):
+        with pytest.raises(DimensionMismatch):
+            RvarCoefficients(c=np.ones((2, 2)))
+
+
+class TestValidateOrder:
+    @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan"), 1.5, -1])
+    def test_rejects(self, k):
+        with pytest.raises(ValueError, match="order K must be a nonnegative integer"):
+            validate_order(k)
+
+    def test_accepts_integral_float(self):
+        assert validate_order(3.0) == 3
 
 
 class TestBuildRegressorS:
@@ -120,18 +139,10 @@ class TestBuildRegressorT:
         assert build_regressor_t(x, k).shape == (m * (k + 1) + 1, n - k)
 
     @pytest.mark.parametrize("m,k,n", [(1, 2, 9), (2, 1, 8), (3, 3, 20)])
-    def test_top_rows_are_block_reversed_s(self, m, k, n):
-        # T's lag block j carries lag K-j+1, so reversing S's lag blocks
-        # (ones row fixed) reproduces T's top M*K+1 rows entrywise.
+    def test_top_rows_are_s(self, m, k, n):
+        # One row layout: T is S with the current samples appended.
         x = np.random.default_rng(2).standard_normal((m, n))
-        s = build_regressor_s(x, k)
-        t = build_regressor_t(x, k)
-        assert np.array_equal(t[:1, :], s[:1, :])
-        for j in range(1, k + 1):
-            lag = k - j + 1
-            s_block = s[1 + (lag - 1) * m:1 + lag * m, :]
-            t_block = t[1 + (j - 1) * m:1 + j * m, :]
-            assert np.array_equal(t_block, s_block)
+        assert np.array_equal(build_regressor_t(x, k)[:m * k + 1], build_regressor_s(x, k))
 
 
 class TestSvarResiduals:
@@ -161,6 +172,22 @@ class TestSvarResiduals:
         m = SvarCoefficients(L=np.eye(2))
         with pytest.raises(DimensionMismatch):
             svar_residuals(m, np.ones((3, 5)))
+
+    def test_matches_per_lag_definition_complex(self):
+        rng = np.random.default_rng(9)
+        m, k, n = 3, 3, 40
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        x = draw(m, n)
+        model = SvarCoefficients(L=np.tril(draw(m, m), -1) + 2 * np.eye(m),
+                                 R=tuple(draw(m, m) for _ in range(k)), t=draw(m))
+        direct = model.L @ x[:, k:] - model.t[:, None]
+        for i, r in enumerate(model.R, 1):
+            direct = direct - r @ x[:, k - i:n - i]
+        np.testing.assert_allclose(svar_residuals(model, x), direct,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestRvarResiduals:

@@ -67,6 +67,20 @@ class TestRandomStableSvar:
         model = random_stable_svar(1, 1, seed=3, target_radius=0.5)
         assert abs(model.R[0][0, 0] / model.L[0, 0]) <= 0.5 + 1e-12
 
+    @pytest.mark.parametrize("m,k", [(1, 1), (3, 2), (4, 3)])
+    def test_one_eigenvalue_computation(self, monkeypatch, m, k):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def spy(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        for seed in range(5):
+            random_stable_svar(m, k, seed)
+        assert calls == [(m * k, m * k)] * 5
+
     def test_k0_has_no_lags(self):
         model = random_stable_svar(2, 0, seed=1)
         assert model.order == 0
