@@ -11,7 +11,11 @@ instruction trace: the least-squares route here solves rather than inverts
 the Gram matrix, but the tally follows the conventional inversion recipe.
 Likewise the direct route computes only the bottom M rows of the inverse
 factor, yet ``U_hat`` is charged the full ``q^3/2`` for factorizing and
-inverting, as in the paper's cost table.
+inverting, as in the paper's cost table. And ``TT^H`` is charged the
+paper's ``q^2 N/2`` for a dense Hermitian product, while above a small
+size the implementation forms it from the K+1 distinct M x M lag products
+of the series (`svarlic.model`), about ``M^2 (K+1) N`` multiplies; the
+least-squares route reads ``SS^H`` and ``XS^H`` off that same Gram.
 """
 
 from __future__ import annotations

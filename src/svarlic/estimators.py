@@ -5,12 +5,16 @@ equations ``A (S S^H) = X S^H``, then whiten the residuals with the inverse
 Cholesky factor of ``V V^H`` and rescale every coefficient by it
 (`fit_rvar_ls` followed by `rvar_to_svar`).
 
-Route 2, direct: build the taller stacked matrix T, which is the
+Route 2, direct: take the taller stacked matrix T, which is the
 least-squares regressor S with the current samples appended, factor
 ``T T^H`` as ``C C^H``, compute only the bottom block rows of ``C^-1``, and
 read the structural coefficients straight out of them (`fit_svar_lic`).
 One factorization of a slightly larger matrix replaces the whole
 least-squares chain.
+
+Both routes start from ``T T^H`` (`model._regressor_gram`): route 1 reads
+``S S^H`` and ``X S^H`` off its leading blocks. Above a size it is formed
+from the K+1 distinct lag products of the signal, so T is never built.
 
 Both routes share S's row layout, so both read their coefficients through
 one block split, `model._unstack_coefficients`: from ``[c | A_1 .. A_K]``
@@ -40,7 +44,6 @@ from .exceptions import (
     RankDeficient,
 )
 from .linalg import (
-    _conj_transpose,
     _inverse_bottom_rows,
     cholesky_lower,
     gram_hermitian,
@@ -49,6 +52,8 @@ from .linalg import (
 from .model import (
     RvarCoefficients,
     SvarCoefficients,
+    _check_signal,
+    _regressor_gram,
     _stack_regressor,
     _unstack_coefficients,
 )
@@ -69,20 +74,27 @@ __all__ = [
 ]
 
 
-def _require_samples(stacked: NDArray, rule: str, m: int, k: int) -> None:
-    """Raise `InsufficientSamples` if the regressor `stacked` has fewer
-    columns (samples) than rows, so its Gram matrix cannot be full rank."""
-    rows, cols = stacked.shape
-    if cols < rows:
-        raise InsufficientSamples(f"{rule}; got N-K={cols} < {rows} for M={m}, K={k}")
+def _require_samples(shape: tuple[int, int], k: int, direct: bool) -> None:
+    """Raise `InsufficientSamples` if a signal of `shape` (M, N) gives the
+    route's regressor, T if `direct` else S, fewer columns (samples) than
+    rows, so its Gram matrix cannot be full rank."""
+    m, n = shape
+    if direct:
+        rows, rule = m * (k + 1) + 1, "direct route needs N - K >= M*(K+1) + 1"
+    else:
+        rows, rule = m * k + 1, "least squares needs N - K >= M*K + 1"
+    if n - k < rows:
+        raise InsufficientSamples(f"{rule}; got N-K={n - k} < {rows} for M={m}, K={k}")
 
 
 def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
     """Least-squares fit of the reduced form: ``A = X S^H (S S^H)^{-1}``.
 
-    The Gram matrix is factored and solved, never explicitly inverted.
-    Returns the intercept `c`, lag matrices `A_1..A_K` and the residual
-    matrix ``V = X - A S``.
+    ``S S^H`` and ``X S^H`` are read off ``T T^H``, the Gram of the direct
+    route's regressor, whose top rows are S and whose bottom M rows are
+    the current samples X. The Gram matrix is factored and solved, never
+    explicitly inverted. Returns the intercept `c`, lag matrices
+    `A_1..A_K` and the residual matrix ``V = X - A S``.
 
     Raises
     ------
@@ -93,19 +105,26 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
     RankDeficient
         If the regressors are collinear (e.g. a constant branch).
     """
-    x, k, s = _stack_regressor(x, k, direct=False)
-    m = x.shape[0]
-    _require_samples(s, "least squares needs N - K >= M*K + 1", m, k)
-    current = x[:, k:]
+    x, k = _check_signal(x, k)
+    _require_samples(x.shape, k, direct=False)
+    return _finish_ls(x, k, _regressor_gram(x, k))
+
+
+def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
+    """The least-squares route from ``T T^H`` on: solve for ``[c | A_i]``,
+    then stack S once for the residuals ``V = X - A S``, as
+    `rvar_residuals` does, so that it reproduces `V` bit for bit."""
+    p = x.shape[0] * k + 1
     try:
-        a = solve_hpd(gram_hermitian(s), current @ _conj_transpose(s))
+        a = solve_hpd(gram[:p, :p], gram[p:, :p])
     except NotPositiveDefinite as exc:
         raise RankDeficient(
             f"regressor Gram matrix SS^H is singular ({exc}); "
             "the regressors are collinear") from exc
     # Contiguous layout keeps V bit-reproducible from the unpacked pieces.
     a = np.ascontiguousarray(a)
-    v = current - a @ s
+    current = x[:, k:]
+    v = current - a @ _stack_regressor(x, k, direct=False)
     if np.linalg.norm(v) <= RESIDUAL_FLUSH_RTOL * np.linalg.norm(current):
         v = np.zeros_like(v)
     c, lags = _unstack_coefficients(a)
@@ -161,15 +180,21 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
     ``C22^-1 [-G21 G11^-1, I]``, where ``C22`` factors the Schur
     complement, so reordering the regressor rows only permutes columns.
 
+    Above a size set by `model._DENSE_GRAM_WORK`, ``T T^H`` is formed from
+    the K+1 distinct M x M lag products of the signal and T itself is never
+    built.
+
     Raises the same errors as `fit_rvar_ls`, with the stricter sample
     requirement N - K >= M*(K+1) + 1.
     """
-    x, k, t = _stack_regressor(x, k, direct=True)
-    m = x.shape[0]
-    _require_samples(t, "direct route needs N - K >= M*(K+1) + 1", m, k)
-    # T is not kept past its Gram product: it is the largest array of the fit.
-    gram = gram_hermitian(t)
-    del t
+    x, k = _check_signal(x, k)
+    _require_samples(x.shape, k, direct=True)
+    return _finish_lic(x.shape[0], k, _regressor_gram(x, k))
+
+
+def _finish_lic(m: int, k: int, gram: NDArray) -> SvarCoefficients:
+    """The direct route from ``T T^H`` on: factor it, solve for the bottom
+    M rows of the inverse factor and read the coefficients out of them."""
     try:
         factor = cholesky_lower(gram)
     except NotPositiveDefinite as exc:
@@ -209,9 +234,14 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
 
     The least-squares result serves as the reference in the discrepancy
     metric. On well-conditioned inputs the discrepancy sits at rounding
-    level (far below 1e-8); a large value flags ill conditioning. Each
-    route checks the signal and order itself.
+    level (far below 1e-8); a large value flags ill conditioning. The
+    signal is checked once and ``T T^H`` formed once; both routes finish
+    from that one Gram, so they decide rank from the same numbers.
     """
-    ls = rvar_to_svar(fit_rvar_ls(x, k))
-    lic = fit_svar_lic(x, k)
+    x, k = _check_signal(x, k)
+    _require_samples(x.shape, k, direct=False)
+    gram = _regressor_gram(x, k)
+    ls = rvar_to_svar(_finish_ls(x, k, gram))
+    _require_samples(x.shape, k, direct=True)
+    lic = _finish_lic(x.shape[0], k, gram)
     return FitComparison(ls=ls, lic=lic, discrepancy=coefficient_discrepancy(ls, lic))

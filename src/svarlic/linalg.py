@@ -168,9 +168,12 @@ def cholesky_lower(h: ArrayLike) -> NDArray:
     n = h.shape[0]
     if h.shape[1] != n:
         raise ValueError(f"h must be square, got shape {h.shape}")
-    scale = np.abs(h).max()
-    if scale > 0 and np.abs(h - _conj_transpose(h)).max() > HERMITIAN_RTOL * scale:
-        raise ValueError("h is not Hermitian within tolerance")
+    # Every Gram the package factors is exactly Hermitian, and one
+    # equality pass accepts it; other input meets the tolerance test.
+    if not np.array_equal(h, _conj_transpose(h)):
+        scale = np.abs(h).max()
+        if scale > 0 and np.abs(h - _conj_transpose(h)).max() > HERMITIAN_RTOL * scale:
+            raise ValueError("h is not Hermitian within tolerance")
 
     threshold = PIVOT_RTOL * max(float(h.diagonal().real.max()), 0.0)
     c = _checked_factor(h, threshold)

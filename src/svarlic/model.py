@@ -12,13 +12,18 @@ Two model forms appear throughout:
 * the reduced form ``x(n) = c + sum_i A_i x(n-i) + v(n)`` with correlated
   innovations `v`.
 
-The two estimation routes in :mod:`svarlic.estimators` consume the stacked
-regressor matrices built here, and both use one row layout: a row of ones,
-then K lag blocks of M rows, lag 1 first (`build_regressor_s`); the direct
-route's `build_regressor_t` appends the current samples as one more block.
-So every coefficient block the routes read, ``[c | A_1 .. A_K]`` or
-``-[t | R_1 .. R_K]``, has the same columns, and `_unstack_coefficients`
-is the one place that splits it into lags.
+The two estimation routes in :mod:`svarlic.estimators` use one row layout:
+a row of ones, then K lag blocks of M rows, lag 1 first
+(`build_regressor_s`); the direct route's `build_regressor_t` appends the
+current samples as one more block. So every coefficient block the routes
+read, ``[c | A_1 .. A_K]`` or ``-[t | R_1 .. R_K]``, has the same columns,
+and `_unstack_coefficients` is the one place that splits it into lags.
+
+Both routes start from the Gram ``T T^H`` of that layout
+(`_regressor_gram`). Its blocks are sliding-window lag covariances, so
+above a small size it is computed from the K+1 distinct M x M lag products
+of the signal, about ``M^2 (K+1) N`` multiplies, and T is never stacked;
+`svarlic.complexity` still charges the paper's ``q^2 N / 2``.
 """
 
 from __future__ import annotations
@@ -28,8 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .exceptions import DimensionMismatch, OrderTooLarge
-from .linalg import _check_lower_factor, as_matrix, gram_hermitian, invert_lower
+from .exceptions import DimensionMismatch, NumericalOverflow, OrderTooLarge
+from .linalg import (
+    _check_lower_factor,
+    _conj_transpose,
+    as_matrix,
+    gram_hermitian,
+    invert_lower,
+)
 
 __all__ = [
     "SvarCoefficients",
@@ -135,24 +146,101 @@ class RvarCoefficients:
         return len(self.A)
 
 
-def _stack_regressor(x: ArrayLike, k: int, direct: bool) -> tuple[NDArray, int, NDArray]:
-    """Check the signal `x` and order `k`, then stack a regressor matrix.
-
-    Returns the signal as an array, the order as an int and the stack: a
-    row of ones over K blocks of M rows, lag 1 first, with `direct` over
-    one more block, the current samples. This is the package's only row
-    layout. The routes call this once per fit, so the signal is checked
-    once.
-    """
+def _check_signal(x: ArrayLike, k: int) -> tuple[NDArray, int]:
+    """Check the signal `x` and order `k` at the door of every fit and
+    residual route: `x` is coerced and scanned for finiteness once, `k` is
+    validated, and N > K. Returns both as checked values; nothing built
+    from them is checked again."""
     x = as_signal(x)
     k = validate_order(k)
     n = x.shape[1]
     if n <= k:
         raise OrderTooLarge(f"order K={k} too large for N={n} samples (need N > K)")
+    return x, k
+
+
+def _stack_regressor(x: NDArray, k: int, direct: bool) -> NDArray:
+    """Stack a regressor matrix from a checked signal `x` and order `k`.
+
+    The stack is a row of ones over K blocks of M rows, lag 1 first, with
+    `direct` over one more block, the current samples. This is the
+    package's only row layout.
+    """
+    m, n = x.shape
     lags = [*range(1, k + 1), 0] if direct else range(1, k + 1)
-    blocks = [np.ones((1, n - k), dtype=x.dtype)]
-    blocks.extend(x[:, k - i:n - i] for i in lags)
-    return x, k, np.vstack(blocks)
+    stack = np.empty((m * len(lags) + 1, n - k), dtype=x.dtype)
+    stack[0] = 1
+    for j, d in enumerate(lags):
+        stack[1 + j * m:1 + (j + 1) * m] = x[:, k - d:n - d]
+    return stack
+
+
+#: `_regressor_gram` stacks T and forms the dense product while that
+#: product costs fewer than this many multiply-adds, ``q^2 (N-K)``; above
+#: it the lag products' saving outweighs their fixed cost of numpy calls.
+_DENSE_GRAM_WORK = 2 ** 20
+
+
+def _regressor_gram(x: NDArray, k: int) -> NDArray:
+    """``T T^H`` for a checked signal `x` and order `k`, with T the
+    `build_regressor_t` stack: dense below `_DENSE_GRAM_WORK`, from lag
+    products above it (`_lag_covariance_gram`). Both forms are exactly
+    Hermitian with a real diagonal and raise `NumericalOverflow` on a
+    product that does not fit."""
+    q = x.shape[0] * (k + 1) + 1
+    if q * q * (x.shape[1] - k) < _DENSE_GRAM_WORK:
+        return gram_hermitian(_stack_regressor(x, k, direct=True))
+    return _lag_covariance_gram(x, k)
+
+
+def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
+    """``T T^H`` in T's row layout from K+1 lag products, without T.
+
+    The block of ``T T^H`` at the rows of lags i and j is the sliding lag
+    covariance ``sum_{n=K}^{N-1} x(n-i) x(n-j)^H`` (Whittle 1963; Morf,
+    Vieira, Lee & Kailath 1978). For i >= j, shifting n by j turns it into
+    the window product ``P_{i-j} = sum_{n=K}^{N-1} x(n-i+j) x(n)^H``, plus
+    the j samples the shift adds before the window, minus the j it drops
+    at the end. So only the K+1 products ``P_0 .. P_K`` pass over the
+    samples (about ``M^2 (K+1) N`` multiplies, against ``q^2 N`` for the
+    dense product), and the working memory is at most one conjugated copy
+    of the window (complex input), M N values, not T's ``M (K+1) N``.
+
+    The edge terms come from two small stacks over the 2K edge samples: in
+    column s < d, the row block of lag d holds ``x(K-d+s)`` at the head
+    and ``x(N-d+s)`` at the tail, and the ones row holds ones, so the
+    head's product minus the tail's corrects every block, the intercept
+    row's lag sums included.
+    """
+    m, n = x.shape
+    q = m * (k + 1) + 1
+    lags = np.array([*range(1, k + 1), 0])
+    window = x[:, k:]
+    window_h = _conj_transpose(window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.stack([x[:, k - d:n - d] @ window_h for d in range(k + 1)])
+        # toeplitz[K + i - j] is the window block of lags (i, j): P_{i-j}
+        # for i >= j, else P_{j-i}^H.
+        toeplitz = np.concatenate([products[:0:-1].conj().swapaxes(1, 2), products])
+        g = np.empty((q, q), dtype=x.dtype)
+        g[0, 0] = n - k
+        g[1:, 0] = np.tile(window.sum(axis=1), k + 1)
+        g[0, 1:] = g[1:, 0].conj()
+        g[1:, 1:] = (toeplitz[k + lags[:, None] - lags]
+                     .swapaxes(1, 2).reshape(q - 1, q - 1))
+        s = np.arange(k)
+        inside = np.tile(s < lags[:, None], 2)
+        offset = np.tile(s - lags[:, None], 2)
+        columns = np.where(inside, offset + np.repeat([k, n], k), n - 1)
+        edges = np.ones((q, 2 * k), dtype=x.dtype)
+        edges[1:] = (x[:, columns] * inside).swapaxes(0, 1).reshape(q - 1, 2 * k)
+        g += (edges * np.repeat([1.0, -1.0], k)) @ _conj_transpose(edges)
+    if not np.isfinite(g).all():
+        raise NumericalOverflow(
+            "Gram product overflows double precision; rescale the input")
+    g *= 0.5
+    g += _conj_transpose(g)
+    return g
 
 
 def _unstack_coefficients(block: NDArray) -> tuple[NDArray, tuple[NDArray, ...]]:
@@ -171,7 +259,7 @@ def build_regressor_s(x: ArrayLike, k: int) -> NDArray:
     Row 1 is all ones; below it sit K blocks of M rows, lag 1 first: block
     j holds the samples ``x(K+1-j) .. x(N-j)``.
     """
-    return _stack_regressor(x, k, direct=False)[2]
+    return _stack_regressor(*_check_signal(x, k), direct=False)
 
 
 def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
@@ -181,7 +269,7 @@ def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
     below them sits one more block of M rows, the current samples
     ``x(K+1) .. x(N)``.
     """
-    return _stack_regressor(x, k, direct=True)[2]
+    return _stack_regressor(*_check_signal(x, k), direct=True)
 
 
 def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:
@@ -191,10 +279,11 @@ def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:
     `rvar_residuals` uses. Returns an M x (N-K) array, one column per
     sample n = K+1 .. N.
     """
-    x, k, s = _stack_regressor(x, model.order, direct=False)
+    x, k = _check_signal(x, model.order)
     if x.shape[0] != model.branches:
         raise DimensionMismatch(
             f"signal has {x.shape[0]} branches, model expects {model.branches}")
+    s = _stack_regressor(x, k, direct=False)
     stacked = np.hstack([model.t[:, None], *model.R])
     return model.L @ x[:, k:] - stacked @ s
 
@@ -206,10 +295,11 @@ def rvar_residuals(model: RvarCoefficients, x: ArrayLike) -> NDArray:
     expression the least-squares fit uses, so on a fitted model the result
     reproduces the stored `V` bit for bit.
     """
-    x, k, s = _stack_regressor(x, model.order, direct=False)
+    x, k = _check_signal(x, model.order)
     if x.shape[0] != model.branches:
         raise DimensionMismatch(
             f"signal has {x.shape[0]} branches, model expects {model.branches}")
+    s = _stack_regressor(x, k, direct=False)
     stacked = np.hstack([model.c[:, None], *model.A])
     return x[:, k:] - stacked @ s
 

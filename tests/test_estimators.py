@@ -3,12 +3,13 @@ direct inverse-Cholesky route, and the equivalence between them.
 """
 
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from svarlic import linalg
+from svarlic import linalg, model
 from svarlic.estimators import (
     coefficient_discrepancy,
     fit_both,
@@ -202,6 +203,16 @@ class TestGramOverflow:
                 fit_both(x * 1e160, 1)
 
 
+def rebind(monkeypatch, original, replacement):
+    """Point every `svarlic` module attribute bound to `original` (the
+    package imports its kernels by name) at `replacement`."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "svarlic" or module_name.startswith("svarlic."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 ROUTES = {
     "lic": fit_svar_lic,
     "ls": lambda x, k: rvar_to_svar(fit_rvar_ls(x, k)),
@@ -226,8 +237,8 @@ class TestNonFiniteSignal:
 
 class TestSignalCheckedOnce:
     """Finiteness passes over arrays with at least N - K columns: the
-    signal once per route and the residuals once, through
-    `RvarCoefficients`; never the stacked regressors T or S."""
+    signal once per route, `fit_both` included, and the residuals once,
+    through `RvarCoefficients`; never the stacked regressors T or S."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
@@ -238,21 +249,17 @@ class TestSignalCheckedOnce:
             seen.append(a)
             return original(a, name)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name == "svarlic" or module_name.startswith("svarlic."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, spy)
+        rebind(monkeypatch, original, spy)
         return seen
 
-    @pytest.mark.parametrize("route, passes", [("lic", 1), ("ls", 2), ("both", 3)])
+    @pytest.mark.parametrize("route, passes", [("lic", 1), ("ls", 2), ("both", 2)])
     def test_passes_per_route(self, checked, route, passes):
         m, k, n = 2, 2, 200
         x = stable_series(m, k, n, seed=12)
         ROUTES[route](x, k)
         shapes = [np.shape(a) for a in checked]
         assert sum(shape[1] >= n - k for shape in shapes) == passes
-        assert sum(a is x for a in checked) == (2 if route == "both" else 1)
+        assert sum(a is x for a in checked) == 1
         assert (m * (k + 1) + 1, n - k) not in shapes  # T
         assert (m * k + 1, n - k) not in shapes  # S
         assert shapes.count((m, n - k)) == (0 if route == "lic" else 1)  # V
@@ -263,6 +270,95 @@ class TestSignalCheckedOnce:
         checked.clear()
         rvar_residuals(fit, x)
         assert [np.shape(a) for a in checked] == [x.shape]
+
+
+def structured_series(m, k, n, seed, complex_field=False):
+    """A stable series large enough that the routes form ``T T^H`` from lag
+    products rather than from a stacked T."""
+    q = m * (k + 1) + 1
+    assert q * q * (n - k) >= model._DENSE_GRAM_WORK
+    return stable_series(m, k, n, seed, complex_field=complex_field)
+
+
+class TestStructuredGramRoutes:
+    """The routes at sizes above `model._DENSE_GRAM_WORK`, which the small
+    grids elsewhere never reach."""
+
+    @pytest.mark.parametrize("m,k,complex_field", [(4, 2, False), (3, 3, True)])
+    def test_equivalence_and_whitening(self, m, k, complex_field):
+        x = structured_series(m, k, 8192, seed=21, complex_field=complex_field)
+        result = fit_both(x, k)
+        assert result.discrepancy < 1e-8
+        assert whitening_error(result.ls, x) < 1e-8
+        assert whitening_error(result.lic, x) < 1e-8
+        lic = fit_svar_lic(x, k)
+        assert coefficient_discrepancy(result.lic, lic) == 0.0
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("branch", ["ramp", "constant"])
+    def test_collinear_branch_raises_rank_deficient(self, route, branch):
+        x = structured_series(4, 2, 8192, seed=22)
+        x[3] = np.arange(8192.0) if branch == "ramp" else 3.0
+        with pytest.raises(RankDeficient, match="singular"):
+            ROUTES[route](x, 2)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_overflow_raises_without_warnings(self, route, complex_field):
+        x = structured_series(4, 2, 8192, seed=23, complex_field=complex_field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflow, match="overflows"):
+                ROUTES[route](x * 1e160, 2)
+
+    @pytest.mark.parametrize("route, n, message", [
+        ("ls", 105, "least squares needs N - K >= M*K + 1; "
+                    "got N-K=100 < 101 for M=20, K=5"),
+        ("both", 105, "least squares needs N - K >= M*K + 1; "
+                      "got N-K=100 < 101 for M=20, K=5"),
+        ("lic", 115, "direct route needs N - K >= M*(K+1) + 1; "
+                     "got N-K=110 < 121 for M=20, K=5"),
+    ])
+    def test_insufficient_samples_message(self, route, n, message):
+        x = np.random.default_rng(24).standard_normal((20, n))
+        assert 121 ** 2 * (n - 5) >= model._DENSE_GRAM_WORK
+        with pytest.raises(InsufficientSamples) as info:
+            ROUTES[route](x, 5)
+        assert str(info.value) == message
+
+
+class TestGramWork:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_lic_peak_memory_below_t(self, complex_field):
+        m, k, n = 8, 8, 4096
+        x = structured_series(m, k, n, seed=25, complex_field=complex_field)
+        t_bytes = (m * (k + 1) + 1) * (n - k) * x.itemsize
+        tracemalloc.start()
+        try:
+            fit_svar_lic(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t_bytes
+
+    @pytest.mark.parametrize("m,k,n", [(2, 2, 200), (4, 2, 8192)])
+    def test_fit_both_forms_one_regressor_gram(self, monkeypatch, m, k, n):
+        # One q x q Gram for both routes and the M x M residual Gram;
+        # no separate S S^H.
+        shapes = []
+
+        def spying(original):
+            def spy(*args):
+                g = original(*args)
+                shapes.append(g.shape)
+                return g
+            return spy
+
+        for original in (linalg.gram_hermitian, model._lag_covariance_gram):
+            rebind(monkeypatch, original, spying(original))
+        fit_both(stable_series(m, k, n, seed=26), k)
+        q = m * (k + 1) + 1
+        assert sorted(shapes) == sorted([(q, q), (m, m)])
 
 
 class TestEquivalence:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from svarlic.exceptions import DimensionMismatch, NotPositiveDefinite, NumericalOverflow
 from svarlic.linalg import (
+    HERMITIAN_RTOL,
     PIVOT_RTOL,
     as_matrix,
     cholesky_lower,
@@ -160,6 +161,16 @@ class TestCholeskyLower:
     def test_non_hermitian_raises(self):
         with pytest.raises(ValueError, match="Hermitian"):
             cholesky_lower([[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_asymmetry_within_tolerance_factors(self, field):
+        # Inexact Hermitian input takes the tolerance test, not the
+        # exact-equality short cut.
+        h = random_hpd(np.random.default_rng(6), 5, field)
+        h[0, 3] += 1e-3 * HERMITIAN_RTOL * np.abs(h).max()
+        c = cholesky_lower(h)
+        assert np.linalg.norm(c @ c.conj().T - np.tril(h) - np.tril(h, -1).conj().T) \
+            <= 1e-12 * np.linalg.norm(h)
 
     def test_small_positive_pivot_names_its_index(self):
         # LAPACK factors this; the pivot rule rejects C[2, 2]**2 = 1e-14

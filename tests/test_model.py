@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svarlic.exceptions import DimensionMismatch, OrderTooLarge
+from svarlic.exceptions import DimensionMismatch, NumericalOverflow, OrderTooLarge
 from svarlic.model import (
     RvarCoefficients,
     SvarCoefficients,
+    _lag_covariance_gram,
     build_regressor_s,
     build_regressor_t,
     companion_matrix,
@@ -143,6 +146,48 @@ class TestBuildRegressorT:
         # One row layout: T is S with the current samples appended.
         x = np.random.default_rng(2).standard_normal((m, n))
         assert np.array_equal(build_regressor_t(x, k)[:m * k + 1], build_regressor_s(x, k))
+
+
+class TestLagCovarianceGram:
+    """The structured ``T T^H`` from lag products against the dense product
+    of the stacked T, at sizes the routes would send to the dense form."""
+
+    @staticmethod
+    def check(x, k):
+        t = build_regressor_t(x, k)
+        dense = t @ t.conj().T
+        g = _lag_covariance_gram(x, k)
+        assert g.dtype == dense.dtype
+        assert np.abs(g - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.array_equal(g, g.conj().T)
+        assert np.all(g.diagonal().imag == 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 5), k=st.integers(0, 6), complex_field=st.booleans(),
+           seed=st.integers(0, 2**31), data=st.data())
+    def test_matches_dense_product(self, m, k, complex_field, seed, data):
+        q = m * (k + 1) + 1
+        n = k + data.draw(st.integers(q, 4 * q))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, n))
+        if complex_field:
+            x = x + 1j * rng.standard_normal((m, n))
+        self.check(x, k)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("m,k,n", [(1, 6, 7), (2, 6, 10), (3, 4, 5), (5, 3, 5), (2, 2, 3)])
+    def test_series_shorter_than_twice_the_order(self, m, k, n, complex_field):
+        # The head and tail edge samples overlap once N < 2K.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((m, n))
+        if complex_field:
+            x = x + 1j * rng.standard_normal((m, n))
+        self.check(x, k)
+
+    def test_overflow_raises_without_warnings(self):
+        x = np.random.default_rng(3).standard_normal((2, 40)) * 1e160
+        with pytest.raises(NumericalOverflow, match="overflows"):
+            _lag_covariance_gram(x, 2)
 
 
 class TestSvarResiduals:
