@@ -167,8 +167,9 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
     1-based index sets ``alpha = (MK+2 .. M(K+1)+1)`` over the bottom block
     and ``beta_i = ((i-1)M+2 .. iM+1)`` over the block of lag i in T, the
     coefficients are block reads from the bottom M rows ``U[alpha, :]``,
-    which are the only rows of `U` computed (one triangular solve against
-    the last M unit vectors):
+    which are the only rows of `U` computed, by block substitution against
+    the last M unit vectors in about ``q^2 M / 2`` multiplies for T's q
+    rows:
 
     * ``L = U[alpha, alpha]``
     * ``R_i = -U[alpha, beta_i]``

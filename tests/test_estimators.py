@@ -361,6 +361,34 @@ class TestGramWork:
         assert sorted(shapes) == sorted([(q, q), (m, m)])
 
 
+class TestBlockTriangularSolves:
+    """Fits whose factors exceed `linalg._SOLVE_BLOCK`, so that the bottom
+    rows, the whitening mixing matrix and the least-squares solve go
+    through the recursive block division."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_mixing_matrix_above_the_block(self, complex_field):
+        m = linalg._SOLVE_BLOCK + 6
+        x = stable_series(m, 1, 600, seed=31, complex_field=complex_field)
+        result = fit_both(x, 1)
+        assert result.discrepancy < 1e-8
+        assert whitening_error(result.ls, x) < 1e-8
+        assert whitening_error(result.lic, x) < 1e-8
+
+    def test_no_lu_solve_above_the_block(self, monkeypatch):
+        m, k = 16, 4  # q = 81 and p = 65 both exceed the block
+        orders = []
+        original = np.linalg.solve
+
+        def spy(a, b):
+            orders.append(np.shape(a)[0])
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        fit_both(stable_series(m, k, 2048, seed=32), k)
+        assert orders and max(orders) <= linalg._SOLVE_BLOCK
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("m,k", [(1, 0), (1, 2), (2, 1), (2, 2), (3, 1), (4, 3)])
     def test_grid(self, m, k):

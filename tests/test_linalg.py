@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 from svarlic.exceptions import DimensionMismatch, NotPositiveDefinite, NumericalOverflow
 from svarlic.linalg import (
+    _SOLVE_BLOCK,
     HERMITIAN_RTOL,
     PIVOT_RTOL,
+    _divide_lower,
+    _inverse_bottom_rows,
     as_matrix,
     cholesky_lower,
     gram_hermitian,
@@ -282,6 +285,14 @@ class TestInvertLower:
         # +0 exactly, not -0: structural zeros never carry a sign
         assert not np.any(np.signbit(strict_upper.real))
 
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_above_the_block_stays_triangular(self, field):
+        dim = 2 * _SOLVE_BLOCK + 3
+        u = invert_lower(random_lower(np.random.default_rng(4), dim, field))
+        assert np.all(u[np.triu_indices(dim, 1)] == 0)
+        assert np.all(u.diagonal().real > 0)
+        assert np.all(u.diagonal().imag == 0)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 20), seed=st.integers(0, 2**31),
            field=st.sampled_from(FIELDS))
@@ -291,6 +302,41 @@ class TestInvertLower:
         u = invert_lower(c)
         assert np.abs(u @ c - np.eye(dim)).max() <= 1e-10
         assert np.all(u.diagonal().real > 0)
+
+
+class TestDivideLower:
+    """The recursive block division behind `_inverse_bottom_rows` and
+    `solve_hpd`, against one LU solve of the transposed system, on orders
+    on both sides of `_SOLVE_BLOCK`."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.one_of(st.sampled_from([_SOLVE_BLOCK, _SOLVE_BLOCK + 1, 2 * _SOLVE_BLOCK + 1]),
+                         st.integers(1, 4 * _SOLVE_BLOCK)),
+           rows=st.one_of(st.integers(1, 8), st.none()), unit=st.booleans(),
+           seed=st.integers(0, 2**31), field=st.sampled_from(FIELDS))
+    def test_matches_lu_solve(self, dim, rows, unit, seed, field):
+        rng = np.random.default_rng(seed)
+        c = random_lower(rng, dim, field)
+        rows = dim if rows is None else min(rows, dim)
+        if unit:
+            b = np.eye(rows, dim, dim - rows)
+            y = _inverse_bottom_rows(c, rows)
+        else:
+            b = random_matrix(rng, rows, dim, field)
+            y = _divide_lower(b, c)
+        ref = np.linalg.solve(c.T, b.T).T
+        assert y.shape == b.shape and y.flags.c_contiguous
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(_SOLVE_BLOCK + 1, 4 * _SOLVE_BLOCK), rows=st.integers(1, 8),
+           seed=st.integers(0, 2**31), field=st.sampled_from(FIELDS))
+    def test_solve_hpd_above_the_block_matches_lu_solve(self, dim, rows, seed, field):
+        rng = np.random.default_rng(seed)
+        h = gram_hermitian(random_matrix(rng, dim, 2 * dim, field))
+        b = random_matrix(rng, rows, dim, field)
+        ref = np.linalg.solve(h.T, b.T).T
+        assert np.linalg.norm(solve_hpd(h, b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestSolveHpd:
