@@ -54,7 +54,7 @@ from .model import (
     SvarCoefficients,
     _check_signal,
     _regressor_gram,
-    _stack_regressor,
+    _residuals,
     _unstack_coefficients,
 )
 
@@ -112,8 +112,11 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
 
 def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
     """The least-squares route from ``T T^H`` on: solve for ``[c | A_i]``,
-    then stack S once for the residuals ``V = X - A S``, as
-    `rvar_residuals` does, so that it reproduces `V` bit for bit."""
+    split it into `c` and the `A_i`, and form the residuals
+    ``V = X - c - sum_i A_i x(n-i)`` from them lag by lag on slices of the
+    signal (`model._residuals`), never stacking S. `rvar_residuals`
+    evaluates the same expression on the same arrays, so it reproduces `V`
+    bit for bit."""
     p = x.shape[0] * k + 1
     try:
         a = solve_hpd(gram[:p, :p], gram[p:, :p])
@@ -121,13 +124,11 @@ def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
         raise RankDeficient(
             f"regressor Gram matrix SS^H is singular ({exc}); "
             "the regressors are collinear") from exc
-    # Contiguous layout keeps V bit-reproducible from the unpacked pieces.
-    a = np.ascontiguousarray(a)
+    c, lags = _unstack_coefficients(a)
     current = x[:, k:]
-    v = current - a @ _stack_regressor(x, k, direct=False)
+    v = _residuals(x, k, current.copy(), c, lags)
     if np.linalg.norm(v) <= RESIDUAL_FLUSH_RTOL * np.linalg.norm(current):
         v = np.zeros_like(v)
-    c, lags = _unstack_coefficients(a)
     return RvarCoefficients(c=c, A=lags, V=v)
 
 

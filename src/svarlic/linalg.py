@@ -114,8 +114,16 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
     a = _as_float_matrix(a, "matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         g = a @ _conj_transpose(a)
+    return _finish_gram(g, a)
+
+
+def _finish_gram(g: NDArray, source: NDArray) -> NDArray:
+    """Make the Gram product `g`, formed from `source` with overflow
+    ignored, exactly Hermitian in place: halve it, then add its conjugate
+    transpose. A non-finite `g` raises instead: `ValueError` if `source`
+    has non-finite entries, else `NumericalOverflow`."""
     if not np.isfinite(g).all():
-        as_matrix(a)  # raises ValueError if the input is to blame
+        as_matrix(source)  # raises ValueError if the input is to blame
         raise NumericalOverflow(
             "Gram product overflows double precision; rescale the input")
     g *= 0.5
@@ -139,19 +147,22 @@ def _first_failing_pivot(h: NDArray, threshold: float) -> tuple[int, float]:
 
     The pivots of a leading block are the leading pivots of the whole, so
     the largest passing leading block is found by bisection; the failing
-    pivot is the Schur complement of that block at the next index.
+    pivot is the Schur complement of that block at the next index, formed
+    with the block's factor from the bisection by one division by its
+    adjoint.
     """
-    good, bad = 0, h.shape[0]
+    good, bad, factor = 0, h.shape[0], None
     while bad - good > 1:
         mid = (good + bad) // 2
-        if _checked_factor(h[:mid, :mid], threshold) is None:
+        c = _checked_factor(h[:mid, :mid], threshold)
+        if c is None:
             bad = mid
         else:
-            good = mid
+            good, factor = mid, c
     pivot = h[good, good].real
-    if good:
-        z = np.linalg.solve(np.linalg.cholesky(h[:good, :good]), h[good, :good].conj())
-        pivot -= (z.conj() @ z).real
+    if factor is not None:
+        z = _divide_adjoint(h[good:good + 1, :good], factor)
+        pivot -= np.vdot(z, z).real
     return good, float(pivot)
 
 
@@ -229,6 +240,15 @@ def _divide_lower(b: NDArray, c: NDArray) -> NDArray:
     return np.concatenate((y1, y2), axis=1)
 
 
+def _divide_adjoint(b: NDArray, c: NDArray) -> NDArray:
+    """Right division by the adjoint of a lower-triangular `c`: ``b c^-H``.
+
+    Reversing rows and columns turns the upper-triangular ``c^H`` into the
+    lower-triangular one `_divide_lower` takes.
+    """
+    return _divide_lower(b[:, ::-1], _conj_transpose(c)[::-1, ::-1])[:, ::-1]
+
+
 def _inverse_bottom_rows(c: NDArray, rows: int) -> NDArray:
     """The bottom `rows` rows of ``c^-1`` for a lower factor `c` in the
     package's convention (LAPACK's, or one `_check_lower_factor` passed).
@@ -276,7 +296,4 @@ def solve_hpd(h: ArrayLike, b: ArrayLike) -> NDArray:
         )
     if c.shape[0] <= _SOLVE_BLOCK:
         return np.linalg.solve(np.asarray(h).T, b.T).T
-    # Reversing rows and columns turns the upper-triangular C^H into the
-    # lower-triangular one _divide_lower takes.
-    z = _divide_lower(b[:, ::-1], _conj_transpose(c)[::-1, ::-1])[:, ::-1]
-    return _divide_lower(z, c)
+    return _divide_lower(_divide_adjoint(b, c), c)

@@ -24,6 +24,11 @@ Both routes start from the Gram ``T T^H`` of that layout
 above a small size it is computed from the K+1 distinct M x M lag products
 of the signal, about ``M^2 (K+1) N`` multiplies, and T is never stacked;
 `svarlic.complexity` still charges the paper's ``q^2 N / 2``.
+
+Residuals of either form, the least-squares fit's `V` included, are one
+expression, `_residuals`, with one product per lag on a slice of the
+signal, so no fit or residual routine stacks S; S is stacked only by
+`build_regressor_s`, and T only by `build_regressor_t` and the dense Gram.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .exceptions import DimensionMismatch, NumericalOverflow, OrderTooLarge
+from .exceptions import DimensionMismatch, OrderTooLarge
 from .linalg import (
     _check_lower_factor,
     _conj_transpose,
+    _finish_gram,
     as_matrix,
     gram_hermitian,
     invert_lower,
@@ -146,16 +152,20 @@ class RvarCoefficients:
         return len(self.A)
 
 
-def _check_signal(x: ArrayLike, k: int) -> tuple[NDArray, int]:
+def _check_signal(x: ArrayLike, k: int, branches: int | None = None) -> tuple[NDArray, int]:
     """Check the signal `x` and order `k` at the door of every fit and
     residual route: `x` is coerced and scanned for finiteness once, `k` is
-    validated, and N > K. Returns both as checked values; nothing built
-    from them is checked again."""
+    validated, N > K and, if `branches` is given, `x` has that many rows.
+    Returns both as checked values; nothing built from them is checked
+    again."""
     x = as_signal(x)
     k = validate_order(k)
     n = x.shape[1]
     if n <= k:
         raise OrderTooLarge(f"order K={k} too large for N={n} samples (need N > K)")
+    if branches is not None and x.shape[0] != branches:
+        raise DimensionMismatch(
+            f"signal has {x.shape[0]} branches, model expects {branches}")
     return x, k
 
 
@@ -235,12 +245,7 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
         edges = np.ones((q, 2 * k), dtype=x.dtype)
         edges[1:] = (x[:, columns] * inside).swapaxes(0, 1).reshape(q - 1, 2 * k)
         g += (edges * np.repeat([1.0, -1.0], k)) @ _conj_transpose(edges)
-    if not np.isfinite(g).all():
-        raise NumericalOverflow(
-            "Gram product overflows double precision; rescale the input")
-    g *= 0.5
-    g += _conj_transpose(g)
-    return g
+    return _finish_gram(g, x)
 
 
 def _unstack_coefficients(block: NDArray) -> tuple[NDArray, tuple[NDArray, ...]]:
@@ -272,36 +277,43 @@ def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
     return _stack_regressor(*_check_signal(x, k), direct=True)
 
 
+def _residuals(x: NDArray, k: int, lead: NDArray, intercept: NDArray,
+               lags: tuple[NDArray, ...]) -> NDArray:
+    """``lead - intercept - sum_i lags[i-1] x(n-i)`` over n = K+1 .. N for
+    a checked signal `x` and order `k`: an M x (N-K) array, one column per
+    sample, with one product per lag on a slice of `x`, so S is never
+    stacked. `lead` must be an array the caller gives up: it is overwritten
+    when it already has the result's type, the type of all the operands,
+    so real `lead` and `intercept` with a complex lag give complex
+    residuals."""
+    n = x.shape[1]
+    r = lead.astype(np.result_type(x, lead, intercept, *lags), copy=False)
+    r -= intercept[:, None]
+    for i, a in enumerate(lags, 1):
+        r -= a @ x[:, k - i:n - i]
+    return r
+
+
 def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:
     """Structural residuals ``w(n) = L x(n) - t - sum_i R_i x(n-i)``.
 
-    Evaluated as one stacked product ``L X - [t, R_1..R_K] S``, the form
-    `rvar_residuals` uses. Returns an M x (N-K) array, one column per
-    sample n = K+1 .. N.
+    Evaluated lag by lag on slices of the signal (`_residuals`), the
+    expression `rvar_residuals` and the least-squares fit use. Returns an
+    M x (N-K) array, one column per sample n = K+1 .. N.
     """
-    x, k = _check_signal(x, model.order)
-    if x.shape[0] != model.branches:
-        raise DimensionMismatch(
-            f"signal has {x.shape[0]} branches, model expects {model.branches}")
-    s = _stack_regressor(x, k, direct=False)
-    stacked = np.hstack([model.t[:, None], *model.R])
-    return model.L @ x[:, k:] - stacked @ s
+    x, k = _check_signal(x, model.order, model.branches)
+    return _residuals(x, k, model.L @ x[:, k:], model.t, model.R)
 
 
 def rvar_residuals(model: RvarCoefficients, x: ArrayLike) -> NDArray:
     """Reduced-form residuals ``v(n) = x(n) - c - sum_i A_i x(n-i)``.
 
-    Evaluated as one stacked product ``X - [c, A_1..A_K] S``, the same
-    expression the least-squares fit uses, so on a fitted model the result
-    reproduces the stored `V` bit for bit.
+    Evaluated lag by lag on slices of the signal (`_residuals`), the same
+    expression the least-squares fit uses for `V`, so on a fitted model the
+    result reproduces the stored `V` bit for bit.
     """
-    x, k = _check_signal(x, model.order)
-    if x.shape[0] != model.branches:
-        raise DimensionMismatch(
-            f"signal has {x.shape[0]} branches, model expects {model.branches}")
-    s = _stack_regressor(x, k, direct=False)
-    stacked = np.hstack([model.c[:, None], *model.A])
-    return x[:, k:] - stacked @ s
+    x, k = _check_signal(x, model.order, model.branches)
+    return _residuals(x, k, x[:, k:].copy(), model.c, model.A)
 
 
 def companion_matrix(a: tuple[NDArray, ...] | list[NDArray]) -> NDArray:

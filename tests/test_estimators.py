@@ -81,9 +81,12 @@ class TestFitRvarLs:
                 <= 1e-8 * np.linalg.norm(x[:, 1:]) * np.linalg.norm(s))
 
     def test_stored_residuals_match_recomputation_bitwise(self):
-        x = stable_series(2, 2, 150, seed=2)
-        fit = fit_rvar_ls(x, 2)
-        assert rvar_residuals(fit, x).tobytes() == fit.V.tobytes()
+        # Small and dense, above the dense-Gram cut, and complex there.
+        for m, k, n, complex_field in [(2, 2, 150, False), (4, 2, 8192, False),
+                                       (8, 8, 4096, True)]:
+            x = stable_series(m, k, n, seed=2, complex_field=complex_field)
+            fit = fit_rvar_ls(x, k)
+            assert rvar_residuals(fit, x).tobytes() == fit.V.tobytes()
 
     def test_insufficient_samples(self):
         x = np.random.default_rng(0).standard_normal((2, 6))
@@ -341,6 +344,21 @@ class TestGramWork:
             tracemalloc.stop()
         assert peak < t_bytes
 
+    @pytest.mark.parametrize("route", ["ls", "both"])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_ls_peak_memory_below_s(self, route, complex_field):
+        # The residuals come from lag slices of the signal, not from S.
+        m, k, n = 8, 8, 4096
+        x = structured_series(m, k, n, seed=25, complex_field=complex_field)
+        s_bytes = (m * k + 1) * (n - k) * x.itemsize
+        tracemalloc.start()
+        try:
+            ROUTES[route](x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s_bytes
+
     @pytest.mark.parametrize("m,k,n", [(2, 2, 200), (4, 2, 8192)])
     def test_fit_both_forms_one_regressor_gram(self, monkeypatch, m, k, n):
         # One q x q Gram for both routes and the M x M residual Gram;
@@ -359,6 +377,39 @@ class TestGramWork:
         fit_both(stable_series(m, k, n, seed=26), k)
         q = m * (k + 1) + 1
         assert sorted(shapes) == sorted([(q, q), (m, m)])
+
+
+class TestRegressorStacks:
+    """Only the dense Gram stacks a regressor: fits and residuals evaluate
+    lag by lag on slices of the signal and never stack S."""
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        shapes = []
+        original = model._stack_regressor
+
+        def spy(x, k, direct):
+            stack = original(x, k, direct)
+            shapes.append(stack.shape)
+            return stack
+
+        rebind(monkeypatch, original, spy)
+        return shapes
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_no_stack_above_the_dense_cut(self, stacks, complex_field):
+        k = 2
+        x = structured_series(4, k, 8192, seed=27, complex_field=complex_field)
+        fit = fit_rvar_ls(x, k)
+        svar = fit_both(x, k).ls
+        rvar_residuals(fit, x)
+        model.svar_residuals(svar, x)
+        assert stacks == []
+
+    def test_dense_fit_both_stacks_t_once(self, stacks):
+        m, k, n = 3, 2, 256
+        fit_both(stable_series(m, k, n, seed=28), k)
+        assert stacks == [(m * (k + 1) + 1, n - k)]
 
 
 class TestBlockTriangularSolves:
@@ -387,6 +438,31 @@ class TestBlockTriangularSolves:
         monkeypatch.setattr(np.linalg, "solve", spy)
         fit_both(stable_series(m, k, 2048, seed=32), k)
         assert orders and max(orders) <= linalg._SOLVE_BLOCK
+
+    @pytest.mark.parametrize("route", ["lic", "ls"])
+    def test_failing_pivot_reuses_the_passing_factor(self, monkeypatch, route):
+        # Branch 69 repeats branch 3, so the first failing pivot is the
+        # last lag-1 row, index 70, of a Gram above the block.
+        x = stable_series(linalg._SOLVE_BLOCK + 6, 1, 600, seed=31)
+        x[69] = x[3]
+        solved, factored = [], []
+        solve, cholesky = np.linalg.solve, np.linalg.cholesky
+
+        def solve_spy(a, b):
+            solved.append(np.shape(a)[0])
+            return solve(a, b)
+
+        def cholesky_spy(a):
+            factored.append(np.shape(a)[0])
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_spy)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+        fit = fit_svar_lic if route == "lic" else fit_rvar_ls
+        with pytest.raises(RankDeficient, match="at index 70 "):
+            fit(x, 1)
+        assert solved and max(solved) <= linalg._SOLVE_BLOCK
+        assert sorted(set(factored)) == sorted(factored)
 
 
 class TestEquivalence:

@@ -234,6 +234,16 @@ class TestSvarResiduals:
         np.testing.assert_allclose(svar_residuals(model, x), direct,
                                    rtol=1e-12, atol=1e-12)
 
+    def test_real_mixing_complex_lag(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 30))
+        r1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        model = SvarCoefficients(L=np.tril(rng.standard_normal((2, 2)), -1) + 2 * np.eye(2),
+                                 R=(r1,), t=rng.standard_normal(2))
+        direct = model.L @ x[:, 1:] - model.t[:, None] - r1 @ x[:, :-1]
+        np.testing.assert_allclose(svar_residuals(model, x), direct,
+                                   rtol=1e-12, atol=1e-12)
+
 
 class TestRvarResiduals:
     def test_zero_model_returns_current_samples(self):
@@ -250,6 +260,15 @@ class TestRvarResiduals:
         direct = x[:, 1:] - c[:, None] - a1 @ x[:, :-1]
         np.testing.assert_allclose(rvar_residuals(m, x), direct,
                                    rtol=1e-13, atol=1e-14)
+
+    def test_real_intercept_complex_lag(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 20))
+        a1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        c = rng.standard_normal(2)
+        direct = x[:, 1:] - c[:, None] - a1 @ x[:, :-1]
+        np.testing.assert_allclose(rvar_residuals(RvarCoefficients(c=c, A=(a1,)), x),
+                                   direct, rtol=1e-13, atol=1e-14)
 
 
 class TestCompanion:
