@@ -111,17 +111,19 @@ def _cmd_bench(args) -> int:
     model = random_stable_svar(args.branches, args.order, args.seed, args.radius)
     x = simulate_series(model, args.length, seed=args.seed + 1)
 
-    def timed(fit):
-        fit(x, args.order)  # warm-up, untimed
-        samples = []
-        for _ in range(args.trials):
+    fits = (lambda: rvar_to_svar(fit_rvar_ls(x, args.order)),
+            lambda: fit_svar_lic(x, args.order))
+    for fit in fits:
+        fit()  # warm-up, untimed
+    # The routes alternate, and swap which goes first every trial, so both
+    # see the same drift of the host and the same heap history.
+    samples = ([], [])
+    for trial in range(args.trials):
+        for route in (0, 1) if trial % 2 == 0 else (1, 0):
             start = time.perf_counter()
-            fit(x, args.order)
-            samples.append(time.perf_counter() - start)
-        return statistics.median(samples)
-
-    ls_median = timed(lambda sig, k: rvar_to_svar(fit_rvar_ls(sig, k)))
-    lic_median = timed(fit_svar_lic)
+            fits[route]()
+            samples[route].append(time.perf_counter() - start)
+    ls_median, lic_median = map(statistics.median, samples)
     report = render_bench_report(
         m=args.branches, k=args.order, n=args.length,
         trials=args.trials, seed=args.seed,

@@ -125,9 +125,9 @@ def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
             f"regressor Gram matrix SS^H is singular ({exc}); "
             "the regressors are collinear") from exc
     c, lags = _unstack_coefficients(a)
-    current = x[:, k:]
-    v = _residuals(x, k, current.copy(), c, lags)
-    if np.linalg.norm(v) <= RESIDUAL_FLUSH_RTOL * np.linalg.norm(current):
+    v = _residuals(x, k, x[:, k:].copy(), c, lags)
+    # ||X||_F^2 is the trace of the Gram's bottom block X X^H.
+    if np.linalg.norm(v) <= RESIDUAL_FLUSH_RTOL * np.sqrt(gram.diagonal()[p:].real.sum()):
         v = np.zeros_like(v)
     return RvarCoefficients(c=c, A=lags, V=v)
 

@@ -22,8 +22,10 @@ and `_unstack_coefficients` is the one place that splits it into lags.
 Both routes start from the Gram ``T T^H`` of that layout
 (`_regressor_gram`). Its blocks are sliding-window lag covariances, so
 above a small size it is computed from the K+1 distinct M x M lag products
-of the signal, about ``M^2 (K+1) N`` multiplies, and T is never stacked;
-`svarlic.complexity` still charges the paper's ``q^2 N / 2``.
+of the signal, about ``M^2 (K+1) N`` multiplies, summed over chunks of
+samples, and T is never stacked: for complex input the working memory is
+one chunk's conjugated copy. `svarlic.complexity` still charges the
+paper's ``q^2 N / 2``.
 
 Residuals of either form, the least-squares fit's `V` included, are one
 expression, `_residuals`, with one product per lag on a slice of the
@@ -203,6 +205,45 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
     return _lag_covariance_gram(x, k)
 
 
+#: `_window_products` sums the Gram's lag products over near-equal chunks
+#: of the sample window, as few as keep each product at or below
+#: `_GRAM_CHUNK_WORK` multiply-adds, ``M^2`` per sample. OpenBLAS 0.3.31 on
+#: SkylakeX runs a real product of at most 10^6 multiply-adds through its
+#: unpacked small-matrix kernel; a larger one runs 2x (M=16) to 6x (M=4)
+#: slower per multiply-add. A window is not cut where a chunk would hold
+#: fewer than `_GRAM_CHUNK_SAMPLES` samples (M > 22): products that wide
+#: gain nothing from that kernel and lose to per-call cost in narrow chunks.
+_GRAM_CHUNK_WORK = 10 ** 6
+_GRAM_CHUNK_SAMPLES = 2048
+
+
+def _window_products(x: NDArray, k: int) -> tuple[NDArray, NDArray]:
+    """The window products ``P_d = sum_{n=K}^{N-1} x(n-d) x(n)^H`` for
+    d = 0 .. K, stacked, and the window's row sums, from a checked signal
+    `x` and order `k`.
+
+    Both are summed over contiguous chunks of the window: each chunk is
+    read by all K+1 products and the sums while it is in cache, and the
+    working memory is one chunk's conjugated copy (complex input), not the
+    window's. A window of one chunk takes one product per lag, with
+    nothing added.
+    """
+    m, n = x.shape
+    width = _GRAM_CHUNK_WORK // (m * m)
+    chunks = -(-(n - k) // width) if width >= _GRAM_CHUNK_SAMPLES else 1
+    bounds = [k + i * (n - k) // chunks for i in range(chunks + 1)]
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        chunk = x[:, a:b]
+        chunk_h = _conj_transpose(chunk)
+        terms = np.stack([x[:, a - d:b - d] @ chunk_h for d in range(k + 1)])
+        if i == 0:
+            products, sums = terms, chunk.sum(axis=1)
+        else:
+            products += terms
+            sums += chunk.sum(axis=1)
+    return products, sums
+
+
 def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
     """``T T^H`` in T's row layout from K+1 lag products, without T.
 
@@ -213,8 +254,10 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
     the j samples the shift adds before the window, minus the j it drops
     at the end. So only the K+1 products ``P_0 .. P_K`` pass over the
     samples (about ``M^2 (K+1) N`` multiplies, against ``q^2 N`` for the
-    dense product), and the working memory is at most one conjugated copy
-    of the window (complex input), M N values, not T's ``M (K+1) N``.
+    dense product). They and the intercept row's window sums are summed
+    over chunks of samples (`_window_products`), so the working memory is
+    at most one conjugated copy of the window (complex input), of one
+    chunk where the window is cut, not T's ``M (K+1) N`` values.
 
     The edge terms come from two small stacks over the 2K edge samples: in
     column s < d, the row block of lag d holds ``x(K-d+s)`` at the head
@@ -225,16 +268,14 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
     m, n = x.shape
     q = m * (k + 1) + 1
     lags = np.array([*range(1, k + 1), 0])
-    window = x[:, k:]
-    window_h = _conj_transpose(window)
     with np.errstate(over="ignore", invalid="ignore"):
-        products = np.stack([x[:, k - d:n - d] @ window_h for d in range(k + 1)])
+        products, sums = _window_products(x, k)
         # toeplitz[K + i - j] is the window block of lags (i, j): P_{i-j}
         # for i >= j, else P_{j-i}^H.
         toeplitz = np.concatenate([products[:0:-1].conj().swapaxes(1, 2), products])
         g = np.empty((q, q), dtype=x.dtype)
         g[0, 0] = n - k
-        g[1:, 0] = np.tile(window.sum(axis=1), k + 1)
+        g[1:, 0] = np.tile(sums, k + 1)
         g[0, 1:] = g[1:, 0].conj()
         g[1:, 1:] = (toeplitz[k + lags[:, None] - lags]
                      .swapaxes(1, 2).reshape(q - 1, q - 1))

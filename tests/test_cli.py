@@ -1,8 +1,11 @@
 """CLI tests, run in process through svarlic.cli.main."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from svarlic import cli
 from svarlic.cli import main
 
 
@@ -223,6 +226,30 @@ class TestBench:
         assert "measured_savings_ratio:" in out
         assert "modeled_savings_ratio:" in out
         assert "lic_faster:" in out
+
+    def test_routes_alternate_with_one_timed_call_per_trial(self, capsys, monkeypatch):
+        # Spies log each route call and each clock read: after one untimed
+        # warm-up each, every trial times both routes, and the first route
+        # of a trial alternates.
+        log = []
+
+        def spy(name, fit):
+            def wrapper(*args):
+                log.append(name)
+                return fit(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "fit_rvar_ls", spy("ls", cli.fit_rvar_ls))
+        monkeypatch.setattr(cli, "fit_svar_lic", spy("lic", cli.fit_svar_lic))
+        monkeypatch.setattr(cli, "time", SimpleNamespace(
+            perf_counter=lambda: log.append("clock") or float(len(log))))
+        code, out, err = run(capsys, "bench", "-m", "2", "-k", "1", "-n", "128",
+                             "--trials", "4")
+        assert (code, err) == (0, "")
+        timed = [["clock", route, "clock"] for route in
+                 ("ls", "lic", "lic", "ls", "ls", "lic", "lic", "ls")]
+        assert log == ["ls", "lic"] + sum(timed, [])
+        assert "trials=4" in out
 
     def test_zero_trials_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -65,6 +65,14 @@ class TestFitRvarLs:
         with pytest.raises(NotPositiveDefinite):
             rvar_to_svar(fit)
 
+    def test_small_residuals_are_kept_relative_to_the_signal(self):
+        # The flush compares the residuals with the signal's own norm, not
+        # with a fixed scale: residuals of 1e-13 from a signal of 1e-13 stay.
+        x = np.random.default_rng(31).standard_normal((2, 200)) * 1e-13
+        fit = fit_rvar_ls(x, 0)
+        np.testing.assert_allclose(fit.V, x - x.mean(axis=1, keepdims=True),
+                                   rtol=1e-12, atol=0)
+
     def test_reconstruction(self):
         x = stable_series(3, 2, 300, seed=0)
         fit = fit_rvar_ls(x, 2)

@@ -1,15 +1,19 @@
 """Model-layer tests: containers, regressor stacking, residuals, stability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svarlic import model
 from svarlic.exceptions import DimensionMismatch, NumericalOverflow, OrderTooLarge
 from svarlic.model import (
     RvarCoefficients,
     SvarCoefficients,
     _lag_covariance_gram,
+    _window_products,
     build_regressor_s,
     build_regressor_t,
     companion_matrix,
@@ -188,6 +192,65 @@ class TestLagCovarianceGram:
         x = np.random.default_rng(3).standard_normal((2, 40)) * 1e160
         with pytest.raises(NumericalOverflow, match="overflows"):
             _lag_covariance_gram(x, 2)
+
+
+def chunk_width(monkeypatch, m, samples):
+    """Make `_window_products` cut the window of an M-branch signal into
+    chunks of at most `samples` samples, however small."""
+    monkeypatch.setattr(model, "_GRAM_CHUNK_WORK", m * m * samples)
+    monkeypatch.setattr(model, "_GRAM_CHUNK_SAMPLES", 1)
+
+
+class TestChunkedGram:
+    """The lag products summed over several chunks of the window."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 4), k=st.integers(0, 5), complex_field=st.booleans(),
+           width=st.integers(1, 9), seed=st.integers(0, 2**31), data=st.data())
+    def test_matches_dense_product(self, m, k, complex_field, width, seed, data):
+        # Windows from one sample up, so N < 2K is drawn too; chunk widths
+        # of 1..9 samples split them into several near-equal chunks.
+        n = k + data.draw(st.integers(1, 6 * width))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, n))
+        if complex_field:
+            x = x + 1j * rng.standard_normal((m, n))
+        with pytest.MonkeyPatch.context() as patch:
+            chunk_width(patch, m, width)
+            TestLagCovarianceGram.check(x, k)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("m,k,n", [(3, 2, 40), (1, 0, 9), (2, 5, 8)])
+    def test_one_chunk_is_one_product_per_lag(self, monkeypatch, m, k, n, complex_field):
+        # At or above the window's size the products and sums are those of
+        # one product per lag over the whole window, bit for bit.
+        rng = np.random.default_rng(m + n)
+        x = rng.standard_normal((m, n))
+        if complex_field:
+            x = x + 1j * rng.standard_normal((m, n))
+        window = x[:, k:]
+        window_h = window.conj().T if complex_field else window.T
+        expected = np.stack([x[:, k - d:n - d] @ window_h for d in range(k + 1)])
+        for samples in (n - k, 10 ** 9):
+            chunk_width(monkeypatch, m, samples)
+            products, sums = _window_products(x, k)
+            assert products.tobytes() == expected.tobytes()
+            assert sums.tobytes() == window.sum(axis=1).tobytes()
+
+    def test_complex_memory_stays_below_one_window_copy(self, monkeypatch):
+        # A conjugated copy of the whole window would take M (N-K) 16 bytes;
+        # chunks of 500 samples need an eighth of that.
+        m, k, n = 2, 2, 4002
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        chunk_width(monkeypatch, m, 500)
+        tracemalloc.start()
+        try:
+            _lag_covariance_gram(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * (n - k) * 16
 
 
 class TestSvarResiduals:
