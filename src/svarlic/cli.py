@@ -92,9 +92,14 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _dataset(args):
+    """The model drawn with ``--seed`` and its series drawn with seed + 1."""
     model = random_stable_svar(args.branches, args.order, args.seed, args.radius)
-    x = simulate_series(model, args.length, seed=args.seed + 1)
+    return model, simulate_series(model, args.length, seed=args.seed + 1)
+
+
+def _cmd_simulate(args) -> int:
+    model, x = _dataset(args)
     np.savetxt(args.output, x.T, delimiter=",", fmt="%.17g")
     sidecar = Path(args.output).with_suffix(".model.txt")
     _write_text(str(sidecar), render_model(model, seed=args.seed,
@@ -108,8 +113,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    model = random_stable_svar(args.branches, args.order, args.seed, args.radius)
-    x = simulate_series(model, args.length, seed=args.seed + 1)
+    _, x = _dataset(args)
 
     fits = (lambda: rvar_to_svar(fit_rvar_ls(x, args.order)),
             lambda: fit_svar_lic(x, args.order))
@@ -133,18 +137,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" for non-integers
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,10 +153,21 @@ def build_parser() -> argparse.ArgumentParser:
                                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_SingleLineParser)
+    # -m/-k/-n for every subcommand that takes a problem size; a dataset
+    # adds the seed and radius it is drawn with (`_dataset`).
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--branches", "-m", required=True, type=_int_at_least(1))
+    size.add_argument("--order", "-k", required=True, type=_int_at_least(0))
+    size.add_argument("--length", "-n", required=True, type=_int_at_least(1),
+                      help="number of samples N")
+    dataset = argparse.ArgumentParser(add_help=False, parents=[size])
+    dataset.add_argument("--seed", type=int, default=0)
+    dataset.add_argument("--radius", type=float, default=0.8,
+                         help="target companion spectral radius in (0, 1)")
 
     fit = sub.add_parser("fit", help="estimate SVAR coefficients from a CSV series")
     fit.add_argument("--input", "-i", required=True, help="CSV file, rows = samples")
-    fit.add_argument("--order", "-k", required=True, type=_nonneg_int,
+    fit.add_argument("--order", "-k", required=True, type=_int_at_least(0),
                      help="autoregressive order K")
     fit.add_argument("--method", choices=("ls", "lic", "both"), default="both",
                      help="estimation route (default: both, reports the lic "
@@ -164,31 +176,18 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--header", action="store_true", help="skip one header line")
     fit.set_defaults(func=_cmd_fit)
 
-    sim = sub.add_parser("simulate", help="write a synthetic stable dataset + sidecar model")
-    sim.add_argument("--branches", "-m", required=True, type=_positive_int)
-    sim.add_argument("--order", "-k", required=True, type=_nonneg_int)
-    sim.add_argument("--length", "-n", required=True, type=_positive_int,
-                     help="number of samples N")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--radius", type=float, default=0.8,
-                     help="target companion spectral radius in (0, 1)")
+    sim = sub.add_parser("simulate", parents=[dataset],
+                         help="write a synthetic stable dataset + sidecar model")
     sim.add_argument("--output", "-o", required=True, help="CSV output path")
     sim.set_defaults(func=_cmd_simulate)
 
-    count = sub.add_parser("count", help="print both multiply-count tables")
-    count.add_argument("--branches", "-m", required=True, type=_positive_int)
-    count.add_argument("--order", "-k", required=True, type=_nonneg_int)
-    count.add_argument("--length", "-n", required=True, type=_positive_int)
+    count = sub.add_parser("count", parents=[size], help="print both multiply-count tables")
     count.add_argument("--output", "-o", default=None)
     count.set_defaults(func=_cmd_count)
 
-    bench = sub.add_parser("bench", help="time both estimators on one synthetic dataset")
-    bench.add_argument("--branches", "-m", required=True, type=_positive_int)
-    bench.add_argument("--order", "-k", required=True, type=_nonneg_int)
-    bench.add_argument("--length", "-n", required=True, type=_positive_int)
-    bench.add_argument("--trials", type=_positive_int, default=20)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--radius", type=float, default=0.8)
+    bench = sub.add_parser("bench", parents=[dataset],
+                           help="time both estimators on one synthetic dataset")
+    bench.add_argument("--trials", type=_int_at_least(1), default=20)
     bench.add_argument("--output", "-o", default=None)
     bench.set_defaults(func=_cmd_bench)
 

@@ -18,7 +18,11 @@ from the K+1 distinct lag products of the signal, so T is never built.
 
 Both routes share S's row layout, so both read their coefficients through
 one block split, `model._unstack_coefficients`: from ``[c | A_1 .. A_K]``
-in route 1 and from ``-[t | R_1 .. R_K]`` in route 2.
+in route 1 and from ``-[t | R_1 .. R_K]`` in route 2. Both end in one
+whitening step, `_whiten`: factor a Gram matrix and take the bottom rows of
+the inverse factor, all of them for ``V V^H`` in route 1 and the bottom M
+for ``T T^H`` in route 2. A singular Gram raises `RankDeficient` with one
+message format (`_singular`), naming the Gram and the likely cause.
 
 Under the shared positive-diagonal factor convention the two routes agree
 exactly in exact arithmetic; `fit_both` runs them side by side and reports
@@ -87,6 +91,24 @@ def _require_samples(shape: tuple[int, int], k: int, direct: bool) -> None:
         raise InsufficientSamples(f"{rule}; got N-K={n - k} < {rows} for M={m}, K={k}")
 
 
+def _singular(gram: str, cause: str, exc: NotPositiveDefinite) -> RankDeficient:
+    """The `RankDeficient` to raise from `exc`, the failed factorization of
+    the Gram matrix named `gram`, with `cause` as its reading: the one
+    message format for every estimator Gram."""
+    return RankDeficient(f"{gram} is singular ({exc}); {cause}")
+
+
+def _whiten(gram: NDArray, rows: int, name: str, cause: str) -> NDArray:
+    """The whitening step both routes end in: factor the Gram matrix
+    `gram` (named `name`, singular by `cause`) as ``C C^H`` and return the
+    bottom `rows` rows of ``C^-1``."""
+    try:
+        factor = cholesky_lower(gram)
+    except NotPositiveDefinite as exc:
+        raise _singular(name, cause, exc) from exc
+    return _inverse_bottom_rows(factor, rows)
+
+
 def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
     """Least-squares fit of the reduced form: ``A = X S^H (S S^H)^{-1}``.
 
@@ -121,9 +143,8 @@ def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
     try:
         a = solve_hpd(gram[:p, :p], gram[p:, :p])
     except NotPositiveDefinite as exc:
-        raise RankDeficient(
-            f"regressor Gram matrix SS^H is singular ({exc}); "
-            "the regressors are collinear") from exc
+        raise _singular("regressor Gram matrix SS^H", "the regressors are collinear",
+                        exc) from exc
     c, lags = _unstack_coefficients(a)
     v = _residuals(x, k, x[:, k:].copy(), c, lags)
     # ||X||_F^2 is the trace of the Gram's bottom block X X^H.
@@ -147,13 +168,8 @@ def rvar_to_svar(model: RvarCoefficients) -> SvarCoefficients:
     """
     if model.V is None:
         raise ValueError("model has no residual matrix V; fit it first")
-    try:
-        factor = cholesky_lower(gram_hermitian(model.V))
-    except NotPositiveDefinite as exc:
-        raise RankDeficient(
-            f"residual Gram matrix VV^H is singular ({exc}); "
-            "residuals are rank deficient") from exc
-    mixing = _inverse_bottom_rows(factor, factor.shape[0])
+    mixing = _whiten(gram_hermitian(model.V), model.branches,
+                     "residual Gram matrix VV^H", "residuals are rank deficient")
     return SvarCoefficients(
         L=mixing,
         R=tuple(mixing @ a for a in model.A),
@@ -197,13 +213,8 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
 def _finish_lic(m: int, k: int, gram: NDArray) -> SvarCoefficients:
     """The direct route from ``T T^H`` on: factor it, solve for the bottom
     M rows of the inverse factor and read the coefficients out of them."""
-    try:
-        factor = cholesky_lower(gram)
-    except NotPositiveDefinite as exc:
-        raise RankDeficient(
-            f"stacked Gram matrix TT^H is singular ({exc}); "
-            "the signal is deterministic or has collinear branches") from exc
-    u_alpha = _inverse_bottom_rows(factor, m)
+    u_alpha = _whiten(gram, m, "stacked Gram matrix TT^H",
+                      "the signal is deterministic or has collinear branches")
     t, lags = _unstack_coefficients(-u_alpha[:, :m * k + 1])
     return SvarCoefficients(L=u_alpha[:, m * k + 1:].copy(), R=lags, t=t)
 
@@ -237,13 +248,15 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
     The least-squares result serves as the reference in the discrepancy
     metric. On well-conditioned inputs the discrepancy sits at rounding
     level (far below 1e-8); a large value flags ill conditioning. The
-    signal is checked once and ``T T^H`` formed once; both routes finish
-    from that one Gram, so they decide rank from the same numbers.
+    signal and both routes' sample rules are checked once, at the door,
+    the least-squares rule first, before ``T T^H`` is formed once; both
+    routes finish from that one Gram, so they decide rank from the same
+    numbers.
     """
     x, k = _check_signal(x, k)
     _require_samples(x.shape, k, direct=False)
+    _require_samples(x.shape, k, direct=True)
     gram = _regressor_gram(x, k)
     ls = rvar_to_svar(_finish_ls(x, k, gram))
-    _require_samples(x.shape, k, direct=True)
     lic = _finish_lic(x.shape[0], k, gram)
     return FitComparison(ls=ls, lic=lic, discrepancy=coefficient_discrepancy(ls, lic))

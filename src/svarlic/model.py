@@ -31,6 +31,8 @@ Residuals of either form, the least-squares fit's `V` included, are one
 expression, `_residuals`, with one product per lag on a slice of the
 signal, so no fit or residual routine stacks S; S is stacked only by
 `build_regressor_s`, and T only by `build_regressor_t` and the dense Gram.
+The structured Gram stacks T's layout over two snippets of 2K samples at
+the ends of the signal, for its edge terms.
 """
 
 from __future__ import annotations
@@ -259,11 +261,14 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
     at most one conjugated copy of the window (complex input), of one
     chunk where the window is cut, not T's ``M (K+1) N`` values.
 
-    The edge terms come from two small stacks over the 2K edge samples: in
-    column s < d, the row block of lag d holds ``x(K-d+s)`` at the head
-    and ``x(N-d+s)`` at the tail, and the ones row holds ones, so the
-    head's product minus the tail's corrects every block, the intercept
-    row's lag sums included.
+    The edge terms are stacks in T's own layout (`_stack_regressor`) of
+    two snippets of 2K samples: the first K samples followed by K zeros
+    (the head) and the last K followed by K zeros (the tail). In the s-th
+    column (s = 1 .. K) of a stack, the block of lag d holds
+    ``x(K-d+s)`` at the head and ``x(N-d+s)`` at the tail when s <= d, and
+    zero otherwise, and the ones row holds ones. So one signed product,
+    head columns added and tail columns subtracted, corrects every block,
+    the intercept row's lag sums included.
     """
     m, n = x.shape
     q = m * (k + 1) + 1
@@ -279,12 +284,10 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
         g[0, 1:] = g[1:, 0].conj()
         g[1:, 1:] = (toeplitz[k + lags[:, None] - lags]
                      .swapaxes(1, 2).reshape(q - 1, q - 1))
-        s = np.arange(k)
-        inside = np.tile(s < lags[:, None], 2)
-        offset = np.tile(s - lags[:, None], 2)
-        columns = np.where(inside, offset + np.repeat([k, n], k), n - 1)
-        edges = np.ones((q, 2 * k), dtype=x.dtype)
-        edges[1:] = (x[:, columns] * inside).swapaxes(0, 1).reshape(q - 1, 2 * k)
+        pad = np.zeros((m, k), dtype=x.dtype)
+        head = _stack_regressor(np.concatenate([x[:, :k], pad], axis=1), k, direct=True)
+        tail = _stack_regressor(np.concatenate([x[:, n - k:], pad], axis=1), k, direct=True)
+        edges = np.concatenate([head, tail], axis=1)
         g += (edges * np.repeat([1.0, -1.0], k)) @ _conj_transpose(edges)
     return _finish_gram(g, x)
 

@@ -2,12 +2,15 @@
 direct inverse-Cholesky route, and the equivalence between them.
 """
 
+import re
 import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svarlic import linalg, model
 from svarlic.estimators import (
@@ -182,6 +185,26 @@ class TestFitSvarLic:
     def test_order_too_large(self):
         with pytest.raises(OrderTooLarge):
             fit_svar_lic(np.ones((1, 2)), 2)
+
+    def test_fit_both_checks_both_sample_rules_before_the_gram(self, monkeypatch):
+        # N - K = 8 samples: enough for least squares (needs 7) but not for
+        # the direct route (needs 10) at M = 3, K = 2. fit_both fails at the
+        # door with the direct route's message and forms no Gram.
+        x = np.random.default_rng(8).standard_normal((3, 10))
+        calls = []
+        original = model._regressor_gram
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        rebind(monkeypatch, original, spy)
+        with pytest.raises(InsufficientSamples) as expected:
+            fit_svar_lic(x, 2)
+        with pytest.raises(InsufficientSamples) as info:
+            fit_both(x, 2)
+        assert str(info.value) == str(expected.value)
+        assert calls == []
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("k", [0, 1, 2, 4])
@@ -388,8 +411,10 @@ class TestGramWork:
 
 
 class TestRegressorStacks:
-    """Only the dense Gram stacks a regressor: fits and residuals evaluate
-    lag by lag on slices of the signal and never stack S."""
+    """Only the Grams stack a regressor: the dense Gram stacks T, the
+    structured Gram two K-column stacks for its edge terms. Fits and
+    residuals evaluate lag by lag on slices of the signal and never stack
+    S."""
 
     @pytest.fixture
     def stacks(self, monkeypatch):
@@ -412,7 +437,8 @@ class TestRegressorStacks:
         svar = fit_both(x, k).ls
         rvar_residuals(fit, x)
         model.svar_residuals(svar, x)
-        assert stacks == []
+        # Head and tail edge stacks for each of the two Grams formed.
+        assert stacks == [(4 * (k + 1) + 1, k)] * 4
 
     def test_dense_fit_both_stacks_t_once(self, stacks):
         m, k, n = 3, 2, 256
@@ -471,6 +497,75 @@ class TestBlockTriangularSolves:
             fit(x, 1)
         assert solved and max(solved) <= linalg._SOLVE_BLOCK
         assert sorted(set(factored)) == sorted(factored)
+
+
+class TestRankDeficientMessages:
+    """The estimator Grams' `RankDeficient` messages, word for word apart
+    from the pivot and threshold values, each caused by the kernel's
+    `NotPositiveDefinite`."""
+
+    NUMBER = r"-?\d\.\d{3}e[+-]\d+"
+
+    @pytest.mark.parametrize("route, gram, index, cause", [
+        ("lic", "stacked Gram matrix TT^H", 2,
+         "the signal is deterministic or has collinear branches"),
+        ("ls", "regressor Gram matrix SS^H", 2, "the regressors are collinear"),
+        ("ramp", "residual Gram matrix VV^H", 0, "residuals are rank deficient"),
+    ])
+    def test_message_and_cause(self, route, gram, index, cause):
+        x = stable_series(2, 1, 200, seed=33)
+        x[1] = x[0]  # a duplicated branch: T's row 2 repeats row 1
+        ramp = np.arange(50.0)[None, :]  # fitted exactly, so V is zero
+        fit = {"lic": lambda: fit_svar_lic(x, 1),
+               "ls": lambda: fit_rvar_ls(x, 1),
+               "ramp": lambda: rvar_to_svar(fit_rvar_ls(ramp, 1))}[route]
+        with pytest.raises(RankDeficient) as info:
+            fit()
+        message = str(info.value)
+        assert re.fullmatch(
+            rf"{re.escape(gram)} is singular \(pivot {self.NUMBER} at index {index} "
+            rf"is below threshold {self.NUMBER}; matrix is not positive definite\); "
+            rf"{re.escape(cause)}", message), message
+        assert type(info.value.__cause__) is NotPositiveDefinite
+        assert message == f"{gram} is singular ({info.value.__cause__}); {cause}"
+
+
+def stacked_coefficients(fit, d):
+    """``[t | R_1 D .. R_K D | L D]`` for branch scales `d`, the diagonal of D."""
+    return np.hstack([fit.t[:, None], *(r * d for r in fit.R), fit.L * d])
+
+
+class TestBranchScaling:
+    """Scaling the branches by ``D = diag(2^e)`` maps ``(L, R_i, t)`` to
+    ``(L D^-1, R_i D^-1, t)``: bit for bit on the direct route, whose
+    Gram, factor and triangular divisions all commute with power-of-two
+    scaling, and to rounding on least squares, whose LU solve of order 64
+    or less pivots on magnitudes."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 3), k=st.integers(0, 3), complex_field=st.booleans(),
+           structured=st.booleans(), seed=st.integers(0, 2**31), data=st.data())
+    def test_power_of_two_branch_scaling(self, m, k, complex_field, structured, seed, data):
+        q = m * (k + 1) + 1
+        # N on either side of the dense-Gram cut.
+        n = k + (-(-model._DENSE_GRAM_WORK // (q * q)) if structured else 16 * q)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, n)) + rng.standard_normal((m, 1))
+        if complex_field:
+            x = x + 1j * rng.standard_normal((m, n))
+        e = data.draw(st.lists(st.integers(-8, 8), min_size=m, max_size=m))
+        d = np.ldexp(1.0, e)
+        scaled_x = x * d[:, None]
+
+        base, scaled = fit_svar_lic(x, k), fit_svar_lic(scaled_x, k)
+        assert scaled.L.tobytes() == (base.L / d).tobytes()
+        for rs, rb in zip(scaled.R, base.R):
+            assert rs.tobytes() == (rb / d).tobytes()
+        assert scaled.t.tobytes() == base.t.tobytes()
+
+        expected = stacked_coefficients(ROUTES["ls"](x, k), np.ones(m))
+        error = np.linalg.norm(stacked_coefficients(ROUTES["ls"](scaled_x, k), d) - expected)
+        assert error <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestEquivalence:
