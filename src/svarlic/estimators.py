@@ -135,18 +135,19 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
 def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
     """The least-squares route from ``T T^H`` on: solve for ``[c | A_i]``,
     split it into `c` and the `A_i`, and form the residuals
-    ``V = X - c - sum_i A_i x(n-i)`` from them lag by lag on slices of the
-    signal (`model._residuals`), never stacking S. `rvar_residuals`
-    evaluates the same expression on the same arrays, so it reproduces `V`
-    bit for bit."""
+    ``V = X - c - sum_i A_i x(n-i)`` from them in one pass over chunks of
+    the signal (`model._residuals`): `V` is allocated once and the lag
+    products go through one chunk-sized buffer, so neither S nor a
+    temporary the size of `V` is formed. `rvar_residuals` evaluates the
+    same expression on the same arrays, so it reproduces `V` bit for
+    bit."""
     p = x.shape[0] * k + 1
-    try:
-        a = solve_hpd(gram[:p, :p], gram[p:, :p])
+    try:  # the solved block is split at once, so it is freed before V is formed
+        c, lags = _unstack_coefficients(solve_hpd(gram[:p, :p], gram[p:, :p]))
     except NotPositiveDefinite as exc:
         raise _singular("regressor Gram matrix SS^H", "the regressors are collinear",
                         exc) from exc
-    c, lags = _unstack_coefficients(a)
-    v = _residuals(x, k, x[:, k:].copy(), c, lags)
+    v = _residuals(x, k, None, c, lags)
     # ||X||_F^2 is the trace of the Gram's bottom block X X^H.
     if np.linalg.norm(v) <= RESIDUAL_FLUSH_RTOL * np.sqrt(gram.diagonal()[p:].real.sum()):
         v = np.zeros_like(v)

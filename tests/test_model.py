@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svarlic import model
+from svarlic.estimators import fit_rvar_ls
 from svarlic.exceptions import DimensionMismatch, NumericalOverflow, OrderTooLarge
 from svarlic.model import (
     RvarCoefficients,
@@ -251,6 +252,92 @@ class TestChunkedGram:
         finally:
             tracemalloc.stop()
         assert peak < m * (n - k) * 16
+
+    def test_wide_gram_holds_one_gram_sized_temporary_at_a_time(self):
+        # The lag blocks are written into g strip by strip, so beside g only
+        # the edge product, then the copy that makes g exactly Hermitian, is
+        # Gram-sized. Gathering the blocks into a Gram-sized array and
+        # reshaping it held 3.3 Grams (8.83 MB) here.
+        m, k, n = 64, 8, 8192
+        x = np.random.default_rng(6).standard_normal((m, n))
+        gram_bytes = (m * (k + 1) + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            _lag_covariance_gram(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * gram_bytes
+
+
+def residual_width(monkeypatch, samples):
+    """Make `_residuals` write its result in chunks of at most `samples`
+    samples, however few."""
+    monkeypatch.setattr(model, "_RESIDUAL_CHUNK_SAMPLES", samples)
+
+
+def draw_signal(rng, m, n, complex_field):
+    x = rng.standard_normal((m, n))
+    return x + 1j * rng.standard_normal((m, n)) if complex_field else x
+
+
+class TestChunkedResiduals:
+    """Residuals written in several chunks of the window."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
+           width=st.integers(1, 9), seed=st.integers(0, 2**31), data=st.data())
+    def test_rvar_residuals_reproduce_the_fitted_v(self, m, k, complex_field, width,
+                                                   seed, data):
+        # Windows with at least one residual degree of freedom (an exact fit
+        # flushes V to zero), cut into chunks of 1..9 samples whose width
+        # need not divide N-K.
+        n = k + data.draw(st.integers(m * k + 2, 8 * width + m * k + 2))
+        x = draw_signal(np.random.default_rng(seed), m, n, complex_field)
+        with pytest.MonkeyPatch.context() as patch:
+            residual_width(patch, width)
+            fit = fit_rvar_ls(x, k)
+            assert rvar_residuals(fit, x).tobytes() == fit.V.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
+           complex_lags=st.booleans(), width=st.integers(1, 9),
+           seed=st.integers(0, 2**31), data=st.data())
+    def test_match_the_per_lag_definition(self, m, k, complex_field, complex_lags, width,
+                                          seed, data):
+        # Real L and t (or c) with complex R_i (or A_i) give complex residuals.
+        n = k + data.draw(st.integers(1, 6 * width))
+        rng = np.random.default_rng(seed)
+        x = draw_signal(rng, m, n, complex_field)
+        lags = tuple(draw_signal(rng, m, m, complex_lags) for _ in range(k))
+        mixing = np.tril(rng.standard_normal((m, m)), -1) + 2 * np.eye(m)
+        intercept = rng.standard_normal(m)
+        structural = SvarCoefficients(L=mixing, R=lags, t=intercept)
+        reduced = RvarCoefficients(c=intercept, A=lags)
+        for lead, model_, residuals in [(mixing @ x[:, k:], structural, svar_residuals),
+                                        (x[:, k:], reduced, rvar_residuals)]:
+            direct = lead - intercept[:, None]
+            for i, a in enumerate(lags, 1):
+                direct = direct - a @ x[:, k - i:n - i]
+            with pytest.MonkeyPatch.context() as patch:
+                residual_width(patch, width)
+                chunked = residuals(model_, x)
+            assert chunked.dtype == direct.dtype
+            np.testing.assert_allclose(chunked, direct, rtol=1e-12, atol=1e-12)
+
+    def test_ls_memory_is_v_and_two_chunks(self):
+        # V is allocated once; the lag products go through one chunk-sized
+        # buffer, not one M x (N-K) temporary per lag.
+        m, k, n = 4, 2, 65536
+        x = np.random.default_rng(7).standard_normal((m, n))
+        chunk_bytes = m * model._RESIDUAL_CHUNK_SAMPLES * 8
+        tracemalloc.start()
+        try:
+            fit_rvar_ls(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * (n - k) * 8 + 2 * chunk_bytes
 
 
 class TestSvarResiduals:

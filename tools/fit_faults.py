@@ -1,0 +1,64 @@
+"""Time the three fit routes on one seeded series and count the minor page
+faults each fit takes, in this process only.
+
+    python3 tools/fit_faults.py M K N [--complex] [--rounds R] [--seed S]
+
+The model is drawn with seed S and the series with S + 1, as `svarlic
+simulate` does. Each round fits the series by every route in perfbench's
+order, lic (`fit_svar_lic`), ls (`fit_rvar_ls` then `rvar_to_svar`) and
+both (`fit_both`), with the BLAS pool on one thread. Prints one
+``route median_s minflt_per_fit`` row per route: the median wall time of
+a fit and the median of `getrusage(RUSAGE_SELF)`'s minor-fault count
+across it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import resource
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from svarlic import estimators, synthetic  # noqa: E402
+
+ROUTES = {
+    "lic": estimators.fit_svar_lic,
+    "ls": lambda x, k: estimators.rvar_to_svar(estimators.fit_rvar_ls(x, k)),
+    "both": estimators.fit_both,
+}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    for name in ("m", "k", "n"):
+        parser.add_argument(name, type=int)
+    parser.add_argument("--complex", action="store_true")
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    model = synthetic.random_stable_svar(args.m, args.k, args.seed, complex_field=args.complex)
+    x = synthetic.simulate_series(model, args.n, args.seed + 1)
+    seconds = {route: [] for route in ROUTES}
+    faults = {route: [] for route in ROUTES}
+    for _ in range(args.rounds):
+        for route, fit in ROUTES.items():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            t0 = perf_counter()
+            fit(x, args.k)
+            seconds[route].append(perf_counter() - t0)
+            faults[route].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print("route median_s minflt_per_fit")
+    for route in ROUTES:
+        print(f"{route} {statistics.median(seconds[route]):.6f} "
+              f"{statistics.median(faults[route]):g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
