@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .model import _integer
+
 __all__ = [
     "MultiplyCount",
     "ls_multiply_count",
@@ -49,18 +51,16 @@ class MultiplyCount:
         raise KeyError(label)
 
 
-def _validate(m: int, k: int, n: int) -> None:
-    if m < 1:
-        raise ValueError(f"branch count M must be >= 1, got {m}")
-    if k < 0:
-        raise ValueError(f"order K must be >= 0, got {k}")
-    if n <= k:
-        raise ValueError(f"need N > K, got N={n}, K={k}")
+def _validate(m: int, k: int, n: int) -> tuple[int, int, int]:
+    """(M, K, N) as ints under the package's rule for counts, N > K."""
+    m = _integer(m, 1, "branch count M must be >= 1, got {}")
+    k = _integer(k, 0, "order K must be >= 0, got {}")
+    return m, k, _integer(n, k + 1, f"need N > K, got N={{}}, K={k}")
 
 
 def ls_multiply_count(m: int, k: int, n: int) -> MultiplyCount:
     """Multiply count of the least-squares route, itemized per operation."""
-    _validate(m, k, n)
+    m, k, n = _validate(m, k, n)
     p = m * k + 1          # rows of S
     cols = n - k
     return MultiplyCount(items=(
@@ -78,7 +78,7 @@ def ls_multiply_count(m: int, k: int, n: int) -> MultiplyCount:
 
 def lic_multiply_count(m: int, k: int, n: int) -> MultiplyCount:
     """Multiply count of the direct inverse-Cholesky route."""
-    _validate(m, k, n)
+    m, k, n = _validate(m, k, n)
     q = m * (k + 1) + 1    # rows of T
     cols = n - k
     return MultiplyCount(items=(

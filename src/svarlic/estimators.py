@@ -57,6 +57,7 @@ from .model import (
     RvarCoefficients,
     SvarCoefficients,
     _check_signal,
+    _fitted,
     _regressor_gram,
     _residuals,
     _unstack_coefficients,
@@ -151,7 +152,7 @@ def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
     # ||X||_F^2 is the trace of the Gram's bottom block X X^H.
     if np.linalg.norm(v) <= RESIDUAL_FLUSH_RTOL * np.sqrt(gram.diagonal()[p:].real.sum()):
         v = np.zeros_like(v)
-    return RvarCoefficients(c=c, A=lags, V=v)
+    return _fitted(RvarCoefficients, c=c, A=lags, V=v)
 
 
 def rvar_to_svar(model: RvarCoefficients) -> SvarCoefficients:
@@ -171,11 +172,8 @@ def rvar_to_svar(model: RvarCoefficients) -> SvarCoefficients:
         raise ValueError("model has no residual matrix V; fit it first")
     mixing = _whiten(gram_hermitian(model.V), model.branches,
                      "residual Gram matrix VV^H", "residuals are rank deficient")
-    return SvarCoefficients(
-        L=mixing,
-        R=tuple(mixing @ a for a in model.A),
-        t=mixing @ model.c,
-    )
+    return _fitted(SvarCoefficients, L=mixing, R=tuple(mixing @ a for a in model.A),
+                   t=mixing @ model.c)
 
 
 def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
@@ -217,7 +215,7 @@ def _finish_lic(m: int, k: int, gram: NDArray) -> SvarCoefficients:
     u_alpha = _whiten(gram, m, "stacked Gram matrix TT^H",
                       "the signal is deterministic or has collinear branches")
     t, lags = _unstack_coefficients(-u_alpha[:, :m * k + 1])
-    return SvarCoefficients(L=u_alpha[:, m * k + 1:].copy(), R=lags, t=t)
+    return _fitted(SvarCoefficients, L=u_alpha[:, m * k + 1:].copy(), R=lags, t=t)
 
 
 def coefficient_discrepancy(ref: SvarCoefficients, other: SvarCoefficients) -> float:

@@ -21,7 +21,11 @@ over a signal, container or small kernel operand. `gram_hermitian` makes
 none over its input, which is the largest array of a fit: a non-finite
 input entry makes a diagonal entry of the product non-finite, so the check
 on the q x q product catches it, and only then is the input inspected.
-Arrays the package computes from checked input are not checked again.
+Arrays the package computes from checked input are not checked again,
+results included: the estimators and the generator hand theirs to the
+coefficient containers past the constructors' caller checks
+(`model._fitted`). The factorization and solve still coerce and scan
+their operands, since they are public entry points too.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -63,14 +67,9 @@ def _as_float_matrix(a: ArrayLike, name: str) -> NDArray:
     """Coerce `a` to a nonempty 2-D float64 or complex128 array without
     reading its entries."""
     arr = np.asarray(a)
-    if arr.dtype.kind in "iub":
-        arr = arr.astype(np.float64)
-    elif arr.dtype.kind == "f":
-        arr = arr.astype(np.float64, copy=False)
-    elif arr.dtype.kind == "c":
-        arr = arr.astype(np.complex128, copy=False)
-    else:
+    if arr.dtype.kind not in "iubfc":
         raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
+    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -216,7 +215,7 @@ def _check_lower_factor(c: NDArray, name: str) -> None:
         raise ValueError(f"{name} must be lower triangular, "
                          "got nonzero entries above the diagonal")
     d = c.diagonal()
-    if np.any(d.real <= 0) or (np.iscomplexobj(c) and np.any(d.imag != 0)):
+    if np.any(d.real <= 0) or np.any(d.imag != 0):
         raise ValueError(f"{name} must have a strictly positive real diagonal")
 
 
@@ -251,7 +250,8 @@ def _divide_adjoint(b: NDArray, c: NDArray) -> NDArray:
 
 def _inverse_bottom_rows(c: NDArray, rows: int) -> NDArray:
     """The bottom `rows` rows of ``c^-1`` for a lower factor `c` in the
-    package's convention (LAPACK's, or one `_check_lower_factor` passed).
+    package's convention: LAPACK's, one `_check_lower_factor` passed, or
+    a container's `L` that the package built.
 
     They solve ``Y @ c = E``, with `E` the last `rows` rows of the
     identity, by block substitution (`_divide_lower`): about

@@ -50,9 +50,9 @@ from .linalg import (
     _check_lower_factor,
     _conj_transpose,
     _finish_gram,
+    _inverse_bottom_rows,
     as_matrix,
     gram_hermitian,
-    invert_lower,
 )
 
 __all__ = [
@@ -75,13 +75,20 @@ def as_signal(x: ArrayLike) -> NDArray:
     return as_matrix(x, "signal")
 
 
-def validate_order(k: int) -> int:
+def _integer(value: object, least: int, message: str) -> int:
+    """`value` as an int if it is integral, integral floats included, and
+    at least `least`; anything else raises `ValueError` with `message`
+    formatted with the value. The package's one rule for counts."""
     try:
-        if int(k) == k and k >= 0:
-            return int(k)
+        if int(value) == value and value >= least:
+            return int(value)
     except (TypeError, ValueError, OverflowError):  # None, NaN, infinity
         pass
-    raise ValueError(f"order K must be a nonnegative integer, got {k!r}")
+    raise ValueError(message.format(value))
+
+
+def validate_order(k: int) -> int:
+    return _integer(k, 0, "order K must be a nonnegative integer, got {!r}")
 
 
 def _as_vector(v: ArrayLike, m: int, name: str) -> NDArray:
@@ -90,8 +97,7 @@ def _as_vector(v: ArrayLike, m: int, name: str) -> NDArray:
         arr = arr.ravel()
     if arr.ndim != 1 or arr.shape[0] != m:
         raise DimensionMismatch(f"{name} must be a length-{m} vector, got shape {arr.shape}")
-    arr = as_matrix(arr[None, :], name)[0]
-    return arr
+    return as_matrix(arr[None, :], name)[0]
 
 
 def _as_square(a: ArrayLike, m: int, name: str) -> NDArray:
@@ -108,6 +114,11 @@ class SvarCoefficients:
     `L` must be lower triangular with a strictly positive real diagonal;
     both estimation routes produce exactly that under the shared sign
     convention, and the synthetic generator constructs it directly.
+
+    The constructor checks caller input: every array is coerced and
+    scanned for finiteness and shape once, and `L` against the factor
+    convention. The estimators and the generator hand on the arrays they
+    build through `_fitted`, unchecked.
     """
 
     L: NDArray
@@ -134,7 +145,11 @@ class SvarCoefficients:
 @dataclass
 class RvarCoefficients:
     """Reduced-form coefficients (c, A_1..A_K) plus the fitted residual
-    matrix `V` when produced by an estimator."""
+    matrix `V` when produced by an estimator.
+
+    As with `SvarCoefficients`, the constructor checks caller input and
+    the package's own results skip it (`_fitted`), `V` included.
+    """
 
     c: NDArray
     A: tuple[NDArray, ...] = field(default_factory=tuple)
@@ -157,6 +172,15 @@ class RvarCoefficients:
     @property
     def order(self) -> int:
         return len(self.A)
+
+
+def _fitted(cls: type, **fields: object) -> SvarCoefficients | RvarCoefficients:
+    """A `cls` container holding `fields`, arrays the package built from
+    checked input, made without the caller checks of `__post_init__`.
+    Every field is passed: `R` and `A` have no class default."""
+    fitted = object.__new__(cls)
+    vars(fitted).update(fields)
+    return fitted
 
 
 def _check_signal(x: ArrayLike, k: int, branches: int | None = None) -> tuple[NDArray, int]:
@@ -444,7 +468,7 @@ def whitening_error(model: SvarCoefficients, x: ArrayLike) -> float:
 
 def _implied_reduced_form(model: SvarCoefficients) -> tuple[NDArray, tuple[NDArray, ...], NDArray]:
     """(L^{-1}, A_i = L^{-1} R_i, c = L^{-1} t) for forward simulation."""
-    linv = invert_lower(model.L)
+    linv = _inverse_bottom_rows(model.L, model.branches)
     a = tuple(linv @ r for r in model.R)
     c = linv @ model.t
     return linv, a, c

@@ -14,7 +14,9 @@ from .exceptions import NumericalOverflow
 from .model import (
     RvarCoefficients,
     SvarCoefficients,
+    _fitted,
     _implied_reduced_form,
+    _integer,
     companion_spectral_radius,
     validate_order,
 )
@@ -46,8 +48,7 @@ def random_stable_svar(
     """
     if not 0.0 < target_radius < 1.0:
         raise ValueError(f"target_radius must be in (0, 1), got {target_radius}")
-    if m < 1:
-        raise ValueError(f"branch count must be >= 1, got {m}")
+    m = _integer(m, 1, "branch count must be >= 1, got {}")
     k = validate_order(k)
     rng = np.random.default_rng(seed)
 
@@ -58,7 +59,7 @@ def random_stable_svar(
         return z
 
     lags = tuple(draw(m, m) / (k * np.sqrt(m)) for _ in range(k))
-    radius = companion_spectral_radius(RvarCoefficients(np.zeros(m), lags))
+    radius = companion_spectral_radius(_fitted(RvarCoefficients, c=np.zeros(m), A=lags, V=None))
     if radius > target_radius:
         scale = target_radius / radius
         lags = tuple(scale**i * a for i, a in enumerate(lags, 1))
@@ -70,11 +71,7 @@ def random_stable_svar(
     np.fill_diagonal(mixing, rng.uniform(0.5, 1.5, size=m))
     intercept = draw(m)
 
-    return SvarCoefficients(
-        L=mixing,
-        R=tuple(mixing @ a for a in lags),
-        t=intercept,
-    )
+    return _fitted(SvarCoefficients, L=mixing, R=tuple(mixing @ a for a in lags), t=intercept)
 
 
 def simulate_series(
@@ -108,14 +105,11 @@ def simulate_series(
         run too long). The whole run is checked in one pass after the
         loop; the message names the first such sample, burn-in counted.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    n = _integer(n, 1, "sample count must be >= 1, got {}")
     m = model.branches
     k = model.order
-    if burn_in is None:
-        burn_in = 10 * k * m
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    burn_in = _integer(10 * k * m if burn_in is None else burn_in, 0,
+                       "burn_in must be >= 0, got {}")
     total = burn_in + n
 
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 direct inverse-Cholesky route, and the equivalence between them.
 """
 
+import dataclasses
 import re
 import sys
 import tracemalloc
@@ -31,6 +32,7 @@ from svarlic.exceptions import (
 from svarlic.linalg import gram_hermitian
 from svarlic.model import (
     RvarCoefficients,
+    SvarCoefficients,
     build_regressor_s,
     rvar_residuals,
     whitening_error,
@@ -271,8 +273,8 @@ class TestNonFiniteSignal:
 
 class TestSignalCheckedOnce:
     """Finiteness passes over arrays with at least N - K columns: the
-    signal once per route, `fit_both` included, and the residuals once,
-    through `RvarCoefficients`; never the stacked regressors T or S."""
+    signal once per route, `fit_both` included; never the residuals `V`,
+    which the fit hands on unchecked, nor the stacked regressors T or S."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
@@ -286,7 +288,7 @@ class TestSignalCheckedOnce:
         rebind(monkeypatch, original, spy)
         return seen
 
-    @pytest.mark.parametrize("route, passes", [("lic", 1), ("ls", 2), ("both", 2)])
+    @pytest.mark.parametrize("route, passes", [("lic", 1), ("ls", 1), ("both", 1)])
     def test_passes_per_route(self, checked, route, passes):
         m, k, n = 2, 2, 200
         x = stable_series(m, k, n, seed=12)
@@ -296,7 +298,7 @@ class TestSignalCheckedOnce:
         assert sum(a is x for a in checked) == 1
         assert (m * (k + 1) + 1, n - k) not in shapes  # T
         assert (m * k + 1, n - k) not in shapes  # S
-        assert shapes.count((m, n - k)) == (0 if route == "lic" else 1)  # V
+        assert shapes.count((m, n - k)) == 0  # V
 
     def test_rvar_residuals_scans_signal_once(self, checked):
         x = stable_series(2, 2, 200, seed=12)
@@ -651,3 +653,76 @@ class TestDiscrepancyMetric:
         b = SvarCoefficients(L=np.eye(2))
         with pytest.raises(DimensionMismatch):
             coefficient_discrepancy(a, b)
+
+
+def assert_rebuilds(fitted):
+    """`fitted`, a container the package built without its caller checks,
+    passes its public constructor unchanged: every field keeps its type,
+    dtype, shape and bytes. A structural `L` is also checked against the
+    factor convention directly: nothing above the diagonal and a real
+    positive diagonal."""
+    cls = type(fitted)
+    names = [f.name for f in dataclasses.fields(cls)]
+    rebuilt = cls(**{name: getattr(fitted, name) for name in names})
+    for name in names:
+        ours, theirs = getattr(fitted, name), getattr(rebuilt, name)
+        if isinstance(ours, tuple):
+            assert isinstance(theirs, tuple) and len(ours) == len(theirs)
+        else:
+            ours, theirs = (ours,), (theirs,)
+        for a, b in zip(ours, theirs):
+            assert isinstance(a, np.ndarray)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    if cls is SvarCoefficients:
+        assert not np.triu(fitted.L, 1).any()
+        assert np.all(fitted.L.diagonal().imag == 0) and np.all(fitted.L.diagonal().real > 0)
+
+
+class TestFittedResults:
+    """Every route hands on its result without the containers' caller
+    checks (`model._fitted`), and what it hands on is exactly what those
+    checks would have produced."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
+           structured=st.booleans(), seed=st.integers(0, 2**31), extra=st.integers(1, 32))
+    def test_fits_equal_their_public_rebuild(self, m, k, complex_field, structured, seed,
+                                             extra):
+        q = m * (k + 1) + 1
+        # N on either side of the dense-Gram cut.
+        n = k + (-(-model._DENSE_GRAM_WORK // (q * q)) if structured else q + extra)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, n))
+        if complex_field:
+            x = x + 1j * rng.standard_normal((m, n))
+        rvar = fit_rvar_ls(x, k)
+        both = fit_both(x, k)
+        for fitted in (fit_svar_lic(x, k), rvar, rvar_to_svar(rvar), both.ls, both.lic):
+            assert_rebuilds(fitted)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 4), k=st.integers(0, 4), complex_field=st.booleans(),
+           seed=st.integers(0, 2**31))
+    def test_generator_equals_its_public_rebuild(self, m, k, complex_field, seed):
+        assert_rebuilds(random_stable_svar(m, k, seed, complex_field=complex_field))
+
+    @pytest.mark.parametrize("route", ["lic", "ls", "both", "fit_rvar_ls", "rvar_to_svar",
+                                       "random_stable_svar"])
+    def test_routes_skip_the_caller_checks(self, monkeypatch, route):
+        checked = []
+        for cls in (SvarCoefficients, RvarCoefficients):
+            def spy(self, original=cls.__post_init__):
+                checked.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", spy)
+        SvarCoefficients(L=np.eye(2))  # the spy sees caller-built containers
+        assert checked == ["SvarCoefficients"]
+        x = np.random.default_rng(30).standard_normal((2, 200))
+        fitted = fit_rvar_ls(x, 2)
+        checked.clear()
+        calls = {**ROUTES, "fit_rvar_ls": fit_rvar_ls,
+                 "rvar_to_svar": lambda x, k: rvar_to_svar(fitted),
+                 "random_stable_svar": lambda x, k: random_stable_svar(3, k, seed=31)}
+        calls[route](x, 2)
+        assert checked == []

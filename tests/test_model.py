@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svarlic import model
+from svarlic.complexity import lic_multiply_count, ls_multiply_count, savings_ratio
 from svarlic.estimators import fit_rvar_ls
 from svarlic.exceptions import DimensionMismatch, NumericalOverflow, OrderTooLarge
 from svarlic.model import (
@@ -90,6 +91,47 @@ class TestValidateOrder:
 
     def test_accepts_integral_float(self):
         assert validate_order(3.0) == 3
+
+
+def model_bytes(model):
+    return b"".join(a.tobytes() for a in (model.L, *model.R, model.t))
+
+
+#: Every count argument outside the fits, with the message it raises; each
+#: follows `validate_order`'s rule with its own lower bound.
+COUNTS = {
+    "random_stable_svar m": (lambda v: model_bytes(random_stable_svar(v, 1, 0)),
+                             "branch count must be >= 1, got {}"),
+    "simulate_series n": (lambda v: simulate_series(random_stable_svar(2, 1, 0), v, 0).tobytes(),
+                          "sample count must be >= 1, got {}"),
+    "simulate_series burn_in": (
+        lambda v: simulate_series(random_stable_svar(2, 1, 0), 5, 0, burn_in=v).tobytes(),
+        "burn_in must be >= 0, got {}"),
+    "complexity m": (lambda v: ls_multiply_count(v, 1, 10), "branch count M must be >= 1, got {}"),
+    "complexity k": (lambda v: lic_multiply_count(2, v, 10), "order K must be >= 0, got {}"),
+    "complexity n": (lambda v: savings_ratio(2, 1, v), "need N > K, got N={}, K=1"),
+}
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("argument, value", [
+        (argument, value) for argument in sorted(COUNTS)
+        for value in (2.5, float("nan"), None, -1)
+        if (argument, value) != ("simulate_series burn_in", None)])
+    def test_rejects(self, argument, value):
+        call, message = COUNTS[argument]
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == message.format(value)
+
+    @pytest.mark.parametrize("argument", sorted(COUNTS))
+    def test_accepts_integral_float(self, argument):
+        call, _ = COUNTS[argument]
+        assert call(2.0) == call(2)
+
+    def test_burn_in_none_is_the_default(self):
+        call, _ = COUNTS["simulate_series burn_in"]
+        assert call(None) == call(10 * 1 * 2)  # 10*K*M
 
 
 class TestBuildRegressorS:

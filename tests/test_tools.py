@@ -18,3 +18,54 @@ def test_fit_faults_prints_every_route():
     for row in rows:
         _, seconds, faults = row.split()
         assert float(seconds) > 0 and float(faults) >= 0
+
+
+CODE_LINES_PACKAGE = {
+    "__init__.py": "",
+    "a.py": '''"""Module docstring,
+over two lines."""
+
+# A comment.
+import os
+
+TEXT = """A string literal
+that is not a docstring."""
+
+
+class Thing:
+    """Class docstring."""
+
+    size = 1  # a trailing comment leaves a code line
+
+    def method(self):
+        """Method docstring,
+
+        with a blank line inside."""
+        return os.sep
+''',
+    "sub/b.py": '''def f():
+    """One-line function docstring."""
+    # A comment in the body.
+    "a bare string after the docstring"
+    return 1
+
+
+async def g():
+    """Coroutine docstring."""
+''',
+}
+
+
+def test_code_lines_counts_each_module(tmp_path):
+    root = tmp_path / "pkg"
+    for name, source in CODE_LINES_PACKAGE.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(source)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(root)],
+        capture_output=True, text=True, check=True).stdout
+    rows = [line.split() for line in out.strip().splitlines()]
+    assert rows == [["0", str(root / "__init__.py")],
+                    ["7", str(root / "a.py")],
+                    ["4", str(root / "sub" / "b.py")],
+                    ["11", "total"]]
