@@ -45,6 +45,7 @@ from .exceptions import (
     DimensionMismatch,
     InsufficientSamples,
     NotPositiveDefinite,
+    NumericalOverflow,
     RankDeficient,
 )
 from .linalg import (
@@ -167,13 +168,22 @@ def rvar_to_svar(model: RvarCoefficients) -> SvarCoefficients:
     RankDeficient
         (a `NotPositiveDefinite`) if the residuals are rank deficient, e.g.
         after an exact fit of a deterministic series.
+    NumericalOverflow
+        If a rescaled coefficient overflows double precision, as it can
+        for a caller's reduced form whose `V` and `A_i` differ widely in
+        scale.
     """
     if model.V is None:
         raise ValueError("model has no residual matrix V; fit it first")
     mixing = _whiten(gram_hermitian(model.V), model.branches,
                      "residual Gram matrix VV^H", "residuals are rank deficient")
-    return _fitted(SvarCoefficients, L=mixing, R=tuple(mixing @ a for a in model.A),
-                   t=mixing @ model.c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lags = tuple(mixing @ a for a in model.A)
+        t = mixing @ model.c
+    if not np.isfinite(np.concatenate((t, *lags), axis=None)).all():
+        raise NumericalOverflow(
+            "rescaled coefficients overflow double precision; rescale the input")
+    return _fitted(SvarCoefficients, L=mixing, R=lags, t=t)
 
 
 def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
@@ -247,10 +257,10 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
     The least-squares result serves as the reference in the discrepancy
     metric. On well-conditioned inputs the discrepancy sits at rounding
     level (far below 1e-8); a large value flags ill conditioning. The
-    signal and both routes' sample rules are checked once, at the door,
-    the least-squares rule first, before ``T T^H`` is formed once; both
-    routes finish from that one Gram, so they decide rank from the same
-    numbers.
+    signal's shape and both routes' sample rules are checked once, at the
+    door, the least-squares rule first, before ``T T^H`` is formed once,
+    whose check reads the signal's finiteness; both routes finish from
+    that one Gram, so they decide rank from the same numbers.
     """
     x, k = _check_signal(x, k)
     _require_samples(x.shape, k, direct=False)

@@ -17,15 +17,21 @@ the inverse factor and computes just those rows, and a positive-definite
 solve above that order divides by the factor it has already computed.
 
 Finiteness is checked where caller input enters: `as_matrix` makes one pass
-over a signal, container or small kernel operand. `gram_hermitian` makes
-none over its input, which is the largest array of a fit: a non-finite
-input entry makes a diagonal entry of the product non-finite, so the check
-on the q x q product catches it, and only then is the input inspected.
-Arrays the package computes from checked input are not checked again,
-results included: the estimators and the generator hand theirs to the
-coefficient containers past the constructors' caller checks
+over a residual routine's signal, a container or a small kernel operand.
+Nothing scans the input of a Gram product, the largest array of a fit,
+the fits' signals included: every input entry reaches a diagonal entry of
+the product (a non-finite one makes it non-finite, ``inf * 0`` included),
+so `_finish_gram`'s check on the q x q product catches it, and only then
+is the input inspected, to name it or to tell a non-finite input from an
+overflow. Arrays the package computes from checked input are not checked
+again, results included: the estimators and the generator hand theirs to
+the coefficient containers past the constructors' caller checks
 (`model._fitted`). The factorization and solve still coerce and scan
 their operands, since they are public entry points too.
+
+Every Gram product is summed by one chunk loop, `_window_products`: the
+K+1 lag products of the structured regressor Gram, and with K = 0 the
+plain ``a a^H`` of `gram_hermitian`.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -69,7 +75,9 @@ def _as_float_matrix(a: ArrayLike, name: str) -> NDArray:
     arr = np.asarray(a)
     if arr.dtype.kind not in "iubfc":
         raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
-    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
+    dtype = np.complex128 if arr.dtype.kind == "c" else np.float64
+    if arr.dtype != dtype:
+        arr = arr.astype(dtype)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
@@ -86,17 +94,18 @@ def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray:
 
 
 def _conj_transpose(a: NDArray) -> NDArray:
-    return a.conj().T if np.iscomplexobj(a) else a.T
+    return a.conj().T if a.dtype.kind == "c" else a.T
 
 
 def gram_hermitian(a: ArrayLike) -> NDArray:
     """Return the Gram matrix ``a @ a^H`` of shape (rows, rows).
 
-    The result is Hermitian exactly, entry for entry: the product is
-    averaged with its conjugate transpose, halved first so that nothing
-    that fits overflows, which also makes the diagonal real. numpy forms
-    a real ``a @ a.T`` symmetric already, so it comes back unchanged
-    except in subnormal entries, which the halving rounds.
+    The product is `_window_products` at K = 0: summed over chunks of
+    columns where `a` is long enough to be cut, so a complex `a` is
+    conjugated one chunk at a time. The result is Hermitian exactly, entry
+    for entry: the product is averaged with its conjugate transpose,
+    halved first so that nothing that fits overflows, which also makes
+    the diagonal real.
 
     The input is not scanned for finiteness up front: a non-finite entry
     of `a` makes a diagonal entry of the product non-finite, so the input
@@ -112,17 +121,85 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
     """
     a = _as_float_matrix(a, "matrix")
     with np.errstate(over="ignore", invalid="ignore"):
-        g = a @ _conj_transpose(a)
+        (g,), _ = _window_products(a, 0)
     return _finish_gram(g, a)
 
 
-def _finish_gram(g: NDArray, source: NDArray) -> NDArray:
+#: `_window_products` sums its products over near-equal chunks of the
+#: window, as few as keep each chunk at or below `_GRAM_CHUNK_SAMPLES`
+#: samples and each product at or below `_GRAM_CHUNK_WORK` multiply-adds,
+#: ``M^2`` per sample. OpenBLAS 0.3.31 on SkylakeX runs a real product of
+#: at most 10^6 multiply-adds through its unpacked small-matrix kernel; a
+#: larger one runs 2x (M=16) to 6x (M=4) slower per multiply-add. The
+#: sample cap keeps a chunk, its copy and the lagged columns the products
+#: read in cache, and the copy, a ones row included, below a quarter MiB
+#: at M=4: from 5120 to 7168 samples tall_real's fit time is flat, and
+#: wider copies set its peak memory (CHANGES.md has the sweep). A window
+#: is not cut where a chunk would hold fewer than `_GRAM_MIN_CHUNK`
+#: samples (M > 22): products that wide gain nothing from that kernel and
+#: lose to per-call cost in narrow chunks.
+_GRAM_CHUNK_WORK = 10 ** 6
+_GRAM_CHUNK_SAMPLES = 6144
+_GRAM_MIN_CHUNK = 2048
+
+
+def _window_products(x: NDArray, k: int,
+                     sums: bool = False) -> tuple[list[NDArray], NDArray | None]:
+    """The window products ``P_d = sum_{n=K}^{N-1} x(n-d) x(n)^H`` of a
+    2-D float array `x` with more than `k` columns, as a list over
+    d = 0 .. K, and with `sums` the window's row sums (else None). With
+    K = 0 it is the Gram ``x x^H``.
+
+    The package's one chunk loop for Gram products. A window of one chunk
+    takes one product per lag and no buffer. Above that, each chunk is
+    copied, conjugated if complex, into one reused buffer that every
+    product reads while it is in cache. The copy is a second operand, so
+    numpy sends ``P_0`` to gemm, which OpenBLAS runs in its small-matrix
+    kernel, and not to syrk, which has none. With `sums`, a row of ones
+    under the copy gives ``P_0`` one more column, the chunk's row sums.
+    Each chunk's products go through preallocated arrays, so the working
+    memory is the buffer. Run it with overflow and invalid operations
+    ignored: the caller checks the result.
+    """
+    m, n = x.shape
+    width = min(_GRAM_CHUNK_WORK // (m * m), _GRAM_CHUNK_SAMPLES)
+    if width < _GRAM_MIN_CHUNK or n - k <= width:
+        window = x[:, k:]
+        window_h = _conj_transpose(window)
+        products = [window @ window_h]
+        for d in range(1, k + 1):
+            products.append(x[:, k - d:n - d] @ window_h)
+        return products, window.sum(axis=1) if sums else None
+    chunks = -(-(n - k) // width)
+    bounds = [k + i * (n - k) // chunks for i in range(chunks + 1)]
+    buffer = np.empty((m + sums, bounds[-1] - bounds[-2]), dtype=x.dtype)
+    buffer[m:] = 1
+    lead = np.zeros((m, m + sums), dtype=x.dtype)  # P_0 beside the row sums
+    lags = np.zeros((k, m, m), dtype=x.dtype)  # P_1 .. P_K
+    lead_term, lag_terms = np.empty_like(lead), np.empty_like(lags)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        chunk = buffer[:, :b - a]
+        if x.dtype.kind == "c":
+            np.conjugate(x[:, a:b], out=chunk[:m])
+        else:
+            chunk[:m] = x[:, a:b]
+        np.matmul(x[:, a:b], chunk.T, out=lead_term)
+        lead += lead_term
+        for d in range(1, k + 1):
+            np.matmul(x[:, a - d:b - d], chunk[:m].T, out=lag_terms[d - 1])
+        lags += lag_terms
+    return [lead[:, :m], *lags], lead[:, m] if sums else None
+
+
+def _finish_gram(g: NDArray, source: NDArray, name: str = "matrix") -> NDArray:
     """Make the Gram product `g`, formed from `source` with overflow
     ignored, exactly Hermitian in place: halve it, then add its conjugate
-    transpose. A non-finite `g` raises instead: `ValueError` if `source`
-    has non-finite entries, else `NumericalOverflow`."""
+    transpose. Every entry of `source` reaches a diagonal entry of `g`, so
+    a finite `g` clears `source` too, and a non-finite `g` raises:
+    `ValueError` naming `source` as `name` if it has non-finite entries,
+    else `NumericalOverflow`."""
     if not np.isfinite(g).all():
-        as_matrix(source)  # raises ValueError if the input is to blame
+        as_matrix(source, name)  # raises ValueError if the input is to blame
         raise NumericalOverflow(
             "Gram product overflows double precision; rescale the input")
     g *= 0.5

@@ -23,9 +23,11 @@ Both routes start from the Gram ``T T^H`` of that layout
 (`_regressor_gram`). Its blocks are sliding-window lag covariances, so
 above a small size it is computed from the K+1 distinct M x M lag products
 of the signal, about ``M^2 (K+1) N`` multiplies, summed over chunks of
-samples, and T is never stacked: for complex input the working memory is
-one chunk's conjugated copy. `svarlic.complexity` still charges the
-paper's ``q^2 N / 2``.
+samples by the package's one Gram chunk loop (`linalg._window_products`),
+and T is never stacked: where the window is cut, the working memory is
+one chunk-sized buffer. `svarlic.complexity` still charges the paper's
+``q^2 N / 2``. The fits read the signal's finiteness off that Gram
+rather than scanning the signal (`_check_signal`).
 
 Residuals of either form, the least-squares fit's `V` included, are one
 expression, `_residuals`: one pass over chunks of the sample window that
@@ -47,10 +49,12 @@ from numpy.typing import ArrayLike, NDArray
 
 from .exceptions import DimensionMismatch, OrderTooLarge
 from .linalg import (
+    _as_float_matrix,
     _check_lower_factor,
     _conj_transpose,
     _finish_gram,
     _inverse_bottom_rows,
+    _window_products,
     as_matrix,
     gram_hermitian,
 )
@@ -185,11 +189,17 @@ def _fitted(cls: type, **fields: object) -> SvarCoefficients | RvarCoefficients:
 
 def _check_signal(x: ArrayLike, k: int, branches: int | None = None) -> tuple[NDArray, int]:
     """Check the signal `x` and order `k` at the door of every fit and
-    residual route: `x` is coerced and scanned for finiteness once, `k` is
-    validated, N > K and, if `branches` is given, `x` has that many rows.
-    Returns both as checked values; nothing built from them is checked
-    again."""
-    x = as_signal(x)
+    residual route: `x` is coerced to a 2-D float array without reading
+    its entries, `k` is validated, N > K and, if `branches` is given, `x`
+    has that many rows. Returns both as checked values; nothing built from
+    them is checked again.
+
+    The fits scan no entry here: every sample reaches the diagonal of the
+    regressor Gram, whose finiteness check names the signal
+    (`linalg._finish_gram`). Routes that form no Gram from `x`, the
+    residuals and the stacked regressors, pass it through `as_signal`
+    first, their one scan."""
+    x = _as_float_matrix(x, "signal")
     k = validate_order(k)
     n = x.shape[1]
     if n <= k:
@@ -226,54 +236,18 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
     """``T T^H`` for a checked signal `x` and order `k`, with T the
     `build_regressor_t` stack: dense below `_DENSE_GRAM_WORK`, from lag
     products above it (`_lag_covariance_gram`). Both forms are exactly
-    Hermitian with a real diagonal and raise `NumericalOverflow` on a
-    product that does not fit."""
+    Hermitian with a real diagonal, raise `ValueError` naming the signal
+    if it has a non-finite entry, which the fits do not scan for, and
+    `NumericalOverflow` on a product of a finite signal that does not
+    fit."""
     q = x.shape[0] * (k + 1) + 1
-    if q * q * (x.shape[1] - k) < _DENSE_GRAM_WORK:
+    if q * q * (x.shape[1] - k) >= _DENSE_GRAM_WORK:
+        return _lag_covariance_gram(x, k)
+    try:
         return gram_hermitian(_stack_regressor(x, k, direct=True))
-    return _lag_covariance_gram(x, k)
-
-
-#: `_window_products` sums the Gram's lag products over near-equal chunks
-#: of the sample window, as few as keep each product at or below
-#: `_GRAM_CHUNK_WORK` multiply-adds, ``M^2`` per sample. OpenBLAS 0.3.31 on
-#: SkylakeX runs a real product of at most 10^6 multiply-adds through its
-#: unpacked small-matrix kernel; a larger one runs 2x (M=16) to 6x (M=4)
-#: slower per multiply-add. A window is not cut where a chunk would hold
-#: fewer than `_GRAM_CHUNK_SAMPLES` samples (M > 22): products that wide
-#: gain nothing from that kernel and lose to per-call cost in narrow chunks.
-_GRAM_CHUNK_WORK = 10 ** 6
-_GRAM_CHUNK_SAMPLES = 2048
-
-
-def _window_products(x: NDArray, k: int) -> tuple[NDArray, NDArray]:
-    """The window products ``P_d = sum_{n=K}^{N-1} x(n-d) x(n)^H`` for
-    d = 0 .. K, stacked, and the window's row sums, from a checked signal
-    `x` and order `k`.
-
-    Both are summed over contiguous chunks of the window: each chunk is
-    read by all K+1 products and the sums while it is in cache, and the
-    working memory is one buffer that each chunk of complex input is
-    conjugated into, not a copy of the window. A window of one chunk
-    takes one product per lag, with nothing added.
-    """
-    m, n = x.shape
-    width = _GRAM_CHUNK_WORK // (m * m)
-    chunks = -(-(n - k) // width) if width >= _GRAM_CHUNK_SAMPLES else 1
-    bounds = [k + i * (n - k) // chunks for i in range(chunks + 1)]
-    # Complex chunks are conjugated into one buffer; a real chunk is read in
-    # place, so numpy sends its P_0 to syrk.
-    conj = np.empty((m, n - bounds[-2]), dtype=x.dtype) if np.iscomplexobj(x) else None
-    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        chunk = x[:, a:b]
-        chunk_h = (chunk if conj is None else np.conjugate(chunk, out=conj[:, :b - a])).T
-        terms = np.stack([x[:, a - d:b - d] @ chunk_h for d in range(k + 1)])
-        if i == 0:
-            products, sums = terms, chunk.sum(axis=1)
-        else:
-            products += terms
-            sums += chunk.sum(axis=1)
-    return products, sums
+    except ValueError:  # T's entries are the signal's: name the signal
+        as_signal(x)
+        raise
 
 
 def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
@@ -288,8 +262,9 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
     samples (about ``M^2 (K+1) N`` multiplies, against ``q^2 N`` for the
     dense product). They and the intercept row's window sums are summed
     over chunks of samples (`_window_products`), so the working memory is
-    at most one conjugated copy of the window (complex input), of one
-    chunk where the window is cut, not T's ``M (K+1) N`` values.
+    one chunk-sized buffer where the window is cut, and at most one
+    conjugated copy of the window (complex input) where it is not, never
+    T's ``M (K+1) N`` values.
 
     The edge terms are stacks in T's own layout (`_stack_regressor`) of
     two snippets of 2K samples: the first K samples followed by K zeros
@@ -308,10 +283,10 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
     q = m * (k + 1) + 1
     lags = np.array([*range(1, k + 1), 0])
     with np.errstate(over="ignore", invalid="ignore"):
-        products, sums = _window_products(x, k)
+        products, sums = _window_products(x, k, sums=True)
         # toeplitz[K + i - j] is the window block of lags (i, j): P_{i-j}
         # for i >= j, else P_{j-i}^H.
-        toeplitz = np.concatenate([products[:0:-1].conj().swapaxes(1, 2), products])
+        toeplitz = np.array([_conj_transpose(p) for p in products[:0:-1]] + products)
         g = np.empty((q, q), dtype=x.dtype)
         g[0, 0] = n - k
         g[1:, 0] = np.tile(sums, k + 1)
@@ -327,7 +302,7 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
         tail = _stack_regressor(np.concatenate([x[:, n - k:], pad], axis=1), k, direct=True)
         edges = np.concatenate([head, tail], axis=1)
         g += (edges * np.repeat([1.0, -1.0], k)) @ _conj_transpose(edges)
-    return _finish_gram(g, x)
+    return _finish_gram(g, x, "signal")
 
 
 def _unstack_coefficients(block: NDArray) -> tuple[NDArray, tuple[NDArray, ...]]:
@@ -346,7 +321,7 @@ def build_regressor_s(x: ArrayLike, k: int) -> NDArray:
     Row 1 is all ones; below it sit K blocks of M rows, lag 1 first: block
     j holds the samples ``x(K+1-j) .. x(N-j)``.
     """
-    return _stack_regressor(*_check_signal(x, k), direct=False)
+    return _stack_regressor(*_check_signal(as_signal(x), k), direct=False)
 
 
 def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
@@ -356,7 +331,7 @@ def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
     below them sits one more block of M rows, the current samples
     ``x(K+1) .. x(N)``.
     """
-    return _stack_regressor(*_check_signal(x, k), direct=True)
+    return _stack_regressor(*_check_signal(as_signal(x), k), direct=True)
 
 
 #: `_residuals` writes its result in chunks of this many samples (the last
@@ -409,7 +384,7 @@ def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:
     expression `rvar_residuals` and the least-squares fit use. Returns an
     M x (N-K) array, one column per sample n = K+1 .. N.
     """
-    x, k = _check_signal(x, model.order, model.branches)
+    x, k = _check_signal(as_signal(x), model.order, model.branches)
     return _residuals(x, k, model.L, model.t, model.R)
 
 
@@ -420,7 +395,7 @@ def rvar_residuals(model: RvarCoefficients, x: ArrayLike) -> NDArray:
     expression the least-squares fit uses for `V`, so on a fitted model the
     result reproduces the stored `V` bit for bit.
     """
-    x, k = _check_signal(x, model.order, model.branches)
+    x, k = _check_signal(as_signal(x), model.order, model.branches)
     return _residuals(x, k, None, model.c, model.A)
 
 

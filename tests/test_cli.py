@@ -110,6 +110,18 @@ class TestFit:
         assert err.count("\n") == 1
         assert "non-finite" in err
 
+    def test_non_finite_and_too_short_csv_exits_3(self, tmp_path, capsys):
+        # The sample rule is checked at the door; finiteness only on the Gram.
+        path = simulate(tmp_path, capsys, m=2, k=1, n=4)
+        rows = path.read_text().splitlines()
+        rows[1] = "nan," + rows[1].split(",", 1)[1]
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "fit", "-i", str(bad), "-k", "2")
+        assert code == 3
+        assert out == ""
+        assert "N - K" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", "-i", str(tmp_path / "no.csv"), "-k", "1")
         assert code == 2

@@ -4,6 +4,7 @@ Hand-checkable oracles are frozen as literals; the property tests draw
 random well-conditioned inputs in both scalar fields.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svarlic import linalg
 from svarlic.exceptions import DimensionMismatch, NotPositiveDefinite, NumericalOverflow
 from svarlic.linalg import (
     _SOLVE_BLOCK,
@@ -115,6 +117,34 @@ class TestGramHermitian:
         a = random_matrix(rng, 4, 9, "complex")
         np.testing.assert_allclose(gram_hermitian(a), a @ a.conj().T,
                                    rtol=0, atol=1e-13)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(rows=st.integers(1, 5), field=st.sampled_from(FIELDS), width=st.integers(1, 9),
+           seed=st.integers(0, 2**31), data=st.data())
+    def test_chunked_matches_dense_product(self, rows, field, width, seed, data):
+        # Columns cut into near-equal chunks of at most 1..9, N not a
+        # multiple of the width (except width 1).
+        cols = data.draw(st.integers(1, 6 * width).filter(lambda n: width == 1 or n % width))
+        a = random_matrix(np.random.default_rng(seed), rows, cols, field)
+        dense = a @ a.conj().T
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_GRAM_CHUNK_SAMPLES", width)
+            patch.setattr(linalg, "_GRAM_MIN_CHUNK", 1)
+            g = gram_hermitian(a)
+        assert g.dtype == dense.dtype
+        assert np.abs(g - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.array_equal(g, g.conj().T)
+        assert np.all(g.diagonal().imag == 0)
+
+    def test_complex_memory_stays_below_one_conjugated_copy(self):
+        a = random_matrix(np.random.default_rng(8), 8, 32760, "complex")
+        tracemalloc.start()
+        try:
+            gram_hermitian(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes  # 4 MiB
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf)]

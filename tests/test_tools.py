@@ -13,11 +13,13 @@ def test_fit_faults_prints_every_route():
          "--complex", "--rounds", "3"],
         capture_output=True, text=True, check=True).stdout
     header, *rows = out.strip().splitlines()
-    assert header == "route median_s minflt_per_fit"
+    assert header == "route median_s minflt_per_fit peak_mib"
     assert [row.split()[0] for row in rows] == ["lic", "ls", "both"]
     for row in rows:
-        _, seconds, faults = row.split()
+        _, seconds, faults, peak = row.split()
         assert float(seconds) > 0 and float(faults) >= 0
+        # Every fit holds at least its Gram, (M(K+1)+1)^2 complex values.
+        assert float(peak) >= 5 * 5 * 16 / 2**20
 
 
 CODE_LINES_PACKAGE = {

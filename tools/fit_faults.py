@@ -1,15 +1,17 @@
-"""Time the three fit routes on one seeded series and count the minor page
-faults each fit takes, in this process only.
+"""Time the three fit routes on one seeded series, count the minor page
+faults each fit takes, in this process only, and trace its peak memory.
 
     python3 tools/fit_faults.py M K N [--complex] [--rounds R] [--seed S]
 
 The model is drawn with seed S and the series with S + 1, as `svarlic
 simulate` does. Each round fits the series by every route in perfbench's
 order, lic (`fit_svar_lic`), ls (`fit_rvar_ls` then `rvar_to_svar`) and
-both (`fit_both`), with the BLAS pool on one thread. Prints one
-``route median_s minflt_per_fit`` row per route: the median wall time of
-a fit and the median of `getrusage(RUSAGE_SELF)`'s minor-fault count
-across it.
+both (`fit_both`), with the BLAS pool on one thread. After the timed
+rounds, one more fit per route runs under `tracemalloc`, as perfbench's
+peak-memory pass does. Prints one
+``route median_s minflt_per_fit peak_mib`` row per route: the median wall
+time of a fit, the median of `getrusage(RUSAGE_SELF)`'s minor-fault count
+across it, and the traced peak of the untimed fit in MiB.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import resource
 import statistics
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -53,10 +56,18 @@ def main(argv: list[str]) -> int:
             fit(x, args.k)
             seconds[route].append(perf_counter() - t0)
             faults[route].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    print("route median_s minflt_per_fit")
+    peaks = {}
+    for route, fit in ROUTES.items():
+        tracemalloc.start()
+        try:
+            fit(x, args.k)
+            peaks[route] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    print("route median_s minflt_per_fit peak_mib")
     for route in ROUTES:
         print(f"{route} {statistics.median(seconds[route]):.6f} "
-              f"{statistics.median(faults[route]):g}")
+              f"{statistics.median(faults[route]):g} {peaks[route]:.4f}")
     return 0
 
 
