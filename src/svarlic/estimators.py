@@ -18,11 +18,17 @@ from the K+1 distinct lag products of the signal, so T is never built.
 
 Both routes share S's row layout, so both read their coefficients through
 one block split, `model._unstack_coefficients`: from ``[c | A_1 .. A_K]``
-in route 1 and from ``-[t | R_1 .. R_K]`` in route 2. Both end in one
-whitening step, `_whiten`: factor a Gram matrix and take the bottom rows of
-the inverse factor, all of them for ``V V^H`` in route 1 and the bottom M
-for ``T T^H`` in route 2. A singular Gram raises `RankDeficient` with one
-message format (`_singular`), naming the Gram and the likely cause.
+in route 1 and from ``-[t | R_1 .. R_K]`` in route 2.
+
+The routes differ only in which Grams they factor: route 1 factors
+``S S^H`` to solve for ``[c | A_i]`` and ``V V^H`` to whiten, route 2
+factors ``T T^H`` once. All three go through one step, `_factor`, the only
+place the estimators factor a Gram, and a singular one raises
+`RankDeficient` there with one message format, naming the Gram and the
+likely cause. Route 1 solves through the factor of ``S S^H``
+(`linalg._solve_factored`); both routes whiten by taking bottom rows of an
+inverse factor, all M of ``V V^H``'s in route 1 and the bottom M of
+``T T^H``'s in route 2.
 
 Under the shared positive-diagonal factor convention the two routes agree
 exactly in exact arithmetic; `fit_both` runs them side by side and reports
@@ -45,14 +51,14 @@ from .exceptions import (
     DimensionMismatch,
     InsufficientSamples,
     NotPositiveDefinite,
-    NumericalOverflow,
     RankDeficient,
 )
 from .linalg import (
+    _finite,
     _inverse_bottom_rows,
+    _solve_factored,
     cholesky_lower,
     gram_hermitian,
-    solve_hpd,
 )
 from .model import (
     RvarCoefficients,
@@ -93,22 +99,15 @@ def _require_samples(shape: tuple[int, int], k: int, direct: bool) -> None:
         raise InsufficientSamples(f"{rule}; got N-K={n - k} < {rows} for M={m}, K={k}")
 
 
-def _singular(gram: str, cause: str, exc: NotPositiveDefinite) -> RankDeficient:
-    """The `RankDeficient` to raise from `exc`, the failed factorization of
-    the Gram matrix named `gram`, with `cause` as its reading: the one
-    message format for every estimator Gram."""
-    return RankDeficient(f"{gram} is singular ({exc}); {cause}")
-
-
-def _whiten(gram: NDArray, rows: int, name: str, cause: str) -> NDArray:
-    """The whitening step both routes end in: factor the Gram matrix
-    `gram` (named `name`, singular by `cause`) as ``C C^H`` and return the
-    bottom `rows` rows of ``C^-1``."""
+def _factor(gram: NDArray, name: str, cause: str) -> NDArray:
+    """The lower factor ``C`` of ``gram = C C^H``, for the estimator Gram
+    matrix named `name`: the one step where the estimators factor a Gram.
+    A singular Gram raises `RankDeficient` in the one message format,
+    with `cause` as its reading."""
     try:
-        factor = cholesky_lower(gram)
+        return cholesky_lower(gram)
     except NotPositiveDefinite as exc:
-        raise _singular(name, cause, exc) from exc
-    return _inverse_bottom_rows(factor, rows)
+        raise RankDeficient(f"{name} is singular ({exc}); {cause}") from exc
 
 
 def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
@@ -144,11 +143,11 @@ def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
     same expression on the same arrays, so it reproduces `V` bit for
     bit."""
     p = x.shape[0] * k + 1
-    try:  # the solved block is split at once, so it is freed before V is formed
-        c, lags = _unstack_coefficients(solve_hpd(gram[:p, :p], gram[p:, :p]))
-    except NotPositiveDefinite as exc:
-        raise _singular("regressor Gram matrix SS^H", "the regressors are collinear",
-                        exc) from exc
+    # The factor and the solved block are passed on at once, so both are
+    # freed before V is formed.
+    c, lags = _unstack_coefficients(_solve_factored(
+        gram[:p, :p], _factor(gram[:p, :p], "regressor Gram matrix SS^H",
+                              "the regressors are collinear"), gram[p:, :p]))
     v = _residuals(x, k, None, c, lags)
     # ||X||_F^2 is the trace of the Gram's bottom block X X^H.
     if np.linalg.norm(v) <= RESIDUAL_FLUSH_RTOL * np.sqrt(gram.diagonal()[p:].real.sum()):
@@ -175,14 +174,14 @@ def rvar_to_svar(model: RvarCoefficients) -> SvarCoefficients:
     """
     if model.V is None:
         raise ValueError("model has no residual matrix V; fit it first")
-    mixing = _whiten(gram_hermitian(model.V), model.branches,
-                     "residual Gram matrix VV^H", "residuals are rank deficient")
+    mixing = _inverse_bottom_rows(
+        _factor(gram_hermitian(model.V), "residual Gram matrix VV^H",
+                "residuals are rank deficient"), model.branches)
     with np.errstate(over="ignore", invalid="ignore"):
         lags = tuple(mixing @ a for a in model.A)
         t = mixing @ model.c
-    if not np.isfinite(np.concatenate((t, *lags), axis=None)).all():
-        raise NumericalOverflow(
-            "rescaled coefficients overflow double precision; rescale the input")
+    # A non-finite row of `mixing` makes that row of `t` non-finite too.
+    _finite(np.concatenate((t, *lags), axis=None), "rescaled coefficient")
     return _fitted(SvarCoefficients, L=mixing, R=lags, t=t)
 
 
@@ -222,8 +221,9 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
 def _finish_lic(m: int, k: int, gram: NDArray) -> SvarCoefficients:
     """The direct route from ``T T^H`` on: factor it, solve for the bottom
     M rows of the inverse factor and read the coefficients out of them."""
-    u_alpha = _whiten(gram, m, "stacked Gram matrix TT^H",
-                      "the signal is deterministic or has collinear branches")
+    u_alpha = _inverse_bottom_rows(
+        _factor(gram, "stacked Gram matrix TT^H",
+                "the signal is deterministic or has collinear branches"), m)
     t, lags = _unstack_coefficients(-u_alpha[:, :m * k + 1])
     return _fitted(SvarCoefficients, L=u_alpha[:, m * k + 1:].copy(), R=lags, t=t)
 
@@ -232,17 +232,31 @@ def coefficient_discrepancy(ref: SvarCoefficients, other: SvarCoefficients) -> f
     """Max over {L, R_1..R_K, t} of ``||delta||_F / max(||ref part||_F, 1)``.
 
     The floor of 1 in the denominator keeps the metric meaningful when a
-    coefficient (typically `t`) is near zero.
+    coefficient (typically `t`) is near zero. If a difference or a norm
+    overflows, every part is measured again with both models scaled by
+    ``2^-600``, exactly, so no part is dropped or read as agreement.
+
+    Raises
+    ------
+    NumericalOverflow
+        If the discrepancy itself exceeds double precision.
     """
     if ref.order != other.order or ref.branches != other.branches:
         raise DimensionMismatch("models differ in branch count or order")
-
-    def rel(a: NDArray, b: NDArray) -> float:
-        return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), 1.0))
-
-    errs = [rel(ref.L, other.L), rel(ref.t, other.t)]
-    errs.extend(rel(a, b) for a, b in zip(ref.R, other.R))
-    return max(errs)
+    parts = [(ref.L, other.L), (ref.t, other.t), *zip(ref.R, other.R)]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return max(float(np.linalg.norm(a - b) / max(np.linalg.norm(a), 1.0))
+                       for a, b in parts)
+    except FloatingPointError:
+        pass
+    # At 2^-600 every finite entry is below 2^424, so no square, sum or
+    # difference overflows, and the scaled floor is still a normal number.
+    s = 2.0 ** -600
+    with np.errstate(over="ignore", invalid="ignore"):
+        errs = [np.linalg.norm(a * s - b * s) / max(np.linalg.norm(a * s), s)
+                for a, b in parts]
+    return float(max(_finite(errs, "coefficient discrepancy")))
 
 
 class FitComparison(NamedTuple):

@@ -13,8 +13,11 @@ the pivot rule (`PIVOT_RTOL`) on top. numpy exposes no triangular solve,
 so divisions by a factor are the package's recursive block substitution
 in matrix products, with one LU solve only on blocks of order
 `_SOLVE_BLOCK` or less. The direct route needs only the bottom M rows of
-the inverse factor and computes just those rows, and a positive-definite
-solve above that order divides by the factor it has already computed.
+the inverse factor and computes just those rows. A positive-definite solve
+is `_solve_factored`: one LU solve up to that order, and above it two
+divisions by the factor already computed. The least-squares route calls it
+with the factor of ``S S^H`` it has in hand; `solve_hpd` is its public
+door, with the caller checks and the factorization.
 
 Finiteness is checked where caller input enters: `as_matrix` makes one pass
 over a residual routine's signal, a container or a small kernel operand.
@@ -28,6 +31,15 @@ again, results included: the estimators and the generator hand theirs to
 the coefficient containers past the constructors' caller checks
 (`model._fitted`). The factorization and solve still coerce and scan
 their operands, since they are public entry points too.
+
+A product of checked input that leaves double precision is decided by one
+rule, `_finite`: the product is formed with overflow and invalid
+operations ignored, and if it is not finite it raises `NumericalOverflow`
+naming what overflowed, after naming an unscanned source with
+`ValueError` if the source is to blame. The Gram products, the public
+solve and inverse, the residual routines and the rescaling of a reduced
+form all raise through it, so no public routine returns a silent inf or
+NaN or leaks a numpy warning.
 
 Every Gram product is summed by one chunk loop, `_window_products`: the
 K+1 lag products of the structured regressor Gram, and with K = 0 the
@@ -191,17 +203,28 @@ def _window_products(x: NDArray, k: int,
     return [lead[:, :m], *lags], lead[:, m] if sums else None
 
 
+def _finite(values: NDArray, what: str, source: NDArray | None = None,
+            name: str = "matrix") -> NDArray:
+    """The package's one rule for a non-finite product of checked input:
+    return `values`, computed with overflow and invalid operations ignored,
+    if every entry is finite. Otherwise, if they were formed from `source`,
+    an array nothing has scanned, and it has a non-finite entry, raise
+    `ValueError` naming it as `name`; else raise `NumericalOverflow` saying
+    that `what` overflows."""
+    if not np.isfinite(values).all():
+        if source is not None:
+            as_matrix(source, name)  # raises ValueError if the input is to blame
+        raise NumericalOverflow(f"{what} overflows double precision; rescale the input")
+    return values
+
+
 def _finish_gram(g: NDArray, source: NDArray, name: str = "matrix") -> NDArray:
     """Make the Gram product `g`, formed from `source` with overflow
     ignored, exactly Hermitian in place: halve it, then add its conjugate
     transpose. Every entry of `source` reaches a diagonal entry of `g`, so
-    a finite `g` clears `source` too, and a non-finite `g` raises:
-    `ValueError` naming `source` as `name` if it has non-finite entries,
-    else `NumericalOverflow`."""
-    if not np.isfinite(g).all():
-        as_matrix(source, name)  # raises ValueError if the input is to blame
-        raise NumericalOverflow(
-            "Gram product overflows double precision; rescale the input")
+    a finite `g` clears `source` too, and a non-finite `g` raises through
+    `_finite`, naming `source` as `name` if it has non-finite entries."""
+    _finite(g, "Gram product", source, name)
     g *= 0.5
     g += _conj_transpose(g)
     return g
@@ -267,14 +290,16 @@ def cholesky_lower(h: ArrayLike) -> NDArray:
     # Every Gram the package factors is exactly Hermitian, and one
     # equality pass accepts it; other input meets the tolerance test.
     if not np.array_equal(h, _conj_transpose(h)):
-        scale = np.abs(h).max()
-        if scale > 0 and np.abs(h - _conj_transpose(h)).max() > HERMITIAN_RTOL * scale:
+        half = 0.5 * h  # halved, so that neither a modulus nor a difference overflows
+        scale = np.abs(half).max()
+        if scale > 0 and np.abs(half - _conj_transpose(half)).max() > HERMITIAN_RTOL * scale:
             raise ValueError("h is not Hermitian within tolerance")
 
     threshold = PIVOT_RTOL * max(float(h.diagonal().real.max()), 0.0)
     c = _checked_factor(h, threshold)
     if c is None:
-        j, pivot = _first_failing_pivot(h, threshold)
+        with np.errstate(over="ignore", invalid="ignore"):  # the pivot is only reported
+            j, pivot = _first_failing_pivot(h, threshold)
         raise NotPositiveDefinite(
             f"pivot {pivot:.3e} at index {j} is below threshold "
             f"{threshold:.3e}; matrix is not positive definite"
@@ -344,33 +369,49 @@ def invert_lower(c: ArrayLike) -> NDArray:
 
     The inverse is again lower triangular with positive real diagonal and
     exact zeros above the diagonal.
+
+    Raises
+    ------
+    NumericalOverflow
+        If an entry of the inverse overflows double precision.
     """
     c = as_matrix(c, "c")
     _check_lower_factor(c, "factor")
-    return _inverse_bottom_rows(c, c.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = _inverse_bottom_rows(c, c.shape[0])
+    return _finite(inverse, "inverse")
+
+
+def _solve_factored(h: NDArray, c: NDArray, b: NDArray) -> NDArray:
+    """Solve ``y @ h = b`` for a Hermitian positive-definite `h` whose
+    factor ``h = c c^H`` is in hand, `b` a 2-D array with ``h.shape[0]``
+    columns. Up to order `_SOLVE_BLOCK` it is one LU solve of
+    ``h^T @ y^T = b^T``, which costs less than two divisions that small;
+    above it, two triangular divisions through the factor, first by
+    ``c^H``, then by `c`, never an explicit inverse."""
+    if c.shape[0] <= _SOLVE_BLOCK:
+        return np.linalg.solve(h.T, b.T).T
+    return _divide_lower(_divide_adjoint(b, c), c)
 
 
 def solve_hpd(h: ArrayLike, b: ArrayLike) -> NDArray:
     """Solve ``y @ h = b`` (right division) for Hermitian positive-definite `h`.
 
     `cholesky_lower` factors ``h = C C^H`` under the package's pivot rule,
-    and `y` comes from two triangular divisions through that factor, first
-    by ``C^H``, then by `C`, never an explicit inverse. Up to order
-    `_SOLVE_BLOCK` it is instead one LU solve of ``h^T @ y^T = b^T``,
-    which costs less than two solves that small. `b` must have
-    ``h.shape[0]`` columns.
+    and `_solve_factored` divides by it. `b` must have ``h.shape[0]``
+    columns.
 
     Raises
     ------
     NotPositiveDefinite
         Propagated from the factorization.
+    NumericalOverflow
+        If an entry of the solution overflows double precision.
     """
     b = as_matrix(b, "b")
     c = cholesky_lower(h)
     if b.shape[1] != c.shape[0]:
-        raise DimensionMismatch(
-            f"b has {b.shape[1]} columns but h is {c.shape[0]}x{c.shape[0]}"
-        )
-    if c.shape[0] <= _SOLVE_BLOCK:
-        return np.linalg.solve(np.asarray(h).T, b.T).T
-    return _divide_lower(_divide_adjoint(b, c), c)
+        raise DimensionMismatch(f"b has {b.shape[1]} columns but h is {c.shape[0]}x{c.shape[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _solve_factored(np.asarray(h), c, b)
+    return _finite(y, "solution")

@@ -53,6 +53,7 @@ from .linalg import (
     _check_lower_factor,
     _conj_transpose,
     _finish_gram,
+    _finite,
     _inverse_bottom_rows,
     _window_products,
     as_matrix,
@@ -377,15 +378,28 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     return r
 
 
+def _caller_residuals(model: SvarCoefficients | RvarCoefficients, x: ArrayLike,
+                      mixing: NDArray | None, intercept: NDArray,
+                      lags: tuple[NDArray, ...]) -> NDArray:
+    """`_residuals` of a caller's signal `x` under `model`'s coefficients:
+    `x` is scanned once, and a residual that overflows raises
+    `NumericalOverflow` (`linalg._finite`). The least-squares fit calls
+    `_residuals` itself: an overflowing `V` fails its Gram's check."""
+    x, k = _check_signal(as_signal(x), model.order, model.branches)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _residuals(x, k, mixing, intercept, lags)
+    return _finite(r, "residual")
+
+
 def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:
     """Structural residuals ``w(n) = L x(n) - t - sum_i R_i x(n-i)``.
 
     Evaluated lag by lag on slices of the signal (`_residuals`), the
     expression `rvar_residuals` and the least-squares fit use. Returns an
-    M x (N-K) array, one column per sample n = K+1 .. N.
+    M x (N-K) array, one column per sample n = K+1 .. N. Raises
+    `NumericalOverflow` if a residual overflows double precision.
     """
-    x, k = _check_signal(as_signal(x), model.order, model.branches)
-    return _residuals(x, k, model.L, model.t, model.R)
+    return _caller_residuals(model, x, model.L, model.t, model.R)
 
 
 def rvar_residuals(model: RvarCoefficients, x: ArrayLike) -> NDArray:
@@ -393,10 +407,10 @@ def rvar_residuals(model: RvarCoefficients, x: ArrayLike) -> NDArray:
 
     Evaluated lag by lag on slices of the signal (`_residuals`), the same
     expression the least-squares fit uses for `V`, so on a fitted model the
-    result reproduces the stored `V` bit for bit.
+    result reproduces the stored `V` bit for bit. Raises
+    `NumericalOverflow` if a residual overflows double precision.
     """
-    x, k = _check_signal(as_signal(x), model.order, model.branches)
-    return _residuals(x, k, None, model.c, model.A)
+    return _caller_residuals(model, x, None, model.c, model.A)
 
 
 def companion_matrix(a: tuple[NDArray, ...] | list[NDArray]) -> NDArray:
@@ -418,7 +432,8 @@ def companion_spectral_radius(model: SvarCoefficients | RvarCoefficients) -> flo
 
     For structural coefficients the implied lag matrices are
     ``A_i = L^{-1} R_i``. Zero for K = 0. The process is covariance stable
-    iff the radius is below one.
+    iff the radius is below one. Raises `NumericalOverflow` if the implied
+    lag matrices or the radius overflow double precision.
     """
     if isinstance(model, SvarCoefficients):
         _, a, _ = _implied_reduced_form(model)
@@ -426,7 +441,9 @@ def companion_spectral_radius(model: SvarCoefficients | RvarCoefficients) -> flo
         a = model.A
     if len(a) == 0:
         return 0.0
-    return float(np.abs(np.linalg.eigvals(companion_matrix(a))).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = np.abs(np.linalg.eigvals(companion_matrix(a))).max()
+    return float(_finite(radius, "companion spectral radius"))
 
 
 def whitening_error(model: SvarCoefficients, x: ArrayLike) -> float:
@@ -434,16 +451,22 @@ def whitening_error(model: SvarCoefficients, x: ArrayLike) -> float:
     ``|| sum_n w(n) w(n)^H - I ||_F``.
 
     Both estimators drive this to machine precision by construction; on a
-    model that did not generate/fit the data it measures misfit.
+    model that did not generate/fit the data it measures misfit. Raises
+    `NumericalOverflow` if the residuals, their Gram or the distance
+    overflow double precision.
     """
-    w = svar_residuals(model, x)
-    g = gram_hermitian(w)
-    return float(np.linalg.norm(g - np.eye(model.branches)))
+    g = gram_hermitian(svar_residuals(model, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = np.linalg.norm(g - np.eye(model.branches))
+    return float(_finite(error, "whitening error"))
 
 
 def _implied_reduced_form(model: SvarCoefficients) -> tuple[NDArray, tuple[NDArray, ...], NDArray]:
-    """(L^{-1}, A_i = L^{-1} R_i, c = L^{-1} t) for forward simulation."""
-    linv = _inverse_bottom_rows(model.L, model.branches)
-    a = tuple(linv @ r for r in model.R)
-    c = linv @ model.t
+    """(L^{-1}, A_i = L^{-1} R_i, c = L^{-1} t) for forward simulation,
+    raising `NumericalOverflow` if an entry overflows double precision."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        linv = _inverse_bottom_rows(model.L, model.branches)
+        a = tuple(linv @ r for r in model.R)
+        c = linv @ model.t
+    _finite(np.concatenate((linv, *a, c), axis=None), "implied reduced-form coefficient")
     return linv, a, c

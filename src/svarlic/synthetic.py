@@ -104,6 +104,8 @@ def simulate_series(
         If any sample magnitude exceeds `OVERFLOW_LIMIT` (unstable model
         run too long). The whole run is checked in one pass after the
         loop; the message names the first such sample, burn-in counted.
+        Also if the implied reduced form ``L^-1 R_i``, ``L^-1 t``
+        overflows double precision.
     """
     n = _integer(n, 1, "sample count must be >= 1, got {}")
     m = model.branches
@@ -120,13 +122,12 @@ def simulate_series(
         noise = rng.standard_normal((m, total))
 
     linv, lag_mats, intercept = _implied_reduced_form(model)
-    driven = linv @ noise + intercept[:, None]
     stacked = np.hstack([np.zeros((m, 0)), *lag_mats[::-1]])
-
-    buf = np.zeros((k + total, m), dtype=driven.dtype)
-    buf[k:] = driven.T
-    flat = buf.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
+        driven = linv @ noise + intercept[:, None]
+        buf = np.zeros((k + total, m), dtype=driven.dtype)
+        buf[k:] = driven.T
+        flat = buf.reshape(-1)
         for step in range(total):
             buf[k + step] += stacked @ flat[step * m:(step + k) * m]
         # Written as "not <=" so that a NaN sample counts as beyond the limit.

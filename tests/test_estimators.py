@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svarlic import linalg, model
+from svarlic import estimators, linalg, model
 from svarlic.estimators import (
     coefficient_discrepancy,
     fit_both,
@@ -593,6 +593,61 @@ class TestBlockTriangularSolves:
             fit(x, 1)
         assert solved and max(solved) <= linalg._SOLVE_BLOCK
         assert sorted(set(factored)) == sorted(factored)
+
+
+class TestOneFactorStep:
+    """Each estimator Gram is factored once, through `estimators._factor`,
+    the only caller of `cholesky_lower` in the estimators, and the
+    least-squares solve divides by the factor of ``S S^H`` from that step
+    without a `solve_hpd` call."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        names, callers = [], []
+        factor, cholesky = estimators._factor, estimators.cholesky_lower
+
+        def factor_spy(gram, name, cause):
+            names.append(name)
+            return factor(gram, name, cause)
+
+        def cholesky_spy(h):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return cholesky(h)
+
+        def solve_spy(h, b):
+            raise AssertionError("solve_hpd is off the fit path")
+
+        monkeypatch.setattr(estimators, "_factor", factor_spy)
+        monkeypatch.setattr(estimators, "cholesky_lower", cholesky_spy)
+        monkeypatch.setattr(linalg, "solve_hpd", solve_spy)
+        return names, callers
+
+    SSH, VVH, TTH = ("regressor Gram matrix SS^H", "residual Gram matrix VV^H",
+                     "stacked Gram matrix TT^H")
+
+    @pytest.mark.parametrize("m, k, n", [(3, 2, 256), (4, 2, 8192), (16, 4, 2048)])
+    @pytest.mark.parametrize("route, grams", [
+        ("lic", [TTH]), ("ls", [SSH, VVH]), ("both", [SSH, VVH, TTH])])
+    def test_each_gram_factored_once(self, factored, route, grams, m, k, n):
+        x = stable_series(m, k, n, seed=34)
+        fit = {"lic": fit_svar_lic, "both": fit_both,
+               "ls": lambda x, k: rvar_to_svar(fit_rvar_ls(x, k))}[route]
+        fit(x, k)
+        names, callers = factored
+        assert names == grams
+        assert callers == ["_factor"] * len(grams)
+
+    @pytest.mark.parametrize("m, k", [(9, 7), (8, 8)])  # p = M*K + 1 = 64 and 65
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_ls_block_equals_solve_hpd_bit_for_bit(self, m, k, complex_field):
+        x = stable_series(m, k, 1200, seed=35, complex_field=complex_field)
+        p = m * k + 1
+        gram = model._regressor_gram(x, k)
+        fit = fit_rvar_ls(x, k)
+        block = np.column_stack([fit.c, *fit.A])
+        expected = linalg.solve_hpd(gram[:p, :p], gram[p:, :p])
+        assert (block.dtype, block.shape) == (expected.dtype, expected.shape)
+        assert block.tobytes() == expected.tobytes()
 
 
 class TestRankDeficientMessages:

@@ -71,3 +71,21 @@ def test_code_lines_counts_each_module(tmp_path):
                     ["7", str(root / "a.py")],
                     ["4", str(root / "sub" / "b.py")],
                     ["11", "total"]]
+
+
+def test_fit_digest_prints_every_output_once_and_repeats():
+    command = [sys.executable, str(ROOT / "tools" / "fit_digest.py"), "2,1,200", "2,0,60,c"]
+    first = subprocess.run(command, capture_output=True, text=True, check=True).stdout
+    second = subprocess.run(command, capture_output=True, text=True, check=True).stdout
+    assert first == second
+    rows = [line.split() for line in first.strip().splitlines()]
+    assert [row[:2] for row in rows] == [
+        ["2,1,200", name] for name in ("ls.c", "ls.A_1", "ls.V", "ls.L", "ls.R_1", "ls.t",
+                                       "lic.L", "lic.R_1", "lic.t", "both.discrepancy")
+    ] + [
+        ["2,0,60,c", name] for name in ("ls.c", "ls.V", "ls.L", "ls.t",
+                                        "lic.L", "lic.t", "both.discrepancy")
+    ]
+    digests = [row[2] for row in rows]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests)
+    assert len(set(digests)) == len(digests)

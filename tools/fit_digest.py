@@ -1,0 +1,72 @@
+"""Print one SHA-256 digest per fit route and output, so that two trees can
+be checked for byte-identical fits.
+
+    python3 tools/fit_digest.py [M,K,N[,c] ...]
+
+Each shape is fitted on one seeded series: the model is drawn with
+`random_stable_svar(M, K, seed=1)`, complex with a trailing ``,c``, and
+the series with `simulate_series(model, N, seed=2)`. Without arguments the
+shapes are those below, which cover dense, one-chunk and cut Gram windows,
+K = 0, complex input, and least-squares solves below and above the LU
+block (p = M*K + 1 up to 64, and 65 and 513). The BLAS pool runs on one
+thread.
+
+Prints one ``shape output sha256`` row per output: the least-squares
+route's ``ls.c``, ``ls.A_i`` and ``ls.V``, then its whitened ``ls.L``,
+``ls.R_i`` and ``ls.t``; the direct route's ``lic.L``, ``lic.R_i`` and
+``lic.t``; and ``both.discrepancy`` of `fit_both`. An array's digest covers
+its dtype, shape and bytes; the discrepancy's covers its `repr`. Run it on
+both trees and compare the output with `diff`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from svarlic import estimators, synthetic  # noqa: E402
+
+SHAPES = ("3,2,256", "4,2,65536", "8,8,32768,c", "64,8,8192", "2,0,300,c",
+          "5,1,600", "16,4,2048")
+
+
+def digest(value: object) -> str:
+    if isinstance(value, np.ndarray):
+        head = f"{value.dtype.str} {value.shape} ".encode()
+        return hashlib.sha256(head + np.ascontiguousarray(value).tobytes()).hexdigest()
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def outputs(x: np.ndarray, k: int):
+    """(name, value) for every output of the three routes on `x`."""
+    rvar = estimators.fit_rvar_ls(x, k)
+    yield "ls.c", rvar.c
+    yield from ((f"ls.A_{i}", a) for i, a in enumerate(rvar.A, 1))
+    yield "ls.V", rvar.V
+    for route, svar in (("ls", estimators.rvar_to_svar(rvar)),
+                        ("lic", estimators.fit_svar_lic(x, k))):
+        yield f"{route}.L", svar.L
+        yield from ((f"{route}.R_{i}", r) for i, r in enumerate(svar.R, 1))
+        yield f"{route}.t", svar.t
+    yield "both.discrepancy", estimators.fit_both(x, k).discrepancy
+
+
+def main(argv: list[str]) -> int:
+    for shape in argv or SHAPES:
+        m, k, n, *field = shape.split(",")
+        model = synthetic.random_stable_svar(int(m), int(k), 1, complex_field=field == ["c"])
+        x = synthetic.simulate_series(model, int(n), 2)
+        for name, value in outputs(x, int(k)):
+            print(f"{shape} {name} {digest(value)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
