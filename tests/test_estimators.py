@@ -620,6 +620,7 @@ class TestOneFactorStep:
         monkeypatch.setattr(estimators, "_factor", factor_spy)
         monkeypatch.setattr(estimators, "cholesky_lower", cholesky_spy)
         monkeypatch.setattr(linalg, "solve_hpd", solve_spy)
+        monkeypatch.setattr(estimators, "solve_hpd", solve_spy, raising=False)
         return names, callers
 
     SSH, VVH, TTH = ("regressor Gram matrix SS^H", "residual Gram matrix VV^H",
