@@ -42,6 +42,7 @@ scale shrinks like 1/sqrt(N-K) as the sample grows. Ratios such as
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -143,11 +144,12 @@ def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
     same expression on the same arrays, so it reproduces `V` bit for
     bit."""
     p = x.shape[0] * k + 1
+    h = gram[:p, :p]
     # The factor and the solved block are passed on at once, so both are
     # freed before V is formed.
     c, lags = _unstack_coefficients(_solve_factored(
-        gram[:p, :p], _factor(gram[:p, :p], "regressor Gram matrix SS^H",
-                              "the regressors are collinear"), gram[p:, :p]))
+        h, _factor(h, "regressor Gram matrix SS^H", "the regressors are collinear"),
+        gram[p:, :p]))
     v = _residuals(x, k, None, c, lags)
     # ||X||_F^2 is the trace of the Gram's bottom block X X^H.
     if np.linalg.norm(v) <= RESIDUAL_FLUSH_RTOL * np.sqrt(gram.diagonal()[p:].real.sum()):
@@ -232,9 +234,11 @@ def coefficient_discrepancy(ref: SvarCoefficients, other: SvarCoefficients) -> f
     """Max over {L, R_1..R_K, t} of ``||delta||_F / max(||ref part||_F, 1)``.
 
     The floor of 1 in the denominator keeps the metric meaningful when a
-    coefficient (typically `t`) is near zero. If a difference or a norm
-    overflows, every part is measured again with both models scaled by
-    ``2^-600``, exactly, so no part is dropped or read as agreement.
+    coefficient (typically `t`) is near zero. A part whose difference or
+    norm overflows is measured again with both of its arrays scaled by the
+    power of two that brings their largest entry below 1, which is exact
+    but for entries more than 2^511 times smaller, whose squares lose
+    precision; so no part is dropped or read as agreement.
 
     Raises
     ------
@@ -243,20 +247,16 @@ def coefficient_discrepancy(ref: SvarCoefficients, other: SvarCoefficients) -> f
     """
     if ref.order != other.order or ref.branches != other.branches:
         raise DimensionMismatch("models differ in branch count or order")
-    parts = [(ref.L, other.L), (ref.t, other.t), *zip(ref.R, other.R)]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return max(float(np.linalg.norm(a - b) / max(np.linalg.norm(a), 1.0))
-                       for a, b in parts)
-    except FloatingPointError:
-        pass
-    # At 2^-600 every finite entry is below 2^424, so no square, sum or
-    # difference overflows, and the scaled floor is still a normal number.
-    s = 2.0 ** -600
+    errs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        errs = [np.linalg.norm(a * s - b * s) / max(np.linalg.norm(a * s), s)
-                for a, b in parts]
-    return float(max(_finite(errs, "coefficient discrepancy")))
+        for a, b in [(ref.L, other.L), (ref.t, other.t), *zip(ref.R, other.R)]:
+            s = 1.0
+            diff, size = float(np.linalg.norm(a - b)), float(np.linalg.norm(a))
+            if not math.isfinite(diff + size):
+                s = math.ldexp(1.0, -math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
+                diff, size = float(np.linalg.norm(a * s - b * s)), float(np.linalg.norm(a * s))
+            errs.append(diff / max(size, s))  # s is the floor of 1, scaled
+    return max(_finite(errs, "coefficient discrepancy"))
 
 
 class FitComparison(NamedTuple):

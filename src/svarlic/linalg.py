@@ -290,9 +290,11 @@ def cholesky_lower(h: ArrayLike) -> NDArray:
     # Every Gram the package factors is exactly Hermitian, and one
     # equality pass accepts it; other input meets the tolerance test.
     if not np.array_equal(h, _conj_transpose(h)):
-        half = 0.5 * h  # halved, so that neither a modulus nor a difference overflows
-        scale = np.abs(half).max()
-        if scale > 0 and np.abs(half - _conj_transpose(half)).max() > HERMITIAN_RTOL * scale:
+        # Quartered, so that neither a difference nor its complex modulus,
+        # up to 2 * sqrt(2) times the largest component, overflows.
+        q = 0.25 * h
+        scale = np.abs(q).max()
+        if scale > 0 and np.abs(q - _conj_transpose(q)).max() > HERMITIAN_RTOL * scale:
             raise ValueError("h is not Hermitian within tolerance")
 
     threshold = PIVOT_RTOL * max(float(h.diagonal().real.max()), 0.0)
@@ -411,7 +413,9 @@ def solve_hpd(h: ArrayLike, b: ArrayLike) -> NDArray:
     b = as_matrix(b, "b")
     c = cholesky_lower(h)
     if b.shape[1] != c.shape[0]:
-        raise DimensionMismatch(f"b has {b.shape[1]} columns but h is {c.shape[0]}x{c.shape[0]}")
+        raise DimensionMismatch(
+            f"b has {b.shape[1]} columns but h is {c.shape[0]}x{c.shape[0]}"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         y = _solve_factored(np.asarray(h), c, b)
     return _finite(y, "solution")

@@ -69,7 +69,9 @@ class TestRepros:
     @pytest.mark.parametrize("h", [
         [[1e308, -1e308], [1e308, 1e308]],  # h - h^H overflows
         [[1, 1.5e308 + 1.5e308j], [0, 1]],  # |h| overflows
-    ], ids=["difference", "modulus"])
+        # Each component of (h - h^H) / 2 fits; its modulus does not.
+        [[1, 1.5e308 + 1.5e308j], [-1.5e308 + 1.5e308j, 1]],
+    ], ids=["difference", "modulus", "modulus-of-difference"])
     def test_asymmetry_that_overflows_is_asymmetry(self, h):
         with pytest.raises(ValueError, match="not Hermitian"):
             cholesky_lower(h)
@@ -95,16 +97,20 @@ def one_part_model(lag, t=(0.0,)):
 
 @pytest.mark.usefixtures("warnings_as_errors")
 class TestDiscrepancyOverflow:
-    def test_opposite_huge_parts_are_measured(self):
-        ref = one_part_model([[1e308]])
-        other = one_part_model([[-1e308]])
-        assert coefficient_discrepancy(ref, other) == pytest.approx(2.0, rel=1e-15, abs=0)
-
-    def test_part_whose_norm_overflows_is_measured(self):
+    @pytest.mark.parametrize("ref, other, expected", [
+        # ||a - b||^2 overflows.
+        (one_part_model([[1e308]]), one_part_model([[-1e308]]), 2.0),
         # ||a - b|| = 1e154 fits; ||a||^2 = 1.96e308 does not.
-        ref = one_part_model([[1.4e154]])
-        other = one_part_model([[0.4e154]])
-        assert coefficient_discrepancy(ref, other) == pytest.approx(1 / 1.4, rel=1e-15)
+        (one_part_model([[1.4e154]]), one_part_model([[0.4e154]]), 1 / 1.4),
+        # ||R||^2 overflows; t's difference of 1e10 must still be read.
+        (one_part_model([[1e308]]), one_part_model([[1e308]], t=(1e10,)), 1e10),
+        # Within the overflowing part, a difference of 1e160 beside 1e300.
+        (one_part_model([[1e300, 0.0], [0.0, 0.0]], t=(0.0, 0.0)),
+         one_part_model([[1e300, 0.0], [0.0, 1e160]], t=(0.0, 0.0)), 1e-140),
+    ], ids=["opposite-huge-parts", "norm-overflows", "other-part-keeps-scale",
+            "small-difference-beside-huge-entry"])
+    def test_overflowing_part_is_measured(self, ref, other, expected):
+        assert coefficient_discrepancy(ref, other) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_discrepancy_beyond_double_precision_raises(self):
         ref = one_part_model([[0.0, 0.0], [0.0, 0.0]], t=(0.0, 0.0))
