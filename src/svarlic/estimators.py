@@ -236,9 +236,11 @@ def coefficient_discrepancy(ref: SvarCoefficients, other: SvarCoefficients) -> f
     The floor of 1 in the denominator keeps the metric meaningful when a
     coefficient (typically `t`) is near zero. A part whose difference or
     norm overflows is measured again with both of its arrays scaled by the
-    power of two that brings their largest entry below 1, which is exact
-    but for entries more than 2^511 times smaller, whose squares lose
-    precision; so no part is dropped or read as agreement.
+    power of two that brings their largest real or imaginary part below 1,
+    which is exact but for entries more than 2^511 times smaller, whose
+    squares lose precision; the reference part's norm is kept unscaled
+    where it fits, since its scaled square can underflow. So no part is
+    dropped or read as agreement, and no floor stands in for a norm.
 
     Raises
     ------
@@ -253,8 +255,11 @@ def coefficient_discrepancy(ref: SvarCoefficients, other: SvarCoefficients) -> f
             s = 1.0
             diff, size = float(np.linalg.norm(a - b)), float(np.linalg.norm(a))
             if not math.isfinite(diff + size):
-                s = math.ldexp(1.0, -math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
-                diff, size = float(np.linalg.norm(a * s - b * s)), float(np.linalg.norm(a * s))
+                # Real and imaginary parts: a complex modulus can overflow.
+                parts = np.concatenate((a, b), axis=None).view(np.float64)
+                s = math.ldexp(1.0, -math.frexp(np.abs(parts).max())[1])
+                diff = float(np.linalg.norm(a * s - b * s))
+                size = size * s if math.isfinite(size) else float(np.linalg.norm(a * s))
             errs.append(diff / max(size, s))  # s is the floor of 1, scaled
     return max(_finite(errs, "coefficient discrepancy"))
 

@@ -29,8 +29,11 @@ is the input inspected, to name it or to tell a non-finite input from an
 overflow. Arrays the package computes from checked input are not checked
 again, results included: the estimators and the generator hand theirs to
 the coefficient containers past the constructors' caller checks
-(`model._fitted`). The factorization and solve still coerce and scan
-their operands, since they are public entry points too.
+(`model._fitted`). The factorization reads finiteness off its pivots: it
+scans its input only if the input is not exactly Hermitian (a NaN never
+equals itself) or a pivot fails (an infinity always makes one fail), so
+the Grams of a fit pass unscanned. The public solve scans its right-hand
+side, and the inverse its factor.
 
 A product of checked input that leaves double precision is decided by one
 rule, `_finite`: the product is formed with overflow and invalid
@@ -41,9 +44,11 @@ solve and inverse, the residual routines and the rescaling of a reduced
 form all raise through it, so no public routine returns a silent inf or
 NaN or leaks a numpy warning.
 
-Every Gram product is summed by one chunk loop, `_window_products`: the
-K+1 lag products of the structured regressor Gram, and with K = 0 the
-plain ``a a^H`` of `gram_hermitian`.
+Every pass over the samples is cut by one rule, `_chunk_bounds`. Every
+Gram product is summed by one chunk loop over those bounds,
+`_window_products`: the K+1 lag products of the structured regressor
+Gram, and with K = 0 the plain ``a a^H`` of `gram_hermitian`. The
+residuals (`model._residuals`) walk the same chunks.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -105,10 +110,6 @@ def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray:
     return arr
 
 
-def _conj_transpose(a: NDArray) -> NDArray:
-    return a.conj().T if a.dtype.kind == "c" else a.T
-
-
 def gram_hermitian(a: ArrayLike) -> NDArray:
     """Return the Gram matrix ``a @ a^H`` of shape (rows, rows).
 
@@ -137,22 +138,38 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
     return _finish_gram(g, a)
 
 
-#: `_window_products` sums its products over near-equal chunks of the
-#: window, as few as keep each chunk at or below `_GRAM_CHUNK_SAMPLES`
-#: samples and each product at or below `_GRAM_CHUNK_WORK` multiply-adds,
-#: ``M^2`` per sample. OpenBLAS 0.3.31 on SkylakeX runs a real product of
-#: at most 10^6 multiply-adds through its unpacked small-matrix kernel; a
-#: larger one runs 2x (M=16) to 6x (M=4) slower per multiply-add. The
-#: sample cap keeps a chunk, its copy and the lagged columns the products
-#: read in cache, and the copy, a ones row included, below a quarter MiB
-#: at M=4: from 5120 to 7168 samples tall_real's fit time is flat, and
-#: wider copies set its peak memory (CHANGES.md has the sweep). A window
-#: is not cut where a chunk would hold fewer than `_GRAM_MIN_CHUNK`
-#: samples (M > 22): products that wide gain nothing from that kernel and
-#: lose to per-call cost in narrow chunks.
-_GRAM_CHUNK_WORK = 10 ** 6
-_GRAM_CHUNK_SAMPLES = 6144
-_GRAM_MIN_CHUNK = 2048
+#: Every pass over the samples, the Gram products (`_window_products`) and
+#: the residuals (`model._residuals`), walks its window in the chunks of
+#: `_chunk_bounds`: near-equal, and as few as keep each chunk at or below
+#: `_CHUNK_SAMPLES` samples and each M x M product at or below `_CHUNK_WORK`
+#: multiply-adds, ``M^2`` per sample. OpenBLAS 0.3.31 on SkylakeX runs a
+#: real product of at most 10^6 multiply-adds through its unpacked
+#: small-matrix kernel; a larger one runs 2x (M=16) to 6x (M=4) slower per
+#: multiply-add. The sample cap keeps a chunk, its copy and the lagged
+#: columns the products read in cache, and the Gram's copy, a ones row
+#: included, below a quarter MiB at M=4: from 5120 to 7168 samples
+#: tall_real's fit time is flat, and wider copies set its peak memory
+#: (CHANGES.md has the sweep). A window is not cut where a chunk would hold
+#: fewer than `_MIN_CHUNK` samples (M > 22): products that wide gain
+#: nothing from that kernel and lose to per-call cost in narrow chunks.
+#: Against the residuals' former fixed chunks of 8192 samples (medians of
+#: 100 interleaved calls, one thread), this rule ran them 10% faster at
+#: (8,8,32768) complex and (16,4,65536), 2% slower at (4,2,65536) and 17%
+#: slower at (2,3,300000), where the Gram's chunks are too narrow as well.
+_CHUNK_WORK = 10 ** 6
+_CHUNK_SAMPLES = 6144
+_MIN_CHUNK = 2048
+
+
+def _chunk_bounds(m: int, n: int, k: int) -> list[int]:
+    """The bounds ``[K, .., N]`` of the chunks of the window of samples
+    K .. N-1 of an M-branch signal with N > K: the package's one rule for
+    cutting a pass over the samples. The chunks are near-equal, the last
+    one the widest, and the window is one chunk where it fits in one or
+    where M > 22."""
+    width = min(_CHUNK_WORK // (m * m), _CHUNK_SAMPLES)
+    chunks = 1 if width < _MIN_CHUNK else -(-(n - k) // width)
+    return [k + i * (n - k) // chunks for i in range(chunks + 1)]
 
 
 def _window_products(x: NDArray, k: int,
@@ -174,16 +191,14 @@ def _window_products(x: NDArray, k: int,
     ignored: the caller checks the result.
     """
     m, n = x.shape
-    width = min(_GRAM_CHUNK_WORK // (m * m), _GRAM_CHUNK_SAMPLES)
-    if width < _GRAM_MIN_CHUNK or n - k <= width:
+    bounds = _chunk_bounds(m, n, k)
+    if len(bounds) == 2:
         window = x[:, k:]
-        window_h = _conj_transpose(window)
+        window_h = window.conj().T
         products = [window @ window_h]
         for d in range(1, k + 1):
             products.append(x[:, k - d:n - d] @ window_h)
         return products, window.sum(axis=1) if sums else None
-    chunks = -(-(n - k) // width)
-    bounds = [k + i * (n - k) // chunks for i in range(chunks + 1)]
     buffer = np.empty((m + sums, bounds[-1] - bounds[-2]), dtype=x.dtype)
     buffer[m:] = 1
     lead = np.zeros((m, m + sums), dtype=x.dtype)  # P_0 beside the row sums
@@ -226,7 +241,7 @@ def _finish_gram(g: NDArray, source: NDArray, name: str = "matrix") -> NDArray:
     `_finite`, naming `source` as `name` if it has non-finite entries."""
     _finite(g, "Gram product", source, name)
     g *= 0.5
-    g += _conj_transpose(g)
+    g += g.conj().T
     return g
 
 
@@ -280,26 +295,32 @@ def cholesky_lower(h: ArrayLike) -> NDArray:
         indefinite input. The message names the index of the first such
         pivot.
     ValueError
-        If `h` is not square or departs from Hermitian symmetry by more
-        than ``HERMITIAN_RTOL`` relative to its largest entry.
+        If `h` has non-finite entries, is not square, or departs from
+        Hermitian symmetry by more than ``HERMITIAN_RTOL`` relative to its
+        largest entry.
     """
-    h = as_matrix(h, "h")
+    h = _as_float_matrix(h, "h")
     n = h.shape[0]
     if h.shape[1] != n:
         raise ValueError(f"h must be square, got shape {h.shape}")
-    # Every Gram the package factors is exactly Hermitian, and one
-    # equality pass accepts it; other input meets the tolerance test.
-    if not np.array_equal(h, _conj_transpose(h)):
+    # Every Gram the package factors is finite and exactly Hermitian, and
+    # one equality pass accepts it. Other input, any with a NaN among it
+    # (NaN never equals itself), is scanned, then meets the tolerance test.
+    if not np.array_equal(h, h.conj().T):
+        as_matrix(h, "h")
         # Quartered, so that neither a difference nor its complex modulus,
         # up to 2 * sqrt(2) times the largest component, overflows.
         q = 0.25 * h
         scale = np.abs(q).max()
-        if scale > 0 and np.abs(q - _conj_transpose(q)).max() > HERMITIAN_RTOL * scale:
+        if scale > 0 and np.abs(q - q.conj().T).max() > HERMITIAN_RTOL * scale:
             raise ValueError("h is not Hermitian within tolerance")
 
     threshold = PIVOT_RTOL * max(float(h.diagonal().real.max()), 0.0)
     c = _checked_factor(h, threshold)
     if c is None:
+        # An infinite entry fails a pivot: on the diagonal it makes the
+        # threshold infinite, off it it drives a later pivot to -inf or NaN.
+        as_matrix(h, "h")
         with np.errstate(over="ignore", invalid="ignore"):  # the pivot is only reported
             j, pivot = _first_failing_pivot(h, threshold)
         raise NotPositiveDefinite(
@@ -349,7 +370,7 @@ def _divide_adjoint(b: NDArray, c: NDArray) -> NDArray:
     Reversing rows and columns turns the upper-triangular ``c^H`` into the
     lower-triangular one `_divide_lower` takes.
     """
-    return _divide_lower(b[:, ::-1], _conj_transpose(c)[::-1, ::-1])[:, ::-1]
+    return _divide_lower(b[:, ::-1], c.conj().T[::-1, ::-1])[:, ::-1]
 
 
 def _inverse_bottom_rows(c: NDArray, rows: int) -> NDArray:

@@ -30,12 +30,14 @@ one chunk-sized buffer. `svarlic.complexity` still charges the paper's
 rather than scanning the signal (`_check_signal`).
 
 Residuals of either form, the least-squares fit's `V` included, are one
-expression, `_residuals`: one pass over chunks of the sample window that
-writes each chunk of the result in place, the lead term minus the
-intercept, then one product per lag on a slice of the signal through a
-single chunk-sized buffer. So no fit or residual routine stacks S, and
-its working memory beside the result is that buffer; S is stacked only by
-`build_regressor_s`, and T only by `build_regressor_t` and the dense Gram.
+expression, `_residuals`: one pass over the sample window, cut where the
+Gram products cut it (`linalg._chunk_bounds`, the one rule for every
+pass over the samples), that writes each chunk of the result in place,
+the lead term minus the intercept, then one product per lag on a slice of
+the signal through a single chunk-sized buffer. So no fit or residual
+routine stacks S, and its working memory beside the result is that
+buffer; S is stacked only by `build_regressor_s`, and T only by
+`build_regressor_t` and the dense Gram.
 The structured Gram stacks T's layout over two snippets of 2K samples at
 the ends of the signal, for its edge terms.
 """
@@ -51,7 +53,7 @@ from .exceptions import DimensionMismatch, OrderTooLarge
 from .linalg import (
     _as_float_matrix,
     _check_lower_factor,
-    _conj_transpose,
+    _chunk_bounds,
     _finish_gram,
     _finite,
     _inverse_bottom_rows,
@@ -287,7 +289,7 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
         products, sums = _window_products(x, k, sums=True)
         # toeplitz[K + i - j] is the window block of lags (i, j): P_{i-j}
         # for i >= j, else P_{j-i}^H.
-        toeplitz = np.array([_conj_transpose(p) for p in products[:0:-1]] + products)
+        toeplitz = np.array([p.conj().T for p in products[:0:-1]] + products)
         g = np.empty((q, q), dtype=x.dtype)
         g[0, 0] = n - k
         g[1:, 0] = np.tile(sums, k + 1)
@@ -302,7 +304,7 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
         head = _stack_regressor(np.concatenate([x[:, :k], pad], axis=1), k, direct=True)
         tail = _stack_regressor(np.concatenate([x[:, n - k:], pad], axis=1), k, direct=True)
         edges = np.concatenate([head, tail], axis=1)
-        g += (edges * np.repeat([1.0, -1.0], k)) @ _conj_transpose(edges)
+        g += (edges * np.repeat([1.0, -1.0], k)) @ edges.conj().T
     return _finish_gram(g, x, "signal")
 
 
@@ -335,15 +337,6 @@ def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
     return _stack_regressor(*_check_signal(as_signal(x), k), direct=True)
 
 
-#: `_residuals` writes its result in chunks of this many samples (the last
-#: one shorter), so each chunk of the result, the lag-product buffer and
-#: the signal columns they read stay in cache. OpenBLAS 0.3.31 on one
-#: SkylakeX thread, (M, K, N) = (4, 2, 65536): 0.82 ms at 8192, 0.83 ms at
-#: 4096, 0.97 ms at 16384 and 2.39 ms in one chunk; at 2048 every shape
-#: tried ran slower than in one chunk, (64, 8, 8192) included.
-_RESIDUAL_CHUNK_SAMPLES = 8192
-
-
 def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
                lags: tuple[NDArray, ...]) -> NDArray:
     """``mixing x(n) - intercept - sum_i lags[i-1] x(n-i)`` over
@@ -352,19 +345,18 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     type of all the operands, so real `mixing` and `intercept` with a
     complex lag give complex residuals.
 
-    The result is allocated once and written in chunks of at most
-    `_RESIDUAL_CHUNK_SAMPLES` samples: each chunk gets the lead term minus
-    the intercept, then one product per lag, on slices of `x`, through a
-    single chunk-sized buffer. So S is never stacked, and the working
-    memory besides the result is that buffer.
+    The result is allocated once and written chunk by chunk, cut where the
+    Gram products cut the window (`linalg._chunk_bounds`): each chunk gets
+    the lead term minus the intercept, then one product per lag, on slices
+    of `x`, through a single chunk-sized buffer. So S is never stacked,
+    and the working memory besides the result is that buffer.
     """
     m, n = x.shape
     operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
     r = np.empty((m, n - k), dtype=np.result_type(*operands))
-    width = min(_RESIDUAL_CHUNK_SAMPLES, n - k)
-    buffer = np.empty((m, width), dtype=r.dtype)
-    for a in range(k, n, width):
-        b = min(a + width, n)
+    bounds = _chunk_bounds(m, n, k)
+    buffer = np.empty((m, bounds[-1] - bounds[-2]), dtype=r.dtype)
+    for a, b in zip(bounds[:-1], bounds[1:]):
         out = r[:, a - k:b - k]
         if mixing is None:
             out[...] = x[:, a:b]

@@ -265,14 +265,6 @@ ROUTES = {
 }
 
 
-def structured_chunks(patch, samples):
-    """Send every fit to the structured Gram, with its window cut into
-    chunks of at most `samples` samples, however small."""
-    patch.setattr(model, "_DENSE_GRAM_WORK", 0)
-    patch.setattr(linalg, "_GRAM_CHUNK_SAMPLES", samples)
-    patch.setattr(linalg, "_GRAM_MIN_CHUNK", 1)
-
-
 def raises_non_finite(route, x, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -302,8 +294,8 @@ class TestNonFiniteSignal:
            complex_field=st.booleans(), imaginary=st.booleans(),
            bad=st.sampled_from([np.nan, np.inf, -np.inf]),
            width=st.one_of(st.none(), st.integers(1, 9)), data=st.data())
-    def test_one_entry_anywhere_raises_value_error(self, route, m, k, complex_field, imaginary,
-                                                   bad, width, data):
+    def test_one_entry_anywhere_raises_value_error(self, chunks, route, m, k, complex_field,
+                                                   imaginary, bad, width, data):
         # Dense Gram (width None) or structured with chunks of 1..9 samples.
         # The entry goes in either part of a complex sample, at a random
         # sample or one of: the first K, the last, either side of a chunk
@@ -312,9 +304,9 @@ class TestNonFiniteSignal:
         x = stable_series(m, k, n, seed=32, complex_field=complex_field)
         edges = {0, k - 1, n - 1}
         if width is not None:
-            chunks = -(-(n - k) // width)
-            for i in range(chunks):
-                bound = k + i * (n - k) // chunks
+            count = -(-(n - k) // width)
+            for i in range(count):
+                bound = k + i * (n - k) // count
                 edges |= {bound - 1, bound}
         sample = data.draw(st.one_of(st.sampled_from(sorted(edges)), st.integers(0, n - 1)))
         row = data.draw(st.integers(0, m - 1))
@@ -323,29 +315,25 @@ class TestNonFiniteSignal:
             x[row, sample] = complex(z.real, bad) if imaginary else complex(bad, z.imag)
         else:
             x[row, sample] = bad
-        with pytest.MonkeyPatch.context() as patch:
-            if width is not None:
-                structured_chunks(patch, width)
+        with chunks(width):
             raises_non_finite(route, x, k)
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("width", [None, 4])
-    def test_infinity_among_zeros(self, route, width):
+    def test_infinity_among_zeros(self, chunks, route, width):
         # Every product of the infinity with another sample is inf * 0 = NaN;
         # its own square keeps a diagonal entry infinite.
         x = np.zeros((2, 40))
         x[1, 17] = np.inf
-        with pytest.MonkeyPatch.context() as patch:
-            if width is not None:
-                structured_chunks(patch, width)
+        with chunks(width):
             raises_non_finite(route, x, 2)
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("complex_field", [False, True])
-    def test_finite_overflow_in_chunks_stays_numerical_overflow(self, route, complex_field):
+    def test_finite_overflow_in_chunks_stays_numerical_overflow(self, chunks, route,
+                                                                 complex_field):
         x = stable_series(2, 2, 64, seed=33, complex_field=complex_field)
-        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
-            structured_chunks(patch, 5)
+        with chunks(5), warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalOverflow, match="overflows"):
                 ROUTES[route](x * 1e160, 2)
@@ -380,6 +368,17 @@ class TestSignalCheckedOnce:
         assert (m * (k + 1) + 1, n - k) not in shapes  # T
         assert (m * k + 1, n - k) not in shapes  # S
         assert shapes.count((m, n - k)) == 0  # V
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("width", [None, 64])
+    def test_fits_make_no_scan(self, checked, chunks, route, width):
+        # Dense Gram (width None) or structured in chunks of 64 samples: the
+        # Gram check reads the signal's finiteness, and `cholesky_lower`
+        # reads each Gram's off its pivots.
+        x = stable_series(2, 2, 200, seed=12)
+        with chunks(width):
+            ROUTES[route](x, 2)
+        assert checked == []
 
     def test_rvar_residuals_scans_signal_once(self, checked):
         x = stable_series(2, 2, 200, seed=12)

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svarlic import linalg
 from svarlic.exceptions import DimensionMismatch, NotPositiveDefinite, NumericalOverflow
 from svarlic.linalg import (
     _SOLVE_BLOCK,
@@ -121,15 +120,13 @@ class TestGramHermitian:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(rows=st.integers(1, 5), field=st.sampled_from(FIELDS), width=st.integers(1, 9),
            seed=st.integers(0, 2**31), data=st.data())
-    def test_chunked_matches_dense_product(self, rows, field, width, seed, data):
+    def test_chunked_matches_dense_product(self, chunks, rows, field, width, seed, data):
         # Columns cut into near-equal chunks of at most 1..9, N not a
         # multiple of the width (except width 1).
         cols = data.draw(st.integers(1, 6 * width).filter(lambda n: width == 1 or n % width))
         a = random_matrix(np.random.default_rng(seed), rows, cols, field)
         dense = a @ a.conj().T
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "_GRAM_CHUNK_SAMPLES", width)
-            patch.setattr(linalg, "_GRAM_MIN_CHUNK", 1)
+        with chunks(width):
             g = gram_hermitian(a)
         assert g.dtype == dense.dtype
         assert np.abs(g - dense).max() <= 1e-13 * np.abs(dense).max()
@@ -159,12 +156,17 @@ class TestNonFiniteInput:
             gram_hermitian(a)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
-    @pytest.mark.parametrize("where", [(1, 1), (2, 0)])
+    @pytest.mark.parametrize("where", [[(1, 1)], [(2, 0)], [(0, 2)], [(2, 0), (0, 2)]])
     def test_cholesky_lower_raises_value_error(self, bad, where):
+        # The symmetric pair leaves an infinite h exactly Hermitian, so only
+        # its failing pivot reveals the entry.
         h = np.eye(3, dtype=type(bad))
-        h[where] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            cholesky_lower(h)
+        for i, j in where:
+            h[i, j] = bad if i >= j else np.conj(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                cholesky_lower(h)
 
 
 class TestCholeskyLower:

@@ -237,21 +237,13 @@ class TestLagCovarianceGram:
             _lag_covariance_gram(x, 2)
 
 
-def chunk_width(monkeypatch, m, samples):
-    """Make `_window_products` cut the window of an M-branch signal into
-    chunks of at most `samples` samples, however small."""
-    monkeypatch.setattr(linalg, "_GRAM_CHUNK_WORK", m * m * samples)
-    monkeypatch.setattr(linalg, "_GRAM_CHUNK_SAMPLES", samples)
-    monkeypatch.setattr(linalg, "_GRAM_MIN_CHUNK", 1)
-
-
 class TestChunkedGram:
     """The lag products summed over several chunks of the window."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(m=st.integers(1, 4), k=st.integers(0, 5), complex_field=st.booleans(),
            width=st.integers(1, 9), seed=st.integers(0, 2**31), data=st.data())
-    def test_matches_dense_product(self, m, k, complex_field, width, seed, data):
+    def test_matches_dense_product(self, chunks, m, k, complex_field, width, seed, data):
         # Windows from one sample up, so N < 2K is drawn too; chunk widths
         # of 1..9 samples split them into several near-equal chunks.
         n = k + data.draw(st.integers(1, 6 * width))
@@ -259,13 +251,12 @@ class TestChunkedGram:
         x = rng.standard_normal((m, n))
         if complex_field:
             x = x + 1j * rng.standard_normal((m, n))
-        with pytest.MonkeyPatch.context() as patch:
-            chunk_width(patch, m, width)
+        with chunks(width):
             TestLagCovarianceGram.check(x, k)
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("m,k,n", [(3, 2, 40), (1, 0, 9), (2, 5, 8)])
-    def test_one_chunk_is_one_product_per_lag(self, monkeypatch, m, k, n, complex_field):
+    def test_one_chunk_is_one_product_per_lag(self, chunks, m, k, n, complex_field):
         # At or above the window's size the products and sums are those of
         # one product per lag over the whole window, bit for bit.
         rng = np.random.default_rng(m + n)
@@ -276,24 +267,24 @@ class TestChunkedGram:
         window_h = window.conj().T if complex_field else window.T
         expected = [(x[:, k - d:n - d] @ window_h).tobytes() for d in range(k + 1)]
         for samples in (n - k, 10 ** 9):
-            chunk_width(monkeypatch, m, samples)
-            products, sums = _window_products(x, k, sums=True)
+            with chunks(samples):
+                products, sums = _window_products(x, k, sums=True)
             assert [p.tobytes() for p in products] == expected
             assert sums.tobytes() == window.sum(axis=1).tobytes()
 
-    def test_complex_memory_stays_below_one_window_copy(self, monkeypatch):
+    def test_complex_memory_stays_below_one_window_copy(self, chunks):
         # A conjugated copy of the whole window would take M (N-K) 16 bytes;
         # chunks of 500 samples need an eighth of that.
         m, k, n = 2, 2, 4002
         rng = np.random.default_rng(5)
         x = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        chunk_width(monkeypatch, m, 500)
-        tracemalloc.start()
-        try:
-            _lag_covariance_gram(x, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with chunks(500):
+            tracemalloc.start()
+            try:
+                _lag_covariance_gram(x, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < m * (n - k) * 16
 
     def test_wide_gram_holds_one_gram_sized_temporary_at_a_time(self):
@@ -313,12 +304,6 @@ class TestChunkedGram:
         assert peak < 2.25 * gram_bytes
 
 
-def residual_width(monkeypatch, samples):
-    """Make `_residuals` write its result in chunks of at most `samples`
-    samples, however few."""
-    monkeypatch.setattr(model, "_RESIDUAL_CHUNK_SAMPLES", samples)
-
-
 def draw_signal(rng, m, n, complex_field):
     x = rng.standard_normal((m, n))
     return x + 1j * rng.standard_normal((m, n)) if complex_field else x
@@ -330,15 +315,14 @@ class TestChunkedResiduals:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
            width=st.integers(1, 9), seed=st.integers(0, 2**31), data=st.data())
-    def test_rvar_residuals_reproduce_the_fitted_v(self, m, k, complex_field, width,
+    def test_rvar_residuals_reproduce_the_fitted_v(self, chunks, m, k, complex_field, width,
                                                    seed, data):
         # Windows with at least one residual degree of freedom (an exact fit
         # flushes V to zero), cut into chunks of 1..9 samples whose width
         # need not divide N-K.
         n = k + data.draw(st.integers(m * k + 2, 8 * width + m * k + 2))
         x = draw_signal(np.random.default_rng(seed), m, n, complex_field)
-        with pytest.MonkeyPatch.context() as patch:
-            residual_width(patch, width)
+        with chunks(width):
             fit = fit_rvar_ls(x, k)
             assert rvar_residuals(fit, x).tobytes() == fit.V.tobytes()
 
@@ -346,8 +330,8 @@ class TestChunkedResiduals:
     @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
            complex_lags=st.booleans(), width=st.integers(1, 9),
            seed=st.integers(0, 2**31), data=st.data())
-    def test_match_the_per_lag_definition(self, m, k, complex_field, complex_lags, width,
-                                          seed, data):
+    def test_match_the_per_lag_definition(self, chunks, m, k, complex_field, complex_lags,
+                                          width, seed, data):
         # Real L and t (or c) with complex R_i (or A_i) give complex residuals.
         n = k + data.draw(st.integers(1, 6 * width))
         rng = np.random.default_rng(seed)
@@ -362,8 +346,7 @@ class TestChunkedResiduals:
             direct = lead - intercept[:, None]
             for i, a in enumerate(lags, 1):
                 direct = direct - a @ x[:, k - i:n - i]
-            with pytest.MonkeyPatch.context() as patch:
-                residual_width(patch, width)
+            with chunks(width):
                 chunked = residuals(model_, x)
             assert chunked.dtype == direct.dtype
             np.testing.assert_allclose(chunked, direct, rtol=1e-12, atol=1e-12)
@@ -373,7 +356,7 @@ class TestChunkedResiduals:
         # buffer, not one M x (N-K) temporary per lag.
         m, k, n = 4, 2, 65536
         x = np.random.default_rng(7).standard_normal((m, n))
-        chunk_bytes = m * model._RESIDUAL_CHUNK_SAMPLES * 8
+        chunk_bytes = m * linalg._CHUNK_SAMPLES * 8
         tracemalloc.start()
         try:
             fit_rvar_ls(x, k)
@@ -381,6 +364,22 @@ class TestChunkedResiduals:
         finally:
             tracemalloc.stop()
         assert peak < m * (n - k) * 8 + 2 * chunk_bytes
+
+    def test_residuals_cut_where_the_gram_does(self, monkeypatch):
+        # One rule cuts every pass over the samples: the least-squares fit
+        # asks it for the structured Gram's window, then for V's.
+        seen = []
+        original = linalg._chunk_bounds
+
+        def spy(m, n, k):
+            seen.append((m, n, k))
+            return original(m, n, k)
+
+        monkeypatch.setattr(linalg, "_chunk_bounds", spy)
+        monkeypatch.setattr(model, "_chunk_bounds", spy)
+        x = np.random.default_rng(8).standard_normal((4, 8192))
+        fit_rvar_ls(x, 2)
+        assert seen == [(4, 8192, 2), (4, 8192, 2)]
 
 
 class TestSvarResiduals:

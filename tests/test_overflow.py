@@ -4,11 +4,12 @@ returns finite output or raises, with no numpy warning.
 A product of finite input that leaves double precision is decided by one
 rule, `linalg._finite`, which raises `NumericalOverflow`. The repros below
 are inputs on which a routine once returned inf or NaN, or leaked a
-warning; the property runs every routine over inputs from 10^-300 to
-10^300.
+warning; the property runs every routine over inputs from 2^-1022 up to
+within a factor of 2 of the largest double.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,8 +108,14 @@ class TestDiscrepancyOverflow:
         # Within the overflowing part, a difference of 1e160 beside 1e300.
         (one_part_model([[1e300, 0.0], [0.0, 0.0]], t=(0.0, 0.0)),
          one_part_model([[1e300, 0.0], [0.0, 1e160]], t=(0.0, 0.0)), 1e-140),
+        # Scaled by 2^-1021, ||R_ref||^2 underflows; its norm 2^100 must
+        # stay the denominator, not the floor of 1.
+        (one_part_model([[2.0 ** 100]]), one_part_model([[2.0 ** 1020]]), 2.0 ** 920),
+        # Each part of R fits; its modulus does not.
+        (one_part_model([[1.5e308 + 1.5e308j]]), one_part_model([[0.0]]), 1.0),
     ], ids=["opposite-huge-parts", "norm-overflows", "other-part-keeps-scale",
-            "small-difference-beside-huge-entry"])
+            "small-difference-beside-huge-entry", "reference-norm-underflows-when-scaled",
+            "complex-modulus-overflows"])
     def test_overflowing_part_is_measured(self, ref, other, expected):
         assert coefficient_discrepancy(ref, other) == pytest.approx(expected, rel=1e-14, abs=0)
 
@@ -120,28 +127,32 @@ class TestDiscrepancyOverflow:
 
 
 def scaled(rng, shape, exponents, complex_field):
-    """A standard normal array of `shape` whose row i is scaled by
-    ``10**exponents[i]``."""
-    z = rng.standard_normal(shape)
-    if complex_field:
-        z = z + 1j * rng.standard_normal(shape)
-    return z * (10.0 ** np.asarray(exponents, dtype=float)).reshape(-1, *[1] * (len(shape) - 1))
+    """An array of `shape` whose row i holds ``+-[1, 2) * 2**exponents[i]``,
+    in both parts if complex: at an exponent of 1023 its entries lie within
+    a factor of 2 of the largest double, and all are finite."""
+    def mantissas():
+        return rng.uniform(1.0, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+
+    z = mantissas() + 1j * mantissas() if complex_field else mantissas()
+    return z * (2.0 ** np.asarray(exponents, dtype=float)).reshape(-1, *[1] * (len(shape) - 1))
 
 
 def lower_factor(rng, m, exponents, diagonal, complex_field):
     """A lower factor whose rows are scaled by `exponents` below the
-    diagonal, and whose diagonal entries lie in ``[1, 2) * 10**diagonal``."""
+    diagonal, and whose diagonal entries lie in ``[1, 2) * 2**diagonal``."""
     c = np.tril(scaled(rng, (m, m), exponents, complex_field), -1)
-    np.fill_diagonal(c, rng.uniform(1.0, 2.0, m) * 10.0 ** np.asarray(diagonal, dtype=float))
+    np.fill_diagonal(c, rng.uniform(1.0, 2.0, m) * 2.0 ** np.asarray(diagonal, dtype=float))
     return c
 
 
 def hpd(rng, m, exponents, complex_field):
-    """``D (B B^H + I) D`` with ``D = diag(10**(exponents / 2))``: finite,
-    positive definite and scaled far apart by row."""
+    """``D G D`` with ``G = B B^H + I`` divided by its largest entry, a
+    diagonal one, and ``D = diag(2**(exponents / 2))``: finite, positive
+    definite and scaled far apart by row, its diagonal up to ``2**1023``."""
     b = scaled(rng, (m, m), [0] * m, complex_field)
-    d = 10.0 ** (np.asarray(exponents, dtype=float) / 2)
-    return d[:, None] * (b @ b.conj().T + np.eye(m)) * d[None, :]
+    g = b @ b.conj().T + np.eye(m)
+    d = 2.0 ** (np.asarray(exponents, dtype=float) / 2)
+    return d[:, None] * (g / g.diagonal().real.max()) * d[None, :]
 
 
 def svar_model(rng, m, k, e, complex_field):
@@ -182,6 +193,22 @@ ROUTINES = {
 }
 
 
+def row_exponents(data, m):
+    """Four lists of M row exponents of 2: all alike, or each row its own."""
+    spread = data.draw(st.sampled_from([0, 33, 1000]))
+    base = data.draw(st.lists(st.integers(-1022, 1023), min_size=4, max_size=4))
+    return [[min(max(b + data.draw(st.integers(-spread, spread)), -1022), 1023)
+             for _ in range(m)] for b in base]
+
+
+def squared_norm(a, b=0.0):
+    """``||a - b||_F^2`` in exact rational arithmetic."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return sum((Fraction(x.real) - Fraction(y.real)) ** 2
+               + (Fraction(x.imag) - Fraction(y.imag)) ** 2
+               for x, y in zip(a.ravel().tolist(), b.ravel().tolist()))
+
+
 def outputs(result):
     """The arrays and numbers a routine returned."""
     if isinstance(result, SvarCoefficients):
@@ -196,11 +223,7 @@ class TestFiniteOrRaises:
            complex_field=st.booleans(), seed=st.integers(0, 2**31),
            data=st.data())
     def test_finite_output_or_raises(self, routine, m, k, n, complex_field, seed, data):
-        # Four lists of row exponents: all alike, or each row its own.
-        spread = data.draw(st.sampled_from([0, 10, 300]))
-        base = data.draw(st.lists(st.integers(-300, 300), min_size=4, max_size=4))
-        e = [[min(max(b + data.draw(st.integers(-spread, spread)), -300), 300)
-              for _ in range(m)] for b in base]
+        e = row_exponents(data, m)
         rng = np.random.default_rng(seed)
         try:
             with warnings.catch_warnings():
@@ -210,3 +233,27 @@ class TestFiniteOrRaises:
             return
         for value in outputs(result):
             assert np.isfinite(value).all()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 3), k=st.integers(0, 2), complex_field=st.booleans(),
+           seed=st.integers(0, 2**31), data=st.data())
+    def test_discrepancy_matches_exact_arithmetic(self, m, k, complex_field, seed, data):
+        # Finite is not enough: a part's difference read as 0, or its floor
+        # of 1 read in place of a larger norm, is finite too. The result
+        # must be within 1e-12 of the exact value, or 2^-500 of it, where
+        # squares of entries 2^537 times smaller than the largest vanish.
+        e = row_exponents(data, m)
+        rng = np.random.default_rng(seed)
+        ref, other = (svar_model(rng, m, k, e, complex_field),
+                      svar_model(rng, m, k, e[::-1], complex_field))
+        exact = max(squared_norm(a, b) / max(squared_norm(a), 1)
+                    for a, b in [(ref.L, other.L), (ref.t, other.t), *zip(ref.R, other.R)])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = Fraction(coefficient_discrepancy(ref, other))
+        except NumericalOverflow:
+            assert exact > Fraction(np.finfo(float).max) ** 2 / 4
+            return
+        rtol, atol = Fraction(1, 10 ** 12), Fraction(2) ** -500
+        assert max(got * (1 - rtol) - atol, 0) ** 2 <= exact <= (got * (1 + rtol) + atol) ** 2

@@ -1,10 +1,19 @@
 """Smoke tests of the scripts under tools/."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_fit_faults_prints_every_route():
@@ -87,3 +96,35 @@ def test_fit_digest_prints_every_output_once_and_repeats():
                                         "lic.L", "lic.t", "both.discrepancy")
     ]
     assert all(len(row) == 3 and len(row[2]) == 64 and int(row[2], 16) >= 0 for row in rows)
+
+
+def summary_line(metrics, correct=True, attempted=100, failed=0):
+    """A last line of `perfbench/run.py --workload all`, trimmed."""
+    return json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
+                       "metrics": {name: {"value": value, "unit": "s"}
+                                   for name, value in metrics.items()}})
+
+
+def test_bench_pairs_summarizes_each_end_to_end_metric():
+    bench_pairs = load_tool("bench_pairs")
+    better = bench_pairs.end_to_end_directions()
+    assert better["lic_fit_p50_s"] == "lower" and better["success_ratio"] == "higher"
+    # Pairs 1-4: lic p50 won, tied, lost, won; success_ratio lost once.
+    # A per-layer metric is not an end-to-end one and gets no row.
+    parent = [summary_line({"w.lic_fit_p50_s": p50, "w.success_ratio": 1.0,
+                            "w.lic.linalg.as_matrix.calls": 3.0})
+              for p50 in (1.0, 2.0, 3.0, 4.0)]
+    change = [summary_line({"w.lic_fit_p50_s": p50, "w.success_ratio": ratio,
+                            "w.lic.linalg.as_matrix.calls": 0.0},
+                           correct=ratio == 1.0, failed=2 if ratio < 1 else 0)
+              for p50, ratio in ((0.5, 1.0), (2.0, 0.5), (3.5, 1.0), (1.0, 1.0))]
+    rows, correct = bench_pairs.summarize(parent, change, better)
+    assert [row.split() for row in rows[1:]] == [
+        # Medians 2.5 and 1.5; the parent's quartiles are 1.25 and 3.75.
+        ["w.lic_fit_p50_s", "2.5", "1.5", "-40.0", "2/4", "2.5"],
+        ["w.success_ratio", "1", "1", "+0.0", "0/4", "0"],
+        ["attempted", "parent", "400", "change", "400"],
+        ["failed", "parent", "0", "change", "2"],
+    ]
+    assert not correct
+    assert bench_pairs.summarize(parent, parent, better)[1]
