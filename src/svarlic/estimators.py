@@ -77,6 +77,12 @@ from .model import (
 #: matrix instead of amplifying rounding garbage.
 RESIDUAL_FLUSH_RTOL = 1e-12
 
+#: `coefficient_discrepancy` measures a part whose squared difference
+#: falls below this again, scaled: 2^53 times the smallest normal double,
+#: so squares that went subnormal, each off by at most 2^-1075, move a sum
+#: above it by less than rounding.
+_SQUARES_FLOOR = 2.0 ** -969
+
 __all__ = [
     "fit_rvar_ls",
     "rvar_to_svar",
@@ -151,8 +157,9 @@ def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
         h, _factor(h, "regressor Gram matrix SS^H", "the regressors are collinear"),
         gram[p:, :p]))
     v = _residuals(x, k, None, c, lags)
-    # ||X||_F^2 is the trace of the Gram's bottom block X X^H.
-    if np.linalg.norm(v) <= RESIDUAL_FLUSH_RTOL * np.sqrt(gram.diagonal()[p:].real.sum()):
+    # ||V||_F^2 against RESIDUAL_FLUSH_RTOL^2 times ||X||_F^2, the trace of
+    # the Gram's bottom block X X^H: squares, so no root is taken.
+    if np.vdot(v, v).real <= RESIDUAL_FLUSH_RTOL ** 2 * gram.diagonal()[p:].real.sum():
         v = np.zeros_like(v)
     return _fitted(RvarCoefficients, c=c, A=lags, V=v)
 
@@ -226,7 +233,9 @@ def _finish_lic(m: int, k: int, gram: NDArray) -> SvarCoefficients:
     u_alpha = _inverse_bottom_rows(
         _factor(gram, "stacked Gram matrix TT^H",
                 "the signal is deterministic or has collinear branches"), m)
-    t, lags = _unstack_coefficients(-u_alpha[:, :m * k + 1])
+    coefficients = u_alpha[:, :m * k + 1]
+    np.negative(coefficients, out=coefficients)  # u_alpha is fresh: negate in place
+    t, lags = _unstack_coefficients(coefficients)
     return _fitted(SvarCoefficients, L=u_alpha[:, m * k + 1:].copy(), R=lags, t=t)
 
 
@@ -234,10 +243,15 @@ def coefficient_discrepancy(ref: SvarCoefficients, other: SvarCoefficients) -> f
     """Max over {L, R_1..R_K, t} of ``||delta||_F / max(||ref part||_F, 1)``.
 
     The floor of 1 in the denominator keeps the metric meaningful when a
-    coefficient (typically `t`) is near zero. A part whose difference or
-    norm overflows is measured again with both of its arrays scaled by the
-    power of two that brings their largest real or imaginary part below 1,
-    which is exact but for entries more than 2^511 times smaller, whose
+    coefficient (typically `t`) is near zero. Each part is measured from
+    the squared norms of its difference and of its reference array. The
+    scaled path runs only for a part whose squared difference or squared
+    norm overflows, or whose squared difference falls below
+    `_SQUARES_FLOOR`, where squares that went subnormal may have lost
+    precision (an exact agreement included): the part is measured again
+    with both of its arrays scaled by the power of two that brings their
+    largest real or imaginary part below 1, at most 2^1023. That is exact
+    but for entries more than 2^511 times smaller than the largest, whose
     squares lose precision; the reference part's norm is kept unscaled
     where it fits, since its scaled square can underflow. So no part is
     dropped or read as agreement, and no floor stands in for a norm.
@@ -253,15 +267,25 @@ def coefficient_discrepancy(ref: SvarCoefficients, other: SvarCoefficients) -> f
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in [(ref.L, other.L), (ref.t, other.t), *zip(ref.R, other.R)]:
             s = 1.0
-            diff, size = float(np.linalg.norm(a - b)), float(np.linalg.norm(a))
-            if not math.isfinite(diff + size):
+            delta = a - b
+            diff2, size2 = np.vdot(delta, delta).real, np.vdot(a, a).real
+            diff, size = math.sqrt(diff2), math.sqrt(size2)
+            # Squares that overflow, or a squared difference too small to
+            # trust: measure the part scaled.
+            if not (_SQUARES_FLOOR <= diff2 < math.inf and size2 < math.inf):
                 # Real and imaginary parts: a complex modulus can overflow.
+                # Parts below 2^-1023 are scaled by 2^1023, the largest
+                # power of two a double holds.
                 parts = np.concatenate((a, b), axis=None).view(np.float64)
-                s = math.ldexp(1.0, -math.frexp(np.abs(parts).max())[1])
-                diff = float(np.linalg.norm(a * s - b * s))
-                size = size * s if math.isfinite(size) else float(np.linalg.norm(a * s))
+                s = math.ldexp(1.0, min(-math.frexp(np.abs(parts).max())[1], 1023))
+                delta = a * s - b * s
+                diff = math.sqrt(np.vdot(delta, delta).real)
+                size = size * s if size2 < math.inf else math.sqrt(np.vdot(a * s, a * s).real)
             errs.append(diff / max(size, s))  # s is the floor of 1, scaled
-    return max(_finite(errs, "coefficient discrepancy"))
+    worst = max(errs)
+    if not math.isfinite(worst):
+        _finite(worst, "coefficient discrepancy")  # raises NumericalOverflow
+    return worst
 
 
 class FitComparison(NamedTuple):

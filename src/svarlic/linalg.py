@@ -168,7 +168,9 @@ def _chunk_bounds(m: int, n: int, k: int) -> list[int]:
     one the widest, and the window is one chunk where it fits in one or
     where M > 22."""
     width = min(_CHUNK_WORK // (m * m), _CHUNK_SAMPLES)
-    chunks = 1 if width < _MIN_CHUNK else -(-(n - k) // width)
+    if width < _MIN_CHUNK or n - k <= width:
+        return [k, n]
+    chunks = -(-(n - k) // width)
     return [k + i * (n - k) // chunks for i in range(chunks + 1)]
 
 
@@ -252,7 +254,9 @@ def _checked_factor(h: NDArray, threshold: float) -> NDArray | None:
         c = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return None
-    return c if np.all(c.diagonal().real ** 2 > threshold) else None
+    # LAPACK's diagonal entries are square roots, nonnegative or NaN, so the
+    # smallest one holds the smallest pivot, and a NaN fails the test.
+    return c if c.diagonal().real.min() ** 2 > threshold else None
 
 
 def _first_failing_pivot(h: NDArray, threshold: float) -> tuple[int, float]:
@@ -304,9 +308,10 @@ def cholesky_lower(h: ArrayLike) -> NDArray:
     if h.shape[1] != n:
         raise ValueError(f"h must be square, got shape {h.shape}")
     # Every Gram the package factors is finite and exactly Hermitian, and
-    # one equality pass accepts it. Other input, any with a NaN among it
-    # (NaN never equals itself), is scanned, then meets the tolerance test.
-    if not np.array_equal(h, h.conj().T):
+    # one elementwise comparison with its conjugate transpose accepts it.
+    # Other input, any with a NaN among it (NaN never equals itself), is
+    # scanned, then meets the tolerance test.
+    if not (h == h.conj().T).all():
         as_matrix(h, "h")
         # Quartered, so that neither a difference nor its complex modulus,
         # up to 2 * sqrt(2) times the largest component, overflows.
@@ -384,7 +389,11 @@ def _inverse_bottom_rows(c: NDArray, rows: int) -> NDArray:
     of an LU of the whole factor.
     """
     n = c.shape[0]
-    return _divide_lower(np.eye(rows, n, n - rows, dtype=c.dtype), c)
+    # E^T, set through its flat view, where entry (n - rows + i, i) sits at
+    # (n - rows) rows + i (rows + 1): cheaper per call than `np.eye`.
+    e_t = np.zeros((n, rows), dtype=c.dtype)
+    e_t.ravel()[(n - rows) * rows::rows + 1] = 1
+    return _divide_lower(e_t.T, c)
 
 
 def invert_lower(c: ArrayLike) -> NDArray:

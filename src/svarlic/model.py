@@ -276,7 +276,8 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
     ``x(K-d+s)`` at the head and ``x(N-d+s)`` at the tail when s <= d, and
     zero otherwise, and the ones row holds ones. So one signed product,
     head columns added and tail columns subtracted, corrects every block,
-    the intercept row's lag sums included.
+    the intercept row's lag sums included. At K = 0 no shift adds or drops
+    a sample, and the product is skipped.
 
     Each lag's row strip of window blocks is written into a view of the
     Gram, so the Gram-sized arrays beside it are the edge terms' product
@@ -300,11 +301,12 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
                               k + lags[:, None] - lags):
             strip[...] = toeplitz[row].swapaxes(0, 1)
         del products, toeplitz  # freed before the edge terms' product
-        pad = np.zeros((m, k), dtype=x.dtype)
-        head = _stack_regressor(np.concatenate([x[:, :k], pad], axis=1), k, direct=True)
-        tail = _stack_regressor(np.concatenate([x[:, n - k:], pad], axis=1), k, direct=True)
-        edges = np.concatenate([head, tail], axis=1)
-        g += (edges * np.repeat([1.0, -1.0], k)) @ edges.conj().T
+        if k:  # at K = 0 the window is the whole signal: no edge terms
+            pad = np.zeros((m, k), dtype=x.dtype)
+            head = _stack_regressor(np.concatenate([x[:, :k], pad], axis=1), k, direct=True)
+            tail = _stack_regressor(np.concatenate([x[:, n - k:], pad], axis=1), k, direct=True)
+            edges = np.concatenate([head, tail], axis=1)
+            g += (edges * np.repeat([1.0, -1.0], k)) @ edges.conj().T
     return _finish_gram(g, x, "signal")
 
 

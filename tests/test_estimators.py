@@ -541,6 +541,30 @@ class TestRegressorStacks:
         assert stacks == [(m * (k + 1) + 1, n - k)]
 
 
+class TestLinalgCallFloor:
+    """On a small window each route makes the fewest numpy.linalg calls
+    its method needs: one factorization per Gram, one LU solve per
+    division, and no norm, so per-call glue cannot creep back unseen."""
+
+    @pytest.mark.parametrize("m, k, n, complex_field", [(3, 2, 256, False), (2, 1, 64, True)])
+    @pytest.mark.parametrize("route, counts", [
+        ("lic", (1, 1, 0)), ("ls", (2, 2, 0)), ("both", (3, 3, 0))])
+    def test_calls_per_route(self, monkeypatch, m, k, n, complex_field, route, counts):
+        x = stable_series(m, k, n, seed=35, complex_field=complex_field)
+        calls = dict.fromkeys(("cholesky", "solve", "norm"), 0)
+
+        def spying(name, original):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, spying(name, getattr(np.linalg, name)))
+        ROUTES[route](x, k)
+        assert tuple(calls.values()) == counts
+
+
 class TestBlockTriangularSolves:
     """Fits whose factors exceed `linalg._SOLVE_BLOCK`, so that the bottom
     rows, the whitening mixing matrix and the least-squares solve go
@@ -795,6 +819,15 @@ class TestDiscrepancyMetric:
         a = SvarCoefficients(L=np.eye(1), t=[0.0])
         b = SvarCoefficients(L=np.eye(1), t=[1e-9])
         assert coefficient_discrepancy(a, b) == pytest.approx(1e-9)
+
+    @pytest.mark.parametrize("exponent", [-530, -600, -1074])
+    def test_difference_whose_square_underflows_is_measured(self, exponent):
+        # 2^-600 squared underflows to 0, and 2^-530 squared to a
+        # subnormal that has lost bits; both are measured scaled, exactly.
+        from svarlic.model import SvarCoefficients
+        a = SvarCoefficients(L=np.eye(1), t=[0.0])
+        b = SvarCoefficients(L=np.eye(1), t=[2.0 ** exponent])
+        assert coefficient_discrepancy(a, b) == 2.0 ** exponent
 
     def test_mismatched_models_rejected(self):
         from svarlic.model import SvarCoefficients

@@ -98,6 +98,21 @@ def test_fit_digest_prints_every_output_once_and_repeats():
     assert all(len(row) == 3 and len(row[2]) == 64 and int(row[2], 16) >= 0 for row in rows)
 
 
+def test_ab_inprocess_times_every_route_on_both_sides():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), str(ROOT), str(ROOT),
+         "2", "1", "64", "--complex", "--rounds", "3", "--inner", "2"],
+        capture_output=True, text=True, check=True).stdout
+    header, *rows = out.strip().splitlines()
+    assert header.split() == ["route", "parent_s", "change_s", "ratio", "won"]
+    assert [row.split()[0] for row in rows] == ["lic", "ls", "both"]
+    for row in rows:
+        _, parent, change, ratio, won = row.split()
+        assert float(parent) > 0 and float(change) > 0 and float(ratio) > 0
+        wins, rounds = won.split("/")
+        assert 0 <= int(wins) <= int(rounds) == 3
+
+
 def summary_line(metrics, correct=True, attempted=100, failed=0):
     """A last line of `perfbench/run.py --workload all`, trimmed."""
     return json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
