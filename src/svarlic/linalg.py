@@ -389,11 +389,7 @@ def _inverse_bottom_rows(c: NDArray, rows: int) -> NDArray:
     of an LU of the whole factor.
     """
     n = c.shape[0]
-    # E^T, set through its flat view, where entry (n - rows + i, i) sits at
-    # (n - rows) rows + i (rows + 1): cheaper per call than `np.eye`.
-    e_t = np.zeros((n, rows), dtype=c.dtype)
-    e_t.ravel()[(n - rows) * rows::rows + 1] = 1
-    return _divide_lower(e_t.T, c)
+    return _divide_lower(np.eye(rows, n, n - rows, dtype=c.dtype), c)
 
 
 def invert_lower(c: ArrayLike) -> NDArray:

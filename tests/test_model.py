@@ -237,16 +237,14 @@ class TestLagCovarianceGram:
             _lag_covariance_gram(x, 2)
 
     @pytest.mark.parametrize("complex_field", [False, True])
-    def test_order_zero_above_the_dense_cut_stacks_nothing(self, monkeypatch, complex_field):
+    def test_order_zero_stacks_no_edge_terms(self, monkeypatch, complex_field):
         # At K = 0 the window is the whole signal, so there are no edge
         # terms to stack.
-        m, n = 7, 16384
-        assert (m + 1) ** 2 * n >= model._DENSE_GRAM_WORK
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((m, n))
+        x = rng.standard_normal((3, 40))
         if complex_field:
-            x = x + 1j * rng.standard_normal((m, n))
-        dense = linalg.gram_hermitian(build_regressor_t(x, 0))
+            x = x + 1j * rng.standard_normal((3, 40))
+        self.check(x, 0)
         stacks = []
         original = model._stack_regressor
 
@@ -255,10 +253,8 @@ class TestLagCovarianceGram:
             return original(x, k, direct)
 
         monkeypatch.setattr(model, "_stack_regressor", spy)
-        g = model._regressor_gram(x, 0)
+        _lag_covariance_gram(x, 0)
         assert stacks == []
-        assert g.dtype == dense.dtype
-        assert np.abs(g - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 class TestChunkedGram:

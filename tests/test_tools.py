@@ -101,7 +101,7 @@ def test_fit_digest_prints_every_output_once_and_repeats():
 def test_ab_inprocess_times_every_route_on_both_sides():
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), str(ROOT), str(ROOT),
-         "2", "1", "64", "--complex", "--rounds", "3", "--inner", "2"],
+         "2", "1", "64", "--complex", "--rounds", "3"],
         capture_output=True, text=True, check=True).stdout
     header, *rows = out.strip().splitlines()
     assert header.split() == ["route", "parent_s", "change_s", "ratio", "won"]

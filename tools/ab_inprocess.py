@@ -1,18 +1,16 @@
 """Time the fit routes of two trees in one process, call against call.
 
     python3 tools/ab_inprocess.py PARENT_TREE CHANGE_TREE M K N [--complex]
-                                  [--rounds R] [--inner I]
+                                  [--rounds R]
 
 Each tree's ``src/svarlic`` is copied into one temporary directory under
 its own package name, and both copies are imported into this process, so
-the two sides share one interpreter, one heap and one BLAS. The model is
-drawn with the change tree's `random_stable_svar(M, K, seed=1)`, complex
-with ``--complex``, and four windows with `simulate_series(model, N,
-seed=2 .. 5)`. Every round fits one window by each route, ``lic``
-(`fit_svar_lic`), ``ls`` (`rvar_to_svar` of `fit_rvar_ls`) and ``both``
-(`fit_both`), on both sides, the parent first in even rounds and the
-change first in odd ones; each side's time is the mean of I back-to-back
-calls, with the garbage collector off. The BLAS pool runs on one thread.
+the two sides share one interpreter, one heap and one BLAS. The series is
+the change tree's, seeded as `tools/fit_faults.py` seeds it with its
+default seed 1, complex with ``--complex``. Every round fits it once by
+each of that tool's routes, ``lic``, ``ls`` and ``both``, on both sides,
+the parent first in even rounds and the change first in odd ones, with the
+garbage collector off during each call. The BLAS pool runs on one thread.
 
 Prints one row per route: each side's median seconds per call, the median
 of the change-over-parent ratios of the R pairs, and the pairs the change
@@ -37,48 +35,37 @@ from time import perf_counter
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from fit_faults import routes, seeded_series  # noqa: E402
+
 SIDES = ("parent", "change")
-ROUTES = ("lic", "ls", "both")
-WINDOWS = 4
 
 
-def routes(package):
-    """The three fit routes of an imported copy of the package."""
-    estimators = package.estimators
-    return {"lic": estimators.fit_svar_lic,
-            "ls": lambda x, k: estimators.rvar_to_svar(estimators.fit_rvar_ls(x, k)),
-            "both": estimators.fit_both}
-
-
-def seconds_per_call(fit, x, k, inner: int) -> float:
+def seconds_per_call(fit, x, k) -> float:
     gc.disable()
     try:
         start = perf_counter()
-        for _ in range(inner):
-            fit(x, k)
-        return (perf_counter() - start) / inner
+        fit(x, k)
+        return perf_counter() - start
     finally:
         gc.enable()
 
 
-def compare(packages: dict, m: int, k: int, n: int, complex_field: bool, rounds: int,
-            inner: int) -> list[str]:
+def compare(packages: dict, m: int, k: int, n: int, complex_field: bool,
+            rounds: int) -> list[str]:
     """Report rows for `rounds` interleaved rounds of both `packages`."""
-    synthetic = packages["change"].synthetic
-    model = synthetic.random_stable_svar(m, k, seed=1, complex_field=complex_field)
-    windows = [synthetic.simulate_series(model, n, seed=seed) for seed in range(2, 2 + WINDOWS)]
+    x = seeded_series(packages["change"], m, k, n, complex_field, seed=1)
     fits = {side: routes(package) for side, package in packages.items()}
+    names = list(fits["change"])
     for side in SIDES:  # warm caches and lazy set-up before timing
-        for route in ROUTES:
-            fits[side][route](windows[0], k)
-    times = {(side, route): [] for side in SIDES for route in ROUTES}
+        for route in names:
+            fits[side][route](x, k)
+    times = {(side, route): [] for side in SIDES for route in names}
     for r in range(rounds):
-        x = windows[r % WINDOWS]
-        for route in ROUTES:
+        for route in names:
             for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                times[side, route].append(seconds_per_call(fits[side][route], x, k, inner))
+                times[side, route].append(seconds_per_call(fits[side][route], x, k))
     rows = [f"{'route':<6} {'parent_s':>12} {'change_s':>12} {'ratio':>7} {'won':>11}"]
-    for route in ROUTES:
+    for route in names:
         old, new = times["parent", route], times["change", route]
         ratio = statistics.median(b / a for a, b in zip(old, new))
         won = sum(b < a for a, b in zip(old, new))
@@ -96,10 +83,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("n", type=int)
     parser.add_argument("--complex", action="store_true")
     parser.add_argument("--rounds", type=int, default=1000)
-    parser.add_argument("--inner", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.inner < 1:
-        parser.error("--rounds and --inner must be at least 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     workdir = tempfile.mkdtemp(prefix="ab_inprocess_")
     try:
         sys.path.insert(0, workdir)
@@ -109,8 +95,7 @@ def main(argv: list[str]) -> int:
             shutil.copytree(getattr(args, side) / "src" / "svarlic", Path(workdir) / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
             packages[side] = importlib.import_module(name)
-        print("\n".join(compare(packages, args.m, args.k, args.n, args.complex,
-                                args.rounds, args.inner)))
+        print("\n".join(compare(packages, args.m, args.k, args.n, args.complex, args.rounds)))
     finally:
         sys.path.remove(workdir)
         shutil.rmtree(workdir)

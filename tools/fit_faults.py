@@ -28,13 +28,25 @@ from time import perf_counter
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from svarlic import estimators, synthetic  # noqa: E402
+import svarlic  # noqa: E402
 
-ROUTES = {
-    "lic": estimators.fit_svar_lic,
-    "ls": lambda x, k: estimators.rvar_to_svar(estimators.fit_rvar_ls(x, k)),
-    "both": estimators.fit_both,
-}
+
+def routes(package) -> dict:
+    """The three fit routes of an imported copy of the package, in
+    perfbench's order."""
+    return {"lic": package.fit_svar_lic,
+            "ls": lambda x, k: package.rvar_to_svar(package.fit_rvar_ls(x, k)),
+            "both": package.fit_both}
+
+
+def seeded_series(package, m: int, k: int, n: int, complex_field: bool, seed: int):
+    """The package's series of N samples from its model drawn with `seed`,
+    simulated with `seed + 1`."""
+    model = package.random_stable_svar(m, k, seed, complex_field=complex_field)
+    return package.simulate_series(model, n, seed + 1)
+
+
+ROUTES = routes(svarlic)
 
 
 def main(argv: list[str]) -> int:
@@ -45,8 +57,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    model = synthetic.random_stable_svar(args.m, args.k, args.seed, complex_field=args.complex)
-    x = synthetic.simulate_series(model, args.n, args.seed + 1)
+    x = seeded_series(svarlic, args.m, args.k, args.n, args.complex, args.seed)
     seconds = {route: [] for route in ROUTES}
     faults = {route: [] for route in ROUTES}
     for _ in range(args.rounds):
