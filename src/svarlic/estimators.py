@@ -32,7 +32,10 @@ inverse factor, all M of ``V V^H``'s in route 1 and the bottom M of
 
 Under the shared positive-diagonal factor convention the two routes agree
 exactly in exact arithmetic; `fit_both` runs them side by side and reports
-the floating-point discrepancy.
+the floating-point discrepancy. Its route 1 needs only ``V V^H``, not V:
+it sums that Gram over chunks of the signal (`model._residuals`), and
+whitens through the one step `rvar_to_svar` takes after forming
+``V V^H`` from a whole V (`_whiten`).
 
 Whitening here is unnormalized: the fitted residuals satisfy
 ``sum_n w(n) w(n)^H = I`` without a 1/(N-K) factor, so the coefficient
@@ -55,6 +58,7 @@ from .exceptions import (
     RankDeficient,
 )
 from .linalg import (
+    _finish_gram,
     _finite,
     _inverse_bottom_rows,
     _solve_factored,
@@ -126,6 +130,11 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
     explicitly inverted. Returns the intercept `c`, lag matrices
     `A_1..A_K` and the residual matrix ``V = X - A S``.
 
+    `V` is formed in one pass over chunks of the signal
+    (`model._residuals`), allocated once, without S or a temporary its
+    size. `rvar_residuals` evaluates the same expression on the same
+    arrays, so it reproduces `V` bit for bit.
+
     Raises
     ------
     OrderTooLarge
@@ -137,31 +146,48 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
     """
     x, k = _check_signal(x, k)
     _require_samples(x.shape, k, direct=False)
-    return _finish_ls(x, k, _regressor_gram(x, k))
-
-
-def _finish_ls(x: NDArray, k: int, gram: NDArray) -> RvarCoefficients:
-    """The least-squares route from ``T T^H`` on: solve for ``[c | A_i]``,
-    split it into `c` and the `A_i`, and form the residuals
-    ``V = X - c - sum_i A_i x(n-i)`` from them in one pass over chunks of
-    the signal (`model._residuals`): `V` is allocated once and the lag
-    products go through one chunk-sized buffer, so neither S nor a
-    temporary the size of `V` is formed. `rvar_residuals` evaluates the
-    same expression on the same arrays, so it reproduces `V` bit for
-    bit."""
-    p = x.shape[0] * k + 1
-    h = gram[:p, :p]
-    # The factor and the solved block are passed on at once, so both are
-    # freed before V is formed.
-    c, lags = _unstack_coefficients(_solve_factored(
-        h, _factor(h, "regressor Gram matrix SS^H", "the regressors are collinear"),
-        gram[p:, :p]))
+    m = x.shape[0]
+    gram = _regressor_gram(x, k)
+    c, lags = _solve_ls(m, k, gram)
     v = _residuals(x, k, None, c, lags)
-    # ||V||_F^2 against RESIDUAL_FLUSH_RTOL^2 times ||X||_F^2, the trace of
-    # the Gram's bottom block X X^H: squares, so no root is taken.
-    if np.vdot(v, v).real <= RESIDUAL_FLUSH_RTOL ** 2 * gram.diagonal()[p:].real.sum():
+    if np.vdot(v, v).real <= _flush_floor(gram, m):
         v = np.zeros_like(v)
     return _fitted(RvarCoefficients, c=c, A=lags, V=v)
+
+
+def _solve_ls(m: int, k: int, gram: NDArray) -> tuple[NDArray, tuple[NDArray, ...]]:
+    """`c` and the `A_i` of the least-squares route from ``T T^H``: solve
+    ``[c | A_i] (S S^H) = X S^H`` through the factor of ``S S^H`` and split
+    the solution. The factor and the solved block are passed on at once,
+    so neither outlives the call."""
+    p = m * k + 1
+    h = gram[:p, :p]
+    return _unstack_coefficients(_solve_factored(
+        h, _factor(h, "regressor Gram matrix SS^H", "the regressors are collinear"),
+        gram[p:, :p]))
+
+
+def _flush_floor(gram: NDArray, m: int) -> float:
+    """`RESIDUAL_FLUSH_RTOL` squared times ``||X||_F^2``, the trace of the
+    bottom M x M block ``X X^H`` of ``T T^H``: residuals whose squared
+    Frobenius norm is at or below it are flushed. Squares, so no root is
+    taken."""
+    return RESIDUAL_FLUSH_RTOL ** 2 * gram.diagonal()[-m:].real.sum()
+
+
+def _whiten(vv: NDArray, c: NDArray, lags: tuple[NDArray, ...]) -> SvarCoefficients:
+    """Structural coefficients from a reduced form's `c` and `A_i` and the
+    Gram ``V V^H`` of its residuals: `L` is the inverse of the lower factor
+    of ``V V^H``, ``R_i = L A_i`` and ``t = L c``."""
+    mixing = _inverse_bottom_rows(
+        _factor(vv, "residual Gram matrix VV^H", "residuals are rank deficient"),
+        vv.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lags = tuple(mixing @ a for a in lags)
+        t = mixing @ c
+    # A non-finite row of `mixing` makes that row of `t` non-finite too.
+    _finite(np.concatenate((t, *lags), axis=None), "rescaled coefficient")
+    return _fitted(SvarCoefficients, L=mixing, R=lags, t=t)
 
 
 def rvar_to_svar(model: RvarCoefficients) -> SvarCoefficients:
@@ -183,15 +209,7 @@ def rvar_to_svar(model: RvarCoefficients) -> SvarCoefficients:
     """
     if model.V is None:
         raise ValueError("model has no residual matrix V; fit it first")
-    mixing = _inverse_bottom_rows(
-        _factor(gram_hermitian(model.V), "residual Gram matrix VV^H",
-                "residuals are rank deficient"), model.branches)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lags = tuple(mixing @ a for a in model.A)
-        t = mixing @ model.c
-    # A non-finite row of `mixing` makes that row of `t` non-finite too.
-    _finite(np.concatenate((t, *lags), axis=None), "rescaled coefficient")
-    return _fitted(SvarCoefficients, L=mixing, R=lags, t=t)
+    return _whiten(gram_hermitian(model.V), model.c, model.A)
 
 
 def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
@@ -304,11 +322,25 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
     door, the least-squares rule first, before ``T T^H`` is formed once,
     whose check reads the signal's finiteness; both routes finish from
     that one Gram, so they decide rank from the same numbers.
+
+    The least-squares half is `fit_rvar_ls` then `rvar_to_svar` without
+    V: ``V V^H`` is summed chunk by chunk as the residuals are formed, and
+    V is flushed, as `fit_rvar_ls` flushes it, on that Gram's trace,
+    ``||V||_F^2``. Where the signal's window is one chunk, the result is
+    bit for bit that of the two public steps; where it is cut, the Gram
+    is summed over other chunks, and the two agree to rounding.
     """
     x, k = _check_signal(x, k)
     _require_samples(x.shape, k, direct=False)
     _require_samples(x.shape, k, direct=True)
+    m = x.shape[0]
     gram = _regressor_gram(x, k)
-    ls = rvar_to_svar(_finish_ls(x, k, gram))
-    lic = _finish_lic(x.shape[0], k, gram)
+    c, lags = _solve_ls(m, k, gram)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vv = _finish_gram(_residuals(x, k, None, c, lags, gram=True), None)
+    # The trace of V V^H is ||V||_F^2, the sum `fit_rvar_ls` flushes on.
+    if vv.diagonal().real.sum() <= _flush_floor(gram, m):
+        vv = np.zeros_like(vv)
+    ls = _whiten(vv, c, lags)
+    lic = _finish_lic(m, k, gram)
     return FitComparison(ls=ls, lic=lic, discrepancy=coefficient_discrepancy(ls, lic))

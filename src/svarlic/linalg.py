@@ -48,7 +48,8 @@ Every pass over the samples is cut by one rule, `_chunk_bounds`. Every
 Gram product is summed by one chunk loop over those bounds,
 `_window_products`: the K+1 lag products of the structured regressor
 Gram, and with K = 0 the plain ``a a^H`` of `gram_hermitian`. The
-residuals (`model._residuals`) walk the same chunks.
+residuals (`model._residuals`) cut the same windows, into chunks as much
+narrower as their stacked rows are more than the Gram's M.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -152,25 +153,40 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
 #: (CHANGES.md has the sweep). A window is not cut where a chunk would hold
 #: fewer than `_MIN_CHUNK` samples (M > 22): products that wide gain
 #: nothing from that kernel and lose to per-call cost in narrow chunks.
-#: Against the residuals' former fixed chunks of 8192 samples (medians of
-#: 100 interleaved calls, one thread), this rule ran them 10% faster at
-#: (8,8,32768) complex and (16,4,65536), 2% slower at (4,2,65536) and 17%
-#: slower at (2,3,300000), where the Gram's chunks are too narrow as well.
+#: The residuals stack q = M(K+1)+1 rows per sample, so the rule cuts
+#: their window into narrower chunks, whose stack and M x q coefficient
+#: block fit in the M-row buffer of the Gram's widest chunk: one product
+#: per chunk, of inner dimension q, in the memory that K products of inner
+#: dimension M per Gram-sized chunk took. Against those (medians of
+#: paired interleaved calls, one thread, 2-core Xeon) the residuals ran
+#: 17% faster at (8,8,32768) complex (60 pairs) and as fast at
+#: (4,2,65536) (ratios 1.002 and 0.991 over 400 and 600 pairs), where
+#: copying q = 13 rows per sample costs about what the products save.
 _CHUNK_WORK = 10 ** 6
 _CHUNK_SAMPLES = 6144
 _MIN_CHUNK = 2048
 
 
-def _chunk_bounds(m: int, n: int, k: int) -> list[int]:
+def _chunk_bounds(m: int, n: int, k: int, rows: int | None = None) -> list[int]:
     """The bounds ``[K, .., N]`` of the chunks of the window of samples
     K .. N-1 of an M-branch signal with N > K: the package's one rule for
     cutting a pass over the samples. The chunks are near-equal, the last
     one the widest, and the window is one chunk where it fits in one or
-    where M > 22."""
+    where M > 22.
+
+    The chunks fit a pass whose buffer holds M rows per sample, as the
+    Gram products' does. With `rows`, they fit a pass that fills `rows`
+    rows per sample and multiplies them by an M x `rows` block: a window
+    that is cut is cut into the fewest near-equal chunks for which that
+    buffer and block fit in the elements of the M-row buffer of the
+    widest chunk, each at least one sample wide."""
     width = min(_CHUNK_WORK // (m * m), _CHUNK_SAMPLES)
     if width < _MIN_CHUNK or n - k <= width:
         return [k, n]
     chunks = -(-(n - k) // width)
+    if rows is not None:
+        budget = m * -(-(n - k) // chunks)  # the M-row buffer's elements
+        chunks = -(-(n - k) // max(budget // rows - m, 1))
     return [k + i * (n - k) // chunks for i in range(chunks + 1)]
 
 
@@ -235,12 +251,13 @@ def _finite(values: NDArray, what: str, source: NDArray | None = None,
     return values
 
 
-def _finish_gram(g: NDArray, source: NDArray, name: str = "matrix") -> NDArray:
+def _finish_gram(g: NDArray, source: NDArray | None, name: str = "matrix") -> NDArray:
     """Make the Gram product `g`, formed from `source` with overflow
     ignored, exactly Hermitian in place: halve it, then add its conjugate
     transpose. Every entry of `source` reaches a diagonal entry of `g`, so
     a finite `g` clears `source` too, and a non-finite `g` raises through
-    `_finite`, naming `source` as `name` if it has non-finite entries."""
+    `_finite`, naming `source` as `name` if it has non-finite entries. A
+    `source` of None, one no longer held, names nothing."""
     _finite(g, "Gram product", source, name)
     g *= 0.5
     g += g.conj().T

@@ -32,12 +32,18 @@ rather than scanning the signal (`_check_signal`).
 Residuals of either form, the least-squares fit's `V` included, are one
 expression, `_residuals`: one pass over the sample window, cut where the
 Gram products cut it (`linalg._chunk_bounds`, the one rule for every
-pass over the samples), that writes each chunk of the result in place,
-the lead term minus the intercept, then one product per lag on a slice of
-the signal through a single chunk-sized buffer. So no fit or residual
-routine stacks S, and its working memory beside the result is that
-buffer; S is stacked only by `build_regressor_s`, and T only by
-`build_regressor_t` and the dense Gram.
+pass over the samples). Where the window is cut, each chunk's rows of T
+are stacked into one reused buffer (`_stack_regressor`), and one product
+with the coefficient block ``[-c | -A_1 .. -A_K | I]``, or
+``[-t | -R_1 .. -R_K | L]``, writes that chunk of the result in place;
+the chunks are narrowed so that the stack and the block fit in the Gram
+pass's chunk buffer. A window of one chunk takes one product per lag on
+a slice of the signal instead. `fit_both` sums ``V V^H`` over the same
+chunks, so where the window is cut it never holds `V` whole. So no fit
+or residual routine stacks S or the whole of T, and its working memory
+beside the result is one chunk's; S is stacked only by
+`build_regressor_s`, and T only by `build_regressor_t` and the dense
+Gram.
 The structured Gram stacks T's layout over two snippets of 2K samples at
 the ends of the signal, for its edge terms.
 """
@@ -45,6 +51,7 @@ the ends of the signal, for its edge terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -213,8 +220,10 @@ def _check_signal(x: ArrayLike, k: int, branches: int | None = None) -> tuple[ND
     return x, k
 
 
-def _stack_regressor(x: NDArray, k: int, direct: bool) -> NDArray:
-    """Stack a regressor matrix from a checked signal `x` and order `k`.
+def _stack_regressor(x: NDArray, k: int, direct: bool, out: NDArray | None = None) -> NDArray:
+    """Stack a regressor matrix from a checked signal `x` and order `k`
+    into a new array of `x`'s type, or into `out`, a buffer reused from
+    chunk to chunk whose row of ones is in place.
 
     The stack is a row of ones over K blocks of M rows, lag 1 first, with
     `direct` over one more block, the current samples. This is the
@@ -222,8 +231,11 @@ def _stack_regressor(x: NDArray, k: int, direct: bool) -> NDArray:
     """
     m, n = x.shape
     lags = [*range(1, k + 1), 0] if direct else range(1, k + 1)
-    stack = np.empty((m * len(lags) + 1, n - k), dtype=x.dtype)
-    stack[0] = 1
+    if out is None:
+        stack = np.empty((m * len(lags) + 1, n - k), dtype=x.dtype)
+        stack[0] = 1
+    else:
+        stack = out
     for j, d in enumerate(lags):
         stack[1 + j * m:1 + (j + 1) * m] = x[:, k - d:n - d]
     return stack
@@ -340,36 +352,71 @@ def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
 
 
 def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
-               lags: tuple[NDArray, ...]) -> NDArray:
+               lags: tuple[NDArray, ...], gram: bool = False) -> NDArray:
     """``mixing x(n) - intercept - sum_i lags[i-1] x(n-i)`` over
     n = K+1 .. N for a checked signal `x` and order `k`, with `mixing` None
     for the identity: an M x (N-K) array, one column per sample, of the
     type of all the operands, so real `mixing` and `intercept` with a
-    complex lag give complex residuals.
+    complex lag give complex residuals. With `gram`, the M x M Gram of
+    that array instead, not yet made Hermitian (`linalg._finish_gram`).
 
-    The result is allocated once and written chunk by chunk, cut where the
-    Gram products cut the window (`linalg._chunk_bounds`): each chunk gets
-    the lead term minus the intercept, then one product per lag, on slices
-    of `x`, through a single chunk-sized buffer. So S is never stacked,
-    and the working memory besides the result is that buffer.
+    One pass over the sample window, cut where the Gram products cut it
+    (`linalg._chunk_bounds`). A window of one chunk gets the lead term
+    minus the intercept, then one product per lag on a slice of `x`
+    through a buffer the size of the result. A cut window is cut again,
+    into chunks narrow enough that T's rows of a chunk, stacked into one
+    reused buffer (`_stack_regressor`), and the coefficient block
+    ``[-intercept | -lags | mixing]`` fit in the elements of the Gram
+    pass's M-row chunk buffer: each chunk of the result is one product of
+    the two, with T's q rows as its inner dimension, written in place.
+    With `gram` the chunk is written into one reused buffer instead, and
+    its Gram summed as `_window_products` sums one, through a conjugated
+    copy as the second operand, so the result is never held whole. So S
+    is never stacked, nor T whole, and the working memory besides the
+    result is one chunk's.
     """
     m, n = x.shape
     operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
-    r = np.empty((m, n - k), dtype=np.result_type(*operands))
-    bounds = _chunk_bounds(m, n, k)
-    buffer = np.empty((m, bounds[-1] - bounds[-2]), dtype=r.dtype)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        out = r[:, a - k:b - k]
+    dtype = np.result_type(*operands)
+    q = m * (k + 1) + 1
+    bounds = _chunk_bounds(m, n, k, rows=q)
+    if len(bounds) == 2:
+        r = np.empty((m, n - k), dtype=dtype)
         if mixing is None:
-            out[...] = x[:, a:b]
+            r[...] = x[:, k:]
         else:
-            np.matmul(mixing, x[:, a:b], out=out)
-        out -= intercept[:, None]
-        product = buffer[:, :b - a]
+            np.matmul(mixing, x[:, k:], out=r)
+        r -= intercept[:, None]
+        product = np.empty_like(r)
         for i, lag in enumerate(lags, 1):
-            np.matmul(lag, x[:, a - i:b - i], out=product)
-            out -= product
-    return r
+            np.matmul(lag, x[:, k - i:n - i], out=product)
+            r -= product
+        del product  # freed before the Gram's conjugated copy
+        return _window_products(r, 0)[0][0] if gram else r
+    block = np.concatenate((-intercept[:, None], *(-lag for lag in lags),
+                            np.eye(m) if mixing is None else mixing), axis=1, dtype=dtype)
+    width = bounds[-1] - bounds[-2]
+    buffer = np.empty((q, width), dtype=dtype)
+    buffer[0] = 1  # the stacks' row of ones, written once
+    if not gram:
+        r = np.empty((m, n - k), dtype=dtype)
+        for a, b in pairwise(bounds):
+            stack = _stack_regressor(x[:, a - k:b], k, True, buffer[:, :b - a])
+            np.matmul(block, stack, out=r[:, a - k:b - k])
+        return r
+    chunk, copy = np.empty((2, m, width), dtype=dtype)
+    g, term = np.zeros((2, m, m), dtype=dtype)
+    for a, b in pairwise(bounds):
+        stack = _stack_regressor(x[:, a - k:b], k, True, buffer[:, :b - a])
+        v, v_conj = chunk[:, :b - a], copy[:, :b - a]
+        np.matmul(block, stack, out=v)
+        if dtype.kind == "c":
+            np.conjugate(v, out=v_conj)
+        else:
+            v_conj[...] = v
+        np.matmul(v, v_conj.T, out=term)
+        g += term
+    return g
 
 
 def _caller_residuals(model: SvarCoefficients | RvarCoefficients, x: ArrayLike,
@@ -388,8 +435,8 @@ def _caller_residuals(model: SvarCoefficients | RvarCoefficients, x: ArrayLike,
 def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:
     """Structural residuals ``w(n) = L x(n) - t - sum_i R_i x(n-i)``.
 
-    Evaluated lag by lag on slices of the signal (`_residuals`), the
-    expression `rvar_residuals` and the least-squares fit use. Returns an
+    Evaluated chunk by chunk of the signal (`_residuals`), the expression
+    `rvar_residuals` and the least-squares fit use. Returns an
     M x (N-K) array, one column per sample n = K+1 .. N. Raises
     `NumericalOverflow` if a residual overflows double precision.
     """
@@ -399,7 +446,7 @@ def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:
 def rvar_residuals(model: RvarCoefficients, x: ArrayLike) -> NDArray:
     """Reduced-form residuals ``v(n) = x(n) - c - sum_i A_i x(n-i)``.
 
-    Evaluated lag by lag on slices of the signal (`_residuals`), the same
+    Evaluated chunk by chunk of the signal (`_residuals`), the same
     expression the least-squares fit uses for `V`, so on a fitted model the
     result reproduces the stored `V` bit for bit. Raises
     `NumericalOverflow` if a residual overflows double precision.

@@ -485,39 +485,49 @@ class TestGramWork:
             tracemalloc.stop()
         assert peak < s_bytes
 
+    def test_fit_both_never_allocates_v(self):
+        # The least-squares half sums V V^H chunk by chunk: its peak stays
+        # below the M x (N-K) array of V.
+        m, k, n = 4, 2, 65536
+        x = stable_series(m, k, n, seed=36)
+        tracemalloc.start()
+        try:
+            fit_both(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * (n - k) * 8
+
     @pytest.mark.parametrize("m,k,n", [(2, 2, 200), (4, 2, 8192)])
     def test_fit_both_forms_one_regressor_gram(self, monkeypatch, m, k, n):
         # One q x q Gram for both routes and the M x M residual Gram;
-        # no separate S S^H.
+        # no separate S S^H. Every Gram is made Hermitian by one step.
         shapes = []
+        original = linalg._finish_gram
 
-        def spying(original):
-            def spy(*args):
-                g = original(*args)
-                shapes.append(g.shape)
-                return g
-            return spy
+        def spy(g, *args):
+            shapes.append(g.shape)
+            return original(g, *args)
 
-        for original in (linalg.gram_hermitian, model._lag_covariance_gram):
-            rebind(monkeypatch, original, spying(original))
+        rebind(monkeypatch, original, spy)
         fit_both(stable_series(m, k, n, seed=26), k)
         q = m * (k + 1) + 1
         assert sorted(shapes) == sorted([(q, q), (m, m)])
 
 
 class TestRegressorStacks:
-    """Only the Grams stack a regressor: the dense Gram stacks T, the
-    structured Gram two K-column stacks for its edge terms. Fits and
-    residuals evaluate lag by lag on slices of the signal and never stack
-    S."""
+    """Only the Grams stack a whole regressor: the dense Gram stacks T, the
+    structured Gram two K-column stacks for its edge terms. Where the
+    window is cut, fits and residuals stack T one chunk at a time, within
+    the elements of the Gram pass's chunk buffer; they never stack S."""
 
     @pytest.fixture
     def stacks(self, monkeypatch):
         shapes = []
         original = model._stack_regressor
 
-        def spy(x, k, direct):
-            stack = original(x, k, direct)
+        def spy(*args, **kwargs):
+            stack = original(*args, **kwargs)
             shapes.append(stack.shape)
             return stack
 
@@ -526,14 +536,25 @@ class TestRegressorStacks:
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_no_stack_above_the_dense_cut(self, stacks, complex_field):
-        k = 2
-        x = structured_series(4, k, 8192, seed=27, complex_field=complex_field)
+        m, k, n = 4, 2, 8192
+        x = structured_series(m, k, n, seed=27, complex_field=complex_field)
         fit = fit_rvar_ls(x, k)
         svar = fit_both(x, k).ls
         rvar_residuals(fit, x)
         model.svar_residuals(svar, x)
+        q = m * (k + 1) + 1
         # Head and tail edge stacks for each of the two Grams formed.
-        assert stacks == [(4 * (k + 1) + 1, k)] * 4
+        assert stacks.count((q, k)) == 4
+        chunk_widths = [width for rows, width in stacks if (rows, width) != (q, k)]
+        assert all(rows == q for rows, _ in stacks)
+        # Four passes over the window: V, fit_both's V V^H, and the two
+        # residual routines, each in chunks narrower than the Gram's.
+        bounds = linalg._chunk_bounds(m, n, k)
+        assert sum(chunk_widths) == 4 * (n - k)
+        assert len(chunk_widths) > 4 * (len(bounds) - 1)
+        # A chunk's stack beside the M x q coefficient block fits in the
+        # Gram pass's M-row buffer of its widest chunk.
+        assert q * (max(chunk_widths) + m) <= m * (bounds[-1] - bounds[-2])
 
     def test_dense_fit_both_stacks_t_once(self, stacks):
         m, k, n = 3, 2, 256
@@ -686,14 +707,19 @@ class TestRankDeficientMessages:
          "the signal is deterministic or has collinear branches"),
         ("ls", "regressor Gram matrix SS^H", 2, "the regressors are collinear"),
         ("ramp", "residual Gram matrix VV^H", 0, "residuals are rank deficient"),
+        # fit_both flushes on the trace of V V^H, summed without V.
+        ("both-ramp", "residual Gram matrix VV^H", 0, "residuals are rank deficient"),
     ])
     def test_message_and_cause(self, route, gram, index, cause):
         x = stable_series(2, 1, 200, seed=33)
         x[1] = x[0]  # a duplicated branch: T's row 2 repeats row 1
-        ramp = np.arange(50.0)[None, :]  # fitted exactly, so V is zero
+        # Fitted exactly up to rounding: V is flushed to zero, whose Gram
+        # fails at index 0. (An integer ramp leaves no rounding to flush.)
+        ramp = np.arange(50.0)[None, :] / 3
         fit = {"lic": lambda: fit_svar_lic(x, 1),
                "ls": lambda: fit_rvar_ls(x, 1),
-               "ramp": lambda: rvar_to_svar(fit_rvar_ls(ramp, 1))}[route]
+               "ramp": lambda: rvar_to_svar(fit_rvar_ls(ramp, 1)),
+               "both-ramp": lambda: fit_both(ramp, 1)}[route]
         with pytest.raises(RankDeficient) as info:
             fit()
         message = str(info.value)
@@ -703,6 +729,23 @@ class TestRankDeficientMessages:
             rf"{re.escape(cause)}", message), message
         assert type(info.value.__cause__) is NotPositiveDefinite
         assert message == f"{gram} is singular ({info.value.__cause__}); {cause}"
+
+
+class TestResidualFlush:
+    @pytest.mark.parametrize("width", [None, 8])
+    def test_fit_both_keeps_small_residuals_of_a_small_signal(self, chunks, width):
+        # White noise of 1e-13 at K = 0: residuals of 1e-13, whose squares
+        # sum to about 8e-25, below an absolute floor of
+        # RESIDUAL_FLUSH_RTOL^2 but not below the signal's share of it. The
+        # least-squares route whitens them. fit_both's least-squares half,
+        # which runs first, keeps them too, so the fit fails only in the
+        # direct half, whose pivot rule reads the signal against the ones
+        # row. Width 8 cuts fit_both's sum of V V^H into chunks.
+        x = 1e-13 * np.random.default_rng(39).standard_normal((2, 40))
+        with chunks(width):
+            assert whitening_error(rvar_to_svar(fit_rvar_ls(x, 0)), x) < 1e-8
+            with pytest.raises(RankDeficient, match=r"^stacked Gram matrix TT\^H"):
+                fit_both(x, 0)
 
 
 def stacked_coefficients(fit, d):
@@ -741,6 +784,49 @@ class TestBranchScaling:
         expected = stacked_coefficients(ROUTES["ls"](x, k), np.ones(m))
         error = np.linalg.norm(stacked_coefficients(ROUTES["ls"](scaled_x, k), d) - expected)
         assert error <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestFitBothLeastSquaresHalf:
+    """`fit_both` whitens from ``V V^H`` summed chunk by chunk, without V;
+    its least-squares half agrees with ``rvar_to_svar(fit_rvar_ls(x))``:
+    bit for bit where the window is one chunk, so both Grams of V are the
+    same product, and to rounding where it is cut."""
+
+    @staticmethod
+    def halves(x, k):
+        return fit_both(x, k).ls, rvar_to_svar(fit_rvar_ls(x, k))
+
+    @pytest.mark.parametrize("m,k,n", [(3, 2, 256), (24, 1, 600)])
+    def test_one_chunk_windows_agree_bit_for_bit(self, m, k, n):
+        # (24, 1, 600) forms the structured Gram, whose window M > 22 never cuts.
+        assert linalg._chunk_bounds(m, n, k) == [k, n]
+        both, ls = self.halves(stable_series(m, k, n, seed=37), k)
+        for a, b in [(both.L, ls.L), (both.t, ls.t), *zip(both.R, ls.R)]:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_cut_windows_agree_to_rounding(self, complex_field):
+        m, k, n = 4, 2, 8192
+        assert len(linalg._chunk_bounds(m, n, k)) > 2
+        both, ls = self.halves(stable_series(m, k, n, seed=38, complex_field=complex_field), k)
+        assert coefficient_discrepancy(ls, both) <= 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 3), k=st.integers(0, 3), complex_field=st.booleans(),
+           width=st.integers(1, 9), seed=st.integers(0, 2**31), data=st.data())
+    def test_chunked_windows_agree_to_rounding(self, chunks, m, k, complex_field, width,
+                                               seed, data):
+        # Windows of at least twice T's rows, cut into chunks of 1..9 samples.
+        q = m * (k + 1) + 1
+        n = k + data.draw(st.integers(2 * q, 2 * q + 8 * width))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, n))
+        if complex_field:
+            x = x + 1j * rng.standard_normal((m, n))
+        with chunks(width):
+            both, ls = self.halves(x, k)
+        assert coefficient_discrepancy(ls, both) <= 1e-13
 
 
 class TestEquivalence:

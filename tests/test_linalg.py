@@ -17,6 +17,7 @@ from svarlic.linalg import (
     _SOLVE_BLOCK,
     HERMITIAN_RTOL,
     PIVOT_RTOL,
+    _chunk_bounds,
     _divide_lower,
     _inverse_bottom_rows,
     as_matrix,
@@ -145,6 +146,29 @@ class TestGramHermitian:
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf)]
+
+
+class TestChunkBounds:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 24), k=st.integers(0, 16), window=st.integers(1, 300000))
+    def test_stacked_chunks_fit_the_m_row_buffer(self, m, k, window):
+        # A pass that stacks q = M(K+1)+1 rows per sample cuts the same
+        # window where the M-row pass cuts it, into as few near-equal
+        # chunks as keep the stack and an M x q block within the M-row
+        # buffer of the widest chunk, each at least one sample wide.
+        n, q = k + window, m * (k + 1) + 1
+        plain, stacked = _chunk_bounds(m, n, k), _chunk_bounds(m, n, k, q)
+        if len(plain) == 2:
+            assert stacked == plain
+            return
+        widths = np.diff(stacked)
+        assert (stacked[0], stacked[-1]) == (k, n)
+        assert 1 <= widths.min() and widths.max() - widths.min() <= 1
+        assert widths[-1] == widths.max()
+        budget = m * (plain[-1] - plain[-2])
+        assert q * (widths.max() + m) <= budget or widths.max() == 1
+        fewer = len(widths) - 1
+        assert fewer == 0 or q * (-(-window // fewer) + m) > budget
 
 
 class TestNonFiniteInput:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from svarlic import linalg, model
 from svarlic.complexity import lic_multiply_count, ls_multiply_count, savings_ratio
-from svarlic.estimators import fit_rvar_ls
+from svarlic.estimators import fit_both, fit_rvar_ls
 from svarlic.exceptions import DimensionMismatch, NumericalOverflow, OrderTooLarge
 from svarlic.model import (
     RvarCoefficients,
@@ -386,20 +386,24 @@ class TestChunkedResiduals:
         assert peak < m * (n - k) * 8 + 2 * chunk_bytes
 
     def test_residuals_cut_where_the_gram_does(self, monkeypatch):
-        # One rule cuts every pass over the samples: the least-squares fit
-        # asks it for the structured Gram's window, then for V's.
+        # One rule cuts every pass over the samples, asked once per pass:
+        # for the structured Gram's window with the Gram's M-row buffer,
+        # then for V's (or, in fit_both, V V^H's) with the q rows of T's
+        # chunk stack.
         seen = []
         original = linalg._chunk_bounds
 
-        def spy(m, n, k):
-            seen.append((m, n, k))
-            return original(m, n, k)
+        def spy(m, n, k, rows=None):
+            seen.append((m, n, k, rows))
+            return original(m, n, k, rows)
 
         monkeypatch.setattr(linalg, "_chunk_bounds", spy)
         monkeypatch.setattr(model, "_chunk_bounds", spy)
         x = np.random.default_rng(8).standard_normal((4, 8192))
-        fit_rvar_ls(x, 2)
-        assert seen == [(4, 8192, 2), (4, 8192, 2)]
+        for fit in (fit_rvar_ls, fit_both):
+            seen.clear()
+            fit(x, 2)
+            assert seen == [(4, 8192, 2, None), (4, 8192, 2, 13)]
 
 
 class TestSvarResiduals:

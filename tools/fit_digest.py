@@ -14,9 +14,11 @@ thread.
 Prints one ``shape output sha256`` row per output: the least-squares
 route's ``ls.c``, ``ls.A_i`` and ``ls.V``, then its whitened ``ls.L``,
 ``ls.R_i`` and ``ls.t``; the direct route's ``lic.L``, ``lic.R_i`` and
-``lic.t``; and ``both.discrepancy`` of `fit_both`. An array's digest covers
-its dtype, shape and bytes; the discrepancy's covers its `repr`. Run it on
-both trees and compare the output with `diff`.
+``lic.t``; and `fit_both`'s own least-squares half, ``both.ls.L``,
+``both.ls.R_i`` and ``both.ls.t``, and its ``both.discrepancy``. An
+array's digest covers its dtype, shape and bytes; the discrepancy's
+covers its `repr`. Run it on both trees and compare the output with
+`diff`.
 """
 
 from __future__ import annotations
@@ -50,12 +52,13 @@ def outputs(x: np.ndarray, k: int):
     yield "ls.c", rvar.c
     yield from ((f"ls.A_{i}", a) for i, a in enumerate(rvar.A, 1))
     yield "ls.V", rvar.V
+    both = estimators.fit_both(x, k)
     for route, svar in (("ls", estimators.rvar_to_svar(rvar)),
-                        ("lic", estimators.fit_svar_lic(x, k))):
+                        ("lic", estimators.fit_svar_lic(x, k)), ("both.ls", both.ls)):
         yield f"{route}.L", svar.L
         yield from ((f"{route}.R_{i}", r) for i, r in enumerate(svar.R, 1))
         yield f"{route}.t", svar.t
-    yield "both.discrepancy", estimators.fit_both(x, k).discrepancy
+    yield "both.discrepancy", both.discrepancy
 
 
 def main(argv: list[str]) -> int:
