@@ -2,7 +2,9 @@
 
 import contextlib
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from svarlic import linalg, model
 
@@ -27,3 +29,39 @@ def chunks():
             yield
 
     return cut
+
+
+class ResidualStacks:
+    """Window lengths for a property run under ``chunks(width)``, and a
+    check, once the property has run, that the residuals' stacked pass
+    (`linalg._chunk_bounds` with T's ``M(K+1)+1`` rows) cut the windows
+    into chunks one sample wide and, in at least a quarter of the windows
+    it cut, several samples wide."""
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+        self.examples = []
+
+    def window(self, data, m, k, width, lead, most):
+        """A sample count drawn with `data`: K + `lead`, 0 .. `most` whole
+        chunks of `width` samples and a rest of 0 .. `width` - 1. Drawn
+        directly, hypothesis favours windows below one chunk."""
+        n = (k + lead + width * data.draw(st.integers(0, most))
+             + data.draw(st.integers(0, width - 1)))
+        self.examples.append((m, n, k, width))
+        return n
+
+    def check(self):
+        widest = []
+        for m, n, k, width in self.examples:
+            with self.chunks(width):
+                bounds = linalg._chunk_bounds(m, n, k, m * (k + 1) + 1)
+            if len(bounds) > 2:
+                widest.append(np.diff(bounds).max())
+        assert widest and min(widest) == 1
+        assert sum(w >= 2 for w in widest) >= len(widest) / 4
+
+
+@pytest.fixture
+def residual_stacks(chunks):
+    return ResidualStacks(chunks)

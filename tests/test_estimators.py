@@ -812,21 +812,25 @@ class TestFitBothLeastSquaresHalf:
         both, ls = self.halves(stable_series(m, k, n, seed=38, complex_field=complex_field), k)
         assert coefficient_discrepancy(ls, both) <= 1e-13
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(m=st.integers(1, 3), k=st.integers(0, 3), complex_field=st.booleans(),
-           width=st.integers(1, 9), seed=st.integers(0, 2**31), data=st.data())
-    def test_chunked_windows_agree_to_rounding(self, chunks, m, k, complex_field, width,
-                                               seed, data):
-        # Windows of at least twice T's rows, cut into chunks of 1..9 samples.
-        q = m * (k + 1) + 1
-        n = k + data.draw(st.integers(2 * q, 2 * q + 8 * width))
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((m, n))
-        if complex_field:
-            x = x + 1j * rng.standard_normal((m, n))
-        with chunks(width):
-            both, ls = self.halves(x, k)
-        assert coefficient_discrepancy(ls, both) <= 1e-13
+    def test_chunked_windows_agree_to_rounding(self, chunks, residual_stacks):
+        # Windows of at least twice T's rows, cut into chunks of 1..48 samples.
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(m=st.integers(1, 3), k=st.integers(0, 3), complex_field=st.booleans(),
+               width=st.integers(1, 48), seed=st.integers(0, 2**31), data=st.data())
+        def check(m, k, complex_field, width, seed, data):
+            q = m * (k + 1) + 1
+            n = residual_stacks.window(data, m, k, width, lead=2 * q, most=8)
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((m, n))
+            if complex_field:
+                x = x + 1j * rng.standard_normal((m, n))
+            with chunks(width):
+                both, ls = self.halves(x, k)
+            assert coefficient_discrepancy(ls, both) <= 1e-13
+
+        check()
+        residual_stacks.check()
 
 
 class TestEquivalence:

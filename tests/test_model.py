@@ -332,44 +332,53 @@ def draw_signal(rng, m, n, complex_field):
 class TestChunkedResiduals:
     """Residuals written in several chunks of the window."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
-           width=st.integers(1, 9), seed=st.integers(0, 2**31), data=st.data())
-    def test_rvar_residuals_reproduce_the_fitted_v(self, chunks, m, k, complex_field, width,
-                                                   seed, data):
+    def test_rvar_residuals_reproduce_the_fitted_v(self, chunks, residual_stacks):
         # Windows with at least one residual degree of freedom (an exact fit
-        # flushes V to zero), cut into chunks of 1..9 samples whose width
-        # need not divide N-K.
-        n = k + data.draw(st.integers(m * k + 2, 8 * width + m * k + 2))
-        x = draw_signal(np.random.default_rng(seed), m, n, complex_field)
-        with chunks(width):
-            fit = fit_rvar_ls(x, k)
-            assert rvar_residuals(fit, x).tobytes() == fit.V.tobytes()
+        # flushes V to zero), cut into chunks of 1..48 samples whose width
+        # need not divide N-K; the stacked residual chunks are one sample
+        # wide at the narrowest and from about q (M+2)/M samples several.
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
-           complex_lags=st.booleans(), width=st.integers(1, 9),
-           seed=st.integers(0, 2**31), data=st.data())
-    def test_match_the_per_lag_definition(self, chunks, m, k, complex_field, complex_lags,
-                                          width, seed, data):
-        # Real L and t (or c) with complex R_i (or A_i) give complex residuals.
-        n = k + data.draw(st.integers(1, 6 * width))
-        rng = np.random.default_rng(seed)
-        x = draw_signal(rng, m, n, complex_field)
-        lags = tuple(draw_signal(rng, m, m, complex_lags) for _ in range(k))
-        mixing = np.tril(rng.standard_normal((m, m)), -1) + 2 * np.eye(m)
-        intercept = rng.standard_normal(m)
-        structural = SvarCoefficients(L=mixing, R=lags, t=intercept)
-        reduced = RvarCoefficients(c=intercept, A=lags)
-        for lead, model_, residuals in [(mixing @ x[:, k:], structural, svar_residuals),
-                                        (x[:, k:], reduced, rvar_residuals)]:
-            direct = lead - intercept[:, None]
-            for i, a in enumerate(lags, 1):
-                direct = direct - a @ x[:, k - i:n - i]
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
+               width=st.integers(1, 48), seed=st.integers(0, 2**31), data=st.data())
+        def check(m, k, complex_field, width, seed, data):
+            n = residual_stacks.window(data, m, k, width, lead=m * k + 2, most=8)
+            x = draw_signal(np.random.default_rng(seed), m, n, complex_field)
             with chunks(width):
-                chunked = residuals(model_, x)
-            assert chunked.dtype == direct.dtype
-            np.testing.assert_allclose(chunked, direct, rtol=1e-12, atol=1e-12)
+                fit = fit_rvar_ls(x, k)
+                assert rvar_residuals(fit, x).tobytes() == fit.V.tobytes()
+
+        check()
+        residual_stacks.check()
+
+    def test_match_the_per_lag_definition(self, chunks, residual_stacks):
+        # Real L and t (or c) with complex R_i (or A_i) give complex residuals.
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
+               complex_lags=st.booleans(), width=st.integers(1, 48),
+               seed=st.integers(0, 2**31), data=st.data())
+        def check(m, k, complex_field, complex_lags, width, seed, data):
+            n = residual_stacks.window(data, m, k, width, lead=1, most=6)
+            rng = np.random.default_rng(seed)
+            x = draw_signal(rng, m, n, complex_field)
+            lags = tuple(draw_signal(rng, m, m, complex_lags) for _ in range(k))
+            mixing = np.tril(rng.standard_normal((m, m)), -1) + 2 * np.eye(m)
+            intercept = rng.standard_normal(m)
+            structural = SvarCoefficients(L=mixing, R=lags, t=intercept)
+            reduced = RvarCoefficients(c=intercept, A=lags)
+            for lead, model_, residuals in [(mixing @ x[:, k:], structural, svar_residuals),
+                                            (x[:, k:], reduced, rvar_residuals)]:
+                direct = lead - intercept[:, None]
+                for i, a in enumerate(lags, 1):
+                    direct = direct - a @ x[:, k - i:n - i]
+                with chunks(width):
+                    chunked = residuals(model_, x)
+                assert chunked.dtype == direct.dtype
+                np.testing.assert_allclose(chunked, direct, rtol=1e-12, atol=1e-12)
+
+        check()
+        residual_stacks.check()
 
     def test_ls_memory_is_v_and_two_chunks(self):
         # V is allocated once; the lag products go through one chunk-sized

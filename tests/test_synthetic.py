@@ -5,9 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from svarlic import synthetic
 from svarlic.exceptions import NumericalOverflow
-from svarlic.model import SvarCoefficients, companion_spectral_radius, svar_residuals
+from svarlic.model import (
+    SvarCoefficients,
+    _implied_reduced_form,
+    companion_spectral_radius,
+    svar_residuals,
+)
 from svarlic.synthetic import OVERFLOW_LIMIT, random_stable_svar, simulate_series
 
 
@@ -27,6 +35,25 @@ def reference_recursion(model, noise):
                     col += a @ x[:, step - i]
             x[:, step] = col
     return x
+
+
+def single_sample_steps(model, n, seed, burn_in=None):
+    """`simulate_series`' recursion stepped one sample at a time, each step
+    adding ``[A_K .. A_1]`` times the K previous samples, without the
+    overflow check: what blocks of one sample must give bit for bit."""
+    m, k = model.branches, model.order
+    burn_in = 10 * k * m if burn_in is None else burn_in
+    total = burn_in + n
+    noise = full_noise(model, total, seed)
+    linv, lag_mats, intercept = _implied_reduced_form(model)
+    stacked = np.hstack([np.zeros((m, 0)), *lag_mats[::-1]])
+    driven = linv @ noise + intercept[:, None]
+    buf = np.zeros((k + total, m), dtype=driven.dtype)
+    buf[k:] = driven.T
+    flat = buf.reshape(-1)
+    for step in range(total):
+        buf[k + step] += stacked @ flat[step * m:(step + k) * m]
+    return np.ascontiguousarray(buf[k + burn_in:].T)
 
 
 def full_noise(model, total, seed):
@@ -169,6 +196,46 @@ class TestAgainstReferenceRecursion:
         assert np.array_equal(noise, shocks[:, burn:])
         assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 5), k=st.integers(0, 3), complex_field=st.booleans(),
+           burn_in=st.sampled_from([None, 0]), size=st.integers(2, 40),
+           seed=st.integers(0, 2**31), data=st.data())
+    def test_blocks_match_per_lag_loop(self, m, k, complex_field, burn_in, size, seed, data):
+        # Runs that end mid-block or are shorter than one block, in blocks of
+        # the rule's size and of any other.
+        burn = 10 * k * m if burn_in is None else burn_in
+        n = data.draw(st.integers(1, 4 * size).filter(
+            lambda n: (burn + n) % size or n < size))
+        model = random_stable_svar(m, k, seed, complex_field=complex_field)
+        expected = reference_recursion(model, full_noise(model, burn + n, seed))[:, burn:]
+        x = simulate_series(model, n, seed, burn_in=burn_in)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synthetic, "_block_size", lambda *args: size)
+            forced = simulate_series(model, n, seed, burn_in=burn_in)
+        for series in (x, forced):
+            assert np.abs(series - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("m,k,n,burn_in,complex_field", [
+        (40, 6, 200, None, False),  # a block response to the past above 128 KiB
+        (3, 2, 20, 0, False),       # a run too short for blocks
+        (3, 2, 20, 0, True),
+    ])
+    def test_single_sample_blocks_are_the_single_sample_step(self, m, k, n, burn_in,
+                                                             complex_field):
+        model = random_stable_svar(m, k, seed=3, complex_field=complex_field)
+        burn = 10 * k * m if burn_in is None else burn_in
+        assert synthetic._block_size(m, k, burn + n, 16 if complex_field else 8) == 1
+        x = simulate_series(model, n, seed=4, burn_in=burn_in)
+        assert x.tobytes() == single_sample_steps(model, n, seed=4, burn_in=burn_in).tobytes()
+
+    @pytest.mark.parametrize("m,k,n,complex_field,size", [
+        (3, 2, 384, False, 8), (4, 2, 65536, False, 64), (8, 8, 32768, True, 16),
+        (8, 8, 32768, False, 32), (64, 8, 8192, False, 1), (2, 0, 300, True, 1)])
+    def test_block_rule(self, m, k, n, complex_field, size):
+        # The benchmark's shapes; (64, 8) keeps the single-sample step.
+        total = 10 * k * m + n
+        assert synthetic._block_size(m, k, total, 16 if complex_field else 8) == size
+
 
 class TestOverflow:
     @pytest.mark.parametrize("model", [
@@ -184,6 +251,26 @@ class TestOverflow:
         x = reference_recursion(model, full_noise(model, burn + n, seed=8))
         first = np.flatnonzero(np.abs(x).max(axis=0) > OVERFLOW_LIMIT)[0] + 1
         assert re.match(rf"sample {first} exceeded 1e\+12; model is unstable",
+                        str(exc.value))
+
+    @pytest.mark.parametrize("model,offset", [
+        (unstable(2, 2, seed=5, gain=2.5), 0),   # on a block's first sample
+        (unstable(2, 2, seed=1, gain=3.0), 5),   # mid-block
+        (unstable(2, 2, seed=2, gain=10.0), 7),  # on a block's last sample
+        (unstable(3, 1, seed=0, gain=10.0), 6),  # tenfold growth per sample
+    ])
+    def test_names_first_sample_beyond_limit_at_block_edges(self, model, offset):
+        n = 400
+        total = 10 * model.order * model.branches + n
+        size = synthetic._block_size(model.branches, model.order, total, 8)
+        x = reference_recursion(model, full_noise(model, total, seed=8))
+        first = np.flatnonzero(np.abs(x).max(axis=0) > OVERFLOW_LIMIT)[0]
+        assert size == 8 and first % size == offset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalOverflow) as exc:
+                simulate_series(model, n, seed=8)
+        assert re.match(rf"sample {first + 1} exceeded 1e\+12; model is unstable",
                         str(exc.value))
 
     @pytest.mark.parametrize("model", [

@@ -11,14 +11,15 @@ K = 0, complex input, and least-squares solves below and above the LU
 block (p = M*K + 1 up to 64, and 65 and 513). The BLAS pool runs on one
 thread.
 
-Prints one ``shape output sha256`` row per output: the least-squares
-route's ``ls.c``, ``ls.A_i`` and ``ls.V``, then its whitened ``ls.L``,
-``ls.R_i`` and ``ls.t``; the direct route's ``lic.L``, ``lic.R_i`` and
-``lic.t``; and `fit_both`'s own least-squares half, ``both.ls.L``,
-``both.ls.R_i`` and ``both.ls.t``, and its ``both.discrepancy``. An
-array's digest covers its dtype, shape and bytes; the discrepancy's
-covers its `repr`. Run it on both trees and compare the output with
-`diff`.
+Prints one ``shape output sha256`` row per output: first the simulated
+input's ``series``, so that a fit row that moves can be traced to a moved
+input; then the least-squares route's ``ls.c``, ``ls.A_i`` and ``ls.V``,
+then its whitened ``ls.L``, ``ls.R_i`` and ``ls.t``; the direct route's
+``lic.L``, ``lic.R_i`` and ``lic.t``; and `fit_both`'s own least-squares
+half, ``both.ls.L``, ``both.ls.R_i`` and ``both.ls.t``, and its
+``both.discrepancy``. An array's digest covers its dtype, shape and
+bytes; the discrepancy's covers its `repr`. Run it on both trees and
+compare the output with `diff`.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ def main(argv: list[str]) -> int:
         m, k, n, *field = shape.split(",")
         model = synthetic.random_stable_svar(int(m), int(k), 1, complex_field=field == ["c"])
         x = synthetic.simulate_series(model, int(n), 2)
+        print(f"{shape} series {digest(x)}")
         for name, value in outputs(x, int(k)):
             print(f"{shape} {name} {digest(value)}")
     return 0
