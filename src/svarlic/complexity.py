@@ -14,10 +14,12 @@ factor, by block substitution in about ``q^2 M/2`` multiplies plus LU
 solves of blocks of order at most 64, yet ``U_hat`` is still charged the
 full ``q^3/2`` for factorizing and inverting, as in the paper's cost
 table, so the reproduced savings are the paper's. And ``TT^H`` is charged
-the paper's ``q^2 N/2`` for a dense Hermitian product, while above a small
-size the implementation forms it from the K+1 distinct M x M lag products
-of the series (`svarlic.model`), about ``M^2 (K+1) N`` multiplies; the
-least-squares route reads ``SS^H`` and ``XS^H`` off that same Gram.
+the paper's ``q^2 N/2`` for a dense Hermitian product, while wherever T
+does not fit in one chunk buffer (the rule is
+`svarlic.model._regressor_gram`'s) the implementation forms it from the
+K+1 distinct M x M lag products of the series, about ``M^2 (K+1) N``
+multiplies; the least-squares route reads ``SS^H`` and ``XS^H`` off that
+same Gram.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ One factorization of a slightly larger matrix replaces the whole
 least-squares chain.
 
 Both routes start from ``T T^H`` (`model._regressor_gram`): route 1 reads
-``S S^H`` and ``X S^H`` off its leading blocks. Above a size it is formed
-from the K+1 distinct lag products of the signal, so T is never built.
+``S S^H`` and ``X S^H`` off its leading blocks. Wherever T does not fit in
+one chunk buffer (the rule is `_regressor_gram`'s) it is formed from the
+K+1 distinct lag products of the signal, so T is never built.
 
 Both routes share S's row layout, so both read their coefficients through
 one block split, `model._unstack_coefficients`: from ``[c | A_1 .. A_K]``
@@ -233,9 +234,9 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
     ``C22^-1 [-G21 G11^-1, I]``, where ``C22`` factors the Schur
     complement, so reordering the regressor rows only permutes columns.
 
-    Above a size set by `model._DENSE_GRAM_WORK`, ``T T^H`` is formed from
-    the K+1 distinct M x M lag products of the signal and T itself is never
-    built.
+    Wherever T does not fit in one chunk buffer (`model._regressor_gram`
+    states the rule), ``T T^H`` is formed from the K+1 distinct M x M lag
+    products of the signal and T itself is never built.
 
     Raises the same errors as `fit_rvar_ls`, with the stricter sample
     requirement N - K >= M*(K+1) + 1.

@@ -47,9 +47,10 @@ NaN or leaks a numpy warning.
 Every pass over the samples is cut by one rule, `_chunk_bounds`. Every
 Gram product is summed by one chunk loop over those bounds,
 `_window_products`: the K+1 lag products of the structured regressor
-Gram, and with K = 0 the plain ``a a^H`` of `gram_hermitian`. The
-residuals (`model._residuals`) cut the same windows, into chunks as much
-narrower as their stacked rows are more than the Gram's M.
+Gram, and with K = 0 the plain ``a a^H`` of `gram_hermitian` and of the
+regressor Gram where T is stacked whole. The residuals
+(`model._residuals`) cut the same windows, into chunks as much narrower
+as their stacked rows are more than the Gram's M.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -153,7 +154,9 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
 #: (CHANGES.md has the sweep). A window is not cut where a chunk would hold
 #: fewer than `_MIN_CHUNK` samples (M > 22): products that wide gain
 #: nothing from that kernel and lose to per-call cost in narrow chunks.
-#: The residuals stack q = M(K+1)+1 rows per sample, so the rule cuts
+#: The M-row buffer of the widest chunk (`_chunk_width`) also decides where
+#: the regressor Gram stacks T whole (`model._regressor_gram` states the
+#: rule). The residuals stack q = M(K+1)+1 rows per sample, so the rule cuts
 #: their window into narrower chunks, whose stack and M x q coefficient
 #: block fit in the M-row buffer of the Gram's widest chunk: one product
 #: per chunk, of inner dimension q, in the memory that K products of inner
@@ -165,6 +168,13 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
 _CHUNK_WORK = 10 ** 6
 _CHUNK_SAMPLES = 6144
 _MIN_CHUNK = 2048
+
+
+def _chunk_width(m: int) -> int:
+    """The widest chunk, in samples, that `_chunk_bounds` allows a pass
+    over an M-branch signal: `_CHUNK_WORK` multiply-adds per M x M
+    product, and at most `_CHUNK_SAMPLES`."""
+    return min(_CHUNK_WORK // (m * m), _CHUNK_SAMPLES)
 
 
 def _chunk_bounds(m: int, n: int, k: int, rows: int | None = None) -> list[int]:
@@ -180,7 +190,7 @@ def _chunk_bounds(m: int, n: int, k: int, rows: int | None = None) -> list[int]:
     that is cut is cut into the fewest near-equal chunks for which that
     buffer and block fit in the elements of the M-row buffer of the
     widest chunk, each at least one sample wide."""
-    width = min(_CHUNK_WORK // (m * m), _CHUNK_SAMPLES)
+    width = _chunk_width(m)
     if width < _MIN_CHUNK or n - k <= width:
         return [k, n]
     chunks = -(-(n - k) // width)

@@ -21,13 +21,15 @@ and `_unstack_coefficients` is the one place that splits it into lags.
 
 Both routes start from the Gram ``T T^H`` of that layout
 (`_regressor_gram`). Its blocks are sliding-window lag covariances, so
-above a small size it is computed from the K+1 distinct M x M lag products
-of the signal, about ``M^2 (K+1) N`` multiplies, summed over chunks of
-samples by the package's one Gram chunk loop (`linalg._window_products`),
-and T is never stacked: where the window is cut, the working memory is
-one chunk-sized buffer. `svarlic.complexity` still charges the paper's
-``q^2 N / 2``. The fits read the signal's finiteness off that Gram
-rather than scanning the signal (`_check_signal`).
+wherever T does not fit in one chunk buffer (the rule is
+`_regressor_gram`'s) it is computed from the K+1 distinct M x M lag
+products of the signal, about ``M^2 (K+1) N`` multiplies, summed over
+chunks of samples by the package's one Gram chunk loop
+(`linalg._window_products`), and T is never stacked: where the window is
+cut, the working memory is one chunk-sized buffer. `svarlic.complexity`
+still charges the paper's ``q^2 N / 2``. The fits read the signal's
+finiteness off that Gram rather than scanning the signal
+(`_check_signal`).
 
 Residuals of either form, the least-squares fit's `V` included, are one
 expression, `_residuals`: one pass over the sample window, cut where the
@@ -42,10 +44,9 @@ a slice of the signal instead. `fit_both` sums ``V V^H`` over the same
 chunks, so where the window is cut it never holds `V` whole. So no fit
 or residual routine stacks S or the whole of T, and its working memory
 beside the result is one chunk's; S is stacked only by
-`build_regressor_s`, and T only by `build_regressor_t` and the dense
-Gram.
-The structured Gram stacks T's layout over two snippets of 2K samples at
-the ends of the signal, for its edge terms.
+`build_regressor_s`, and T only by `build_regressor_t` and the Gram
+where it fits in that buffer. The structured Gram stacks T's layout over
+two snippets of 2K samples at the ends of the signal, for its edge terms.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .linalg import (
     _as_float_matrix,
     _check_lower_factor,
     _chunk_bounds,
+    _chunk_width,
     _finish_gram,
     _finite,
     _inverse_bottom_rows,
@@ -222,8 +224,9 @@ def _check_signal(x: ArrayLike, k: int, branches: int | None = None) -> tuple[ND
 
 def _stack_regressor(x: NDArray, k: int, direct: bool, out: NDArray | None = None) -> NDArray:
     """Stack a regressor matrix from a checked signal `x` and order `k`
-    into a new array of `x`'s type, or into `out`, a buffer reused from
-    chunk to chunk whose row of ones is in place.
+    into a new array of `x`'s type, or into `out`, a buffer whose row of
+    ones is in place: the residuals' chunk buffer, or a half of the
+    regressor Gram's edge stacks.
 
     The stack is a row of ones over K blocks of M rows, lag 1 first, with
     `direct` over one more block, the current samples. This is the
@@ -241,32 +244,19 @@ def _stack_regressor(x: NDArray, k: int, direct: bool, out: NDArray | None = Non
     return stack
 
 
-#: `_regressor_gram` stacks T and forms the dense product while that
-#: product costs fewer than this many multiply-adds, ``q^2 (N-K)``; above
-#: it the lag products' saving outweighs their fixed cost of numpy calls.
-_DENSE_GRAM_WORK = 2 ** 20
-
-
 def _regressor_gram(x: NDArray, k: int) -> NDArray:
     """``T T^H`` for a checked signal `x` and order `k`, with T the
-    `build_regressor_t` stack: dense below `_DENSE_GRAM_WORK`, from lag
-    products above it (`_lag_covariance_gram`). Both forms are exactly
-    Hermitian with a real diagonal, raise `ValueError` naming the signal
-    if it has a non-finite entry, which the fits do not scan for, and
-    `NumericalOverflow` on a product of a finite signal that does not
-    fit."""
-    q = x.shape[0] * (k + 1) + 1
-    if q * q * (x.shape[1] - k) >= _DENSE_GRAM_WORK:
-        return _lag_covariance_gram(x, k)
-    try:
-        return gram_hermitian(_stack_regressor(x, k, direct=True))
-    except ValueError:  # T's entries are the signal's: name the signal
-        as_signal(x)
-        raise
+    `build_regressor_t` stack: exactly Hermitian with a real diagonal. It
+    raises `ValueError` naming the signal if the signal has a non-finite
+    entry, which the fits do not scan for, and `NumericalOverflow` on a
+    product of a finite signal that does not fit.
 
-
-def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
-    """``T T^H`` in T's row layout from K+1 lag products, without T.
+    One rule picks the form: T is stacked whole exactly where its
+    ``q (N-K)`` entries fit in the M-row buffer of the widest chunk of an
+    M-branch pass (``M * linalg._chunk_width(M)`` elements, the buffer
+    whose elements also bound the residuals' chunk stacks). There the Gram
+    is T's one product, which takes the fewest numpy calls. Elsewhere T is
+    never stacked, and the Gram comes from K+1 lag products.
 
     The block of ``T T^H`` at the rows of lags i and j is the sliding lag
     covariance ``sum_{n=K}^{N-1} x(n-i) x(n-j)^H`` (Whittle 1963; Morf,
@@ -281,43 +271,44 @@ def _lag_covariance_gram(x: NDArray, k: int) -> NDArray:
     conjugated copy of the window (complex input) where it is not, never
     T's ``M (K+1) N`` values.
 
-    The edge terms are stacks in T's own layout (`_stack_regressor`) of
-    two snippets of 2K samples: the first K samples followed by K zeros
-    (the head) and the last K followed by K zeros (the tail). In the s-th
-    column (s = 1 .. K) of a stack, the block of lag d holds
-    ``x(K-d+s)`` at the head and ``x(N-d+s)`` at the tail when s <= d, and
-    zero otherwise, and the ones row holds ones. So one signed product,
-    head columns added and tail columns subtracted, corrects every block,
-    the intercept row's lag sums included. At K = 0 no shift adds or drops
-    a sample, and the product is skipped.
+    The edge terms are two stacks in T's own layout (`_stack_regressor`),
+    written side by side into one q x 2K array, of two snippets of 2K
+    samples: the first K samples followed by K zeros (the head) and the
+    last K followed by K zeros (the tail). In the s-th column (s = 1 .. K)
+    of a stack, the block of lag d holds ``x(K-d+s)`` at the head and
+    ``x(N-d+s)`` at the tail when s <= d, and zero otherwise, and the ones
+    row holds ones. So one signed product, head columns added and tail
+    columns subtracted, corrects every block, the intercept row's lag sums
+    included. At K = 0 no shift adds or drops a sample, and the product
+    is skipped.
 
-    Each lag's row strip of window blocks is written into a view of the
-    Gram, so the Gram-sized arrays beside it are the edge terms' product
-    and the copy `_finish_gram` makes, one at a time.
+    Each block of the Gram is written in place from the lag products, so
+    the Gram-sized arrays beside it are the edge terms' product and the
+    copy `_finish_gram` makes, one at a time.
     """
     m, n = x.shape
     q = m * (k + 1) + 1
-    lags = np.array([*range(1, k + 1), 0])
     with np.errstate(over="ignore", invalid="ignore"):
+        if q * (n - k) <= m * _chunk_width(m):
+            (g,), _ = _window_products(_stack_regressor(x, k, direct=True), 0)
+            return _finish_gram(g, x, "signal")
         products, sums = _window_products(x, k, sums=True)
-        # toeplitz[K + i - j] is the window block of lags (i, j): P_{i-j}
-        # for i >= j, else P_{j-i}^H.
-        toeplitz = np.array([p.conj().T for p in products[:0:-1]] + products)
         g = np.empty((q, q), dtype=x.dtype)
         g[0, 0] = n - k
-        g[1:, 0] = np.tile(sums, k + 1)
+        blocks = [(slice(1 + b * m, 1 + (b + 1) * m), d)
+                  for b, d in enumerate([*range(1, k + 1), 0])]
+        for rows, i in blocks:
+            g[rows, 0] = sums
+            for columns, j in blocks:  # the window block of lags (i, j)
+                g[rows, columns] = products[i - j] if i >= j else products[j - i].conj().T
         g[0, 1:] = g[1:, 0].conj()
-        # strip[:, j] is the block of g at the rows of this lag and the
-        # columns of lags[j].
-        for strip, row in zip(g[1:, 1:].reshape(k + 1, m, k + 1, m),
-                              k + lags[:, None] - lags):
-            strip[...] = toeplitz[row].swapaxes(0, 1)
-        del products, toeplitz  # freed before the edge terms' product
+        del products  # freed before the edge terms' product
         if k:  # at K = 0 the window is the whole signal: no edge terms
-            pad = np.zeros((m, k), dtype=x.dtype)
-            head = _stack_regressor(np.concatenate([x[:, :k], pad], axis=1), k, direct=True)
-            tail = _stack_regressor(np.concatenate([x[:, n - k:], pad], axis=1), k, direct=True)
-            edges = np.concatenate([head, tail], axis=1)
+            edges = np.ones((q, 2 * k), dtype=x.dtype)
+            snippet = np.zeros((m, 2 * k), dtype=x.dtype)
+            for half, ends in enumerate((x[:, :k], x[:, n - k:])):
+                snippet[:, :k] = ends
+                _stack_regressor(snippet, k, True, edges[:, half * k:(half + 1) * k])
             g += (edges * np.repeat([1.0, -1.0], k)) @ edges.conj().T
     return _finish_gram(g, x, "signal")
 

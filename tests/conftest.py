@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from svarlic import linalg, model
+from svarlic import linalg
 
 
 @pytest.fixture(scope="session")
@@ -14,10 +14,11 @@ def chunks():
     """A context manager, ``with chunks(samples):``, inside which every
     pass over the samples, the Gram products and the residuals alike
     (`linalg._chunk_bounds`), cuts its window into near-equal chunks of at
-    most `samples` samples, however few, and every fit forms the structured
-    Gram, whose lag products those chunks feed; ``chunks(None)`` changes
-    nothing. It holds no state, so hypothesis tests enter it once per
-    example."""
+    most `samples` samples, however few. That shrinks the chunk buffer that
+    decides where `model._regressor_gram` stacks T whole, so every window
+    longer than `samples` forms the structured Gram, whose lag products
+    those chunks feed; ``chunks(None)`` changes nothing. It holds no state,
+    so hypothesis tests enter it once per example."""
 
     @contextlib.contextmanager
     def cut(samples):
@@ -25,7 +26,6 @@ def chunks():
             if samples is not None:
                 patch.setattr(linalg, "_CHUNK_SAMPLES", samples)
                 patch.setattr(linalg, "_MIN_CHUNK", 1)
-                patch.setattr(model, "_DENSE_GRAM_WORK", 0)
             yield
 
     return cut

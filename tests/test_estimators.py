@@ -94,7 +94,8 @@ class TestFitRvarLs:
                 <= 1e-8 * np.linalg.norm(x[:, 1:]) * np.linalg.norm(s))
 
     def test_stored_residuals_match_recomputation_bitwise(self):
-        # Small and dense, above the dense-Gram cut, and complex there.
+        # T stacked whole, and past the cut where it is (structured), real
+        # and complex.
         for m, k, n, complex_field in [(2, 2, 150, False), (4, 2, 8192, False),
                                        (8, 8, 4096, True)]:
             x = stable_series(m, k, n, seed=2, complex_field=complex_field)
@@ -388,17 +389,24 @@ class TestSignalCheckedOnce:
         assert [np.shape(a) for a in checked] == [x.shape]
 
 
+def stacks_t_whole(m, k, n):
+    """Whether `model._regressor_gram` stacks T whole for an M x N signal at
+    order K: where T's q (N-K) entries fit in the M-row buffer of the
+    widest chunk of an M-branch pass."""
+    return (m * (k + 1) + 1) * (n - k) <= m * linalg._chunk_width(m)
+
+
 def structured_series(m, k, n, seed, complex_field=False):
     """A stable series large enough that the routes form ``T T^H`` from lag
     products rather than from a stacked T."""
-    q = m * (k + 1) + 1
-    assert q * q * (n - k) >= model._DENSE_GRAM_WORK
+    assert not stacks_t_whole(m, k, n)
     return stable_series(m, k, n, seed, complex_field=complex_field)
 
 
 class TestStructuredGramRoutes:
-    """The routes at sizes above `model._DENSE_GRAM_WORK`, which the small
-    grids elsewhere never reach."""
+    """The routes at sizes where T does not fit the chunk buffer, so that
+    the Gram is formed from lag products, sizes which the small grids
+    elsewhere reach only under the `chunks` fixture."""
 
     @pytest.mark.parametrize("m,k,complex_field", [(4, 2, False), (3, 3, True)])
     def test_equivalence_and_whitening(self, m, k, complex_field):
@@ -428,18 +436,18 @@ class TestStructuredGramRoutes:
                 ROUTES[route](x * 1e160, 2)
 
     @pytest.mark.parametrize("route, n, message", [
-        ("ls", 105, "least squares needs N - K >= M*K + 1; "
-                    "got N-K=100 < 101 for M=20, K=5"),
-        ("both", 105, "least squares needs N - K >= M*K + 1; "
-                      "got N-K=100 < 101 for M=20, K=5"),
-        ("lic", 115, "direct route needs N - K >= M*(K+1) + 1; "
-                     "got N-K=110 < 121 for M=20, K=5"),
+        ("ls", 250, "least squares needs N - K >= M*K + 1; "
+                    "got N-K=240 < 241 for M=24, K=10"),
+        ("both", 250, "least squares needs N - K >= M*K + 1; "
+                      "got N-K=240 < 241 for M=24, K=10"),
+        ("lic", 274, "direct route needs N - K >= M*(K+1) + 1; "
+                     "got N-K=264 < 265 for M=24, K=10"),
     ])
     def test_insufficient_samples_message(self, route, n, message):
-        x = np.random.default_rng(24).standard_normal((20, n))
-        assert 121 ** 2 * (n - 5) >= model._DENSE_GRAM_WORK
+        x = np.random.default_rng(24).standard_normal((24, n))
+        assert not stacks_t_whole(24, 10, n)
         with pytest.raises(InsufficientSamples) as info:
-            ROUTES[route](x, 5)
+            ROUTES[route](x, 10)
         assert str(info.value) == message
 
 
@@ -765,8 +773,12 @@ class TestBranchScaling:
            structured=st.booleans(), seed=st.integers(0, 2**31), data=st.data())
     def test_power_of_two_branch_scaling(self, m, k, complex_field, structured, seed, data):
         q = m * (k + 1) + 1
-        # N on either side of the dense-Gram cut.
-        n = k + (-(-model._DENSE_GRAM_WORK // (q * q)) if structured else 16 * q)
+        # N on either side of the cut that stacks T whole; past it, windows
+        # of one chunk and of two.
+        width = linalg._chunk_width(m)
+        n = k + (data.draw(st.integers(m * width // q + 1, 2 * width)) if structured
+                 else 16 * q)
+        assert stacks_t_whole(m, k, n) != structured
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((m, n)) + rng.standard_normal((m, 1))
         if complex_field:
@@ -796,10 +808,12 @@ class TestFitBothLeastSquaresHalf:
     def halves(x, k):
         return fit_both(x, k).ls, rvar_to_svar(fit_rvar_ls(x, k))
 
-    @pytest.mark.parametrize("m,k,n", [(3, 2, 256), (24, 1, 600)])
+    @pytest.mark.parametrize("m,k,n", [(3, 2, 256), (24, 1, 1000)])
     def test_one_chunk_windows_agree_bit_for_bit(self, m, k, n):
-        # (24, 1, 600) forms the structured Gram, whose window M > 22 never cuts.
+        # (3, 2, 256) stacks T whole; (24, 1, 1000) forms the structured
+        # Gram, whose window M > 22 never cuts.
         assert linalg._chunk_bounds(m, n, k) == [k, n]
+        assert stacks_t_whole(m, k, n) == (m == 3)
         both, ls = self.halves(stable_series(m, k, n, seed=37), k)
         for a, b in [(both.L, ls.L), (both.t, ls.t), *zip(both.R, ls.R)]:
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
@@ -961,8 +975,10 @@ class TestFittedResults:
     def test_fits_equal_their_public_rebuild(self, m, k, complex_field, structured, seed,
                                              extra):
         q = m * (k + 1) + 1
-        # N on either side of the dense-Gram cut.
-        n = k + (-(-model._DENSE_GRAM_WORK // (q * q)) if structured else q + extra)
+        # N on either side of the cut that stacks T whole; past it, a window
+        # longer than one chunk.
+        n = k + (linalg._chunk_width(m) + extra if structured else q + extra)
+        assert stacks_t_whole(m, k, n) != structured
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((m, n))
         if complex_field:

@@ -14,7 +14,7 @@ from svarlic.exceptions import DimensionMismatch, NumericalOverflow, OrderTooLar
 from svarlic.model import (
     RvarCoefficients,
     SvarCoefficients,
-    _lag_covariance_gram,
+    _regressor_gram,
     _window_products,
     build_regressor_s,
     build_regressor_t,
@@ -195,15 +195,32 @@ class TestBuildRegressorT:
         assert np.array_equal(build_regressor_t(x, k)[:m * k + 1], build_regressor_s(x, k))
 
 
+def stack_spy(patch):
+    """Patch `model._stack_regressor` with a spy through `patch`; returns
+    the list of (stacked array, shape of the stack) it fills, one per call."""
+    seen = []
+    original = model._stack_regressor
+
+    def spy(a, k, direct, out=None):
+        stack = original(a, k, direct, out)
+        seen.append((a, stack.shape))
+        return stack
+
+    patch.setattr(model, "_stack_regressor", spy)
+    return seen
+
+
 class TestLagCovarianceGram:
     """The structured ``T T^H`` from lag products against the dense product
-    of the stacked T, at sizes the routes would send to the dense form."""
+    of the stacked T, at sizes the routes would send to the dense form:
+    under ``chunks(N - K)`` the window is one chunk, whose M-row buffer
+    cannot hold T's q rows, so the structured Gram is formed."""
 
     @staticmethod
     def check(x, k):
         t = build_regressor_t(x, k)
         dense = t @ t.conj().T
-        g = _lag_covariance_gram(x, k)
+        g = _regressor_gram(x, k)
         assert g.dtype == dense.dtype
         assert np.abs(g - dense).max() <= 1e-13 * np.abs(dense).max()
         assert np.array_equal(g, g.conj().T)
@@ -212,48 +229,44 @@ class TestLagCovarianceGram:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(m=st.integers(1, 5), k=st.integers(0, 6), complex_field=st.booleans(),
            seed=st.integers(0, 2**31), data=st.data())
-    def test_matches_dense_product(self, m, k, complex_field, seed, data):
+    def test_matches_dense_product(self, chunks, m, k, complex_field, seed, data):
         q = m * (k + 1) + 1
         n = k + data.draw(st.integers(q, 4 * q))
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((m, n))
         if complex_field:
             x = x + 1j * rng.standard_normal((m, n))
-        self.check(x, k)
+        with chunks(n - k):
+            self.check(x, k)
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("m,k,n", [(1, 6, 7), (2, 6, 10), (3, 4, 5), (5, 3, 5), (2, 2, 3)])
-    def test_series_shorter_than_twice_the_order(self, m, k, n, complex_field):
+    def test_series_shorter_than_twice_the_order(self, chunks, m, k, n, complex_field):
         # The head and tail edge samples overlap once N < 2K.
         rng = np.random.default_rng(n)
         x = rng.standard_normal((m, n))
         if complex_field:
             x = x + 1j * rng.standard_normal((m, n))
-        self.check(x, k)
+        with chunks(n - k):
+            self.check(x, k)
 
-    def test_overflow_raises_without_warnings(self):
+    def test_overflow_raises_without_warnings(self, chunks):
         x = np.random.default_rng(3).standard_normal((2, 40)) * 1e160
-        with pytest.raises(NumericalOverflow, match="overflows"):
-            _lag_covariance_gram(x, 2)
+        with chunks(38), pytest.raises(NumericalOverflow, match="overflows"):
+            _regressor_gram(x, 2)
 
     @pytest.mark.parametrize("complex_field", [False, True])
-    def test_order_zero_stacks_no_edge_terms(self, monkeypatch, complex_field):
+    def test_order_zero_stacks_no_edge_terms(self, chunks, monkeypatch, complex_field):
         # At K = 0 the window is the whole signal, so there are no edge
         # terms to stack.
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 40))
         if complex_field:
             x = x + 1j * rng.standard_normal((3, 40))
-        self.check(x, 0)
-        stacks = []
-        original = model._stack_regressor
-
-        def spy(x, k, direct):
-            stacks.append((k, direct))
-            return original(x, k, direct)
-
-        monkeypatch.setattr(model, "_stack_regressor", spy)
-        _lag_covariance_gram(x, 0)
+        with chunks(40):
+            self.check(x, 0)
+            stacks = stack_spy(monkeypatch)
+            _regressor_gram(x, 0)
         assert stacks == []
 
 
@@ -301,14 +314,14 @@ class TestChunkedGram:
         with chunks(500):
             tracemalloc.start()
             try:
-                _lag_covariance_gram(x, k)
+                _regressor_gram(x, k)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peak < m * (n - k) * 16
 
     def test_wide_gram_holds_one_gram_sized_temporary_at_a_time(self):
-        # The lag blocks are written into g strip by strip, so beside g only
+        # The lag blocks are written into g one by one, so beside g only
         # the edge product, then the copy that makes g exactly Hermitian, is
         # Gram-sized. Gathering the blocks into a Gram-sized array and
         # reshaping it held 3.3 Grams (8.83 MB) here.
@@ -317,11 +330,63 @@ class TestChunkedGram:
         gram_bytes = (m * (k + 1) + 1) ** 2 * 8
         tracemalloc.start()
         try:
-            _lag_covariance_gram(x, k)
+            _regressor_gram(x, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2.25 * gram_bytes
+
+
+class TestGramRule:
+    """`_regressor_gram` stacks T whole exactly where its ``q (N-K)``
+    entries fit in the M-row buffer of the widest chunk of an M-branch
+    pass, ``M * linalg._chunk_width(M)`` elements, and elsewhere forms the
+    structured Gram, whose only stacks are its two K-column edge stacks."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 5), k=st.integers(0, 4), complex_field=st.booleans(),
+           step=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2**31), data=st.data())
+    def test_stacks_t_exactly_where_it_fits(self, chunks, m, k, complex_field, step, seed,
+                                            data):
+        # N just below, at and just above the last N whose q (N-K) entries
+        # fit in M * width; a width that is a multiple of q puts that N's
+        # q (N-K) on M * width exactly.
+        q = m * (k + 1) + 1
+        width = data.draw(st.one_of(st.integers(1, 3 * q),
+                                    st.integers(1, 3).map(lambda c: c * q)))
+        n = k + max(m * width // q + step, 1)
+        x = draw_signal(np.random.default_rng(seed), m, n, complex_field)
+        with chunks(width), pytest.MonkeyPatch.context() as patch:
+            seen = stack_spy(patch)
+            g = _regressor_gram(x, k)
+        t = build_regressor_t(x, k)
+        expected = t @ t.conj().T
+        assert g.dtype == expected.dtype
+        assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.array_equal(g, g.conj().T)
+        assert np.all(g.diagonal().imag == 0)
+        if q * (n - k) <= m * width:
+            assert [(a is x, shape) for a, shape in seen] == [(True, (q, n - k))]
+        else:
+            assert [(a is x, shape) for a, shape in seen] == [(False, (q, k))] * 2 * (k > 0)
+
+    @pytest.mark.parametrize("m, k, n, complex_field, whole", [
+        (3, 2, 256, False, True),  # rolling_panel's windows
+        (4, 2, 65536, False, False),  # tall_real
+        (64, 8, 8192, False, False),  # wide_real
+        (8, 8, 32768, True, False),  # complex_mid
+    ])
+    def test_benchmark_shapes_keep_their_branch(self, monkeypatch, m, k, n, complex_field,
+                                                whole):
+        # The shapes of the benchmark's workloads: only rolling_panel's
+        # windows stack T; the others stack no more than K columns a call.
+        x = draw_signal(np.random.default_rng(n), m, n, complex_field)
+        seen = stack_spy(monkeypatch)
+        _regressor_gram(x, k)
+        if whole:
+            assert [(a is x, shape) for a, shape in seen] == [(True, (m * (k + 1) + 1, n - k))]
+        else:
+            assert [shape[1] for _, shape in seen] == [k, k]
 
 
 def draw_signal(rng, m, n, complex_field):

@@ -7,9 +7,10 @@ Each shape is fitted on one seeded series: the model is drawn with
 `random_stable_svar(M, K, seed=1)`, complex with a trailing ``,c``, and
 the series with `simulate_series(model, N, seed=2)`. Without arguments the
 shapes are those below, which cover dense, one-chunk and cut Gram windows,
-K = 0, complex input, and least-squares solves below and above the LU
-block (p = M*K + 1 up to 64, and 65 and 513). The BLAS pool runs on one
-thread.
+shapes just either side of the rule that stacks T whole for the Gram
+(`model._regressor_gram`), K = 0, complex input, and least-squares solves
+below and above the LU block (p = M*K + 1 up to 64, and 65 and 513). The
+BLAS pool runs on one thread.
 
 Prints one ``shape output sha256`` row per output: first the simulated
 input's ``series``, so that a fit row that moves can be traced to a moved
@@ -37,7 +38,7 @@ import numpy as np  # noqa: E402
 from svarlic import estimators, synthetic  # noqa: E402
 
 SHAPES = ("3,2,256", "4,2,65536", "8,8,32768,c", "64,8,8192", "2,0,300,c",
-          "5,1,600", "16,4,2048")
+          "5,1,600", "16,4,2048", "4,2,4098", "4,2,4098,c", "2,6,4102,c", "16,4,166")
 
 
 def digest(value: object) -> str:
