@@ -68,7 +68,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_fit(args) -> int:
     x = _read_csv(args.input, args.header)
-    m, n = x.shape
     k = args.order
     if args.method == "ls":
         model = rvar_to_svar(fit_rvar_ls(x, k))
@@ -82,7 +81,7 @@ def _cmd_fit(args) -> int:
         discrepancy = result.discrepancy
     report = render_fit_report(
         model,
-        m=m, n=n, k=k,
+        n=x.shape[1],
         method=args.method,
         source=args.input,
         whitening=whitening_error(model, x),

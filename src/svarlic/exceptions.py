@@ -32,6 +32,9 @@ class RankDeficient(NotPositiveDefinite):
 
 
 class NumericalOverflow(SvarlicError):
-    """A computed value left the range double precision can hold: a
-    simulated sample exceeded the overflow guard (the model is unstable
-    or was run too long), or a Gram product of a fit's input overflowed."""
+    """A computed value left its range. Any result computed from checked
+    input that leaves double precision raises it (`linalg._finite`, the
+    package's one rule for that): Gram products, residuals, solves and
+    inverses, rescaled and implied coefficients, and the diagnostics
+    alike. So does a simulated sample beyond `synthetic.OVERFLOW_LIMIT`
+    (the model is unstable or was run too long)."""

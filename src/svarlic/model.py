@@ -34,19 +34,21 @@ finiteness off that Gram rather than scanning the signal
 Residuals of either form, the least-squares fit's `V` included, are one
 expression, `_residuals`: one pass over the sample window, cut where the
 Gram products cut it (`linalg._chunk_bounds`, the one rule for every
-pass over the samples). Where the window is cut, each chunk's rows of T
+pass over the samples). Where the window is cut it is one loop for the
+residuals and for `fit_both`'s ``V V^H`` alike: each chunk's rows of T
 are stacked into one reused buffer (`_stack_regressor`), and one product
 with the coefficient block ``[-c | -A_1 .. -A_K | I]``, or
-``[-t | -R_1 .. -R_K | L]``, writes that chunk of the result in place;
-the chunks are narrowed so that the stack and the block fit in the Gram
-pass's chunk buffer. A window of one chunk takes one product per lag on
-a slice of the signal instead. `fit_both` sums ``V V^H`` over the same
-chunks, so where the window is cut it never holds `V` whole. So no fit
-or residual routine stacks S or the whole of T, and its working memory
-beside the result is one chunk's; S is stacked only by
-`build_regressor_s`, and T only by `build_regressor_t` and the Gram
-where it fits in that buffer. The structured Gram stacks T's layout over
-two snippets of 2K samples at the ends of the signal, for its edge terms.
+``[-t | -R_1 .. -R_K | L]``, writes that chunk's residuals, into the
+result or, for ``V V^H``, into one reused chunk buffer whose Gram is
+summed, so `fit_both` never holds `V` whole there. The chunks are
+narrowed so that the stack and the block fit in the Gram pass's chunk
+buffer. A window of one chunk takes one product per lag on a slice of
+the signal instead. So no fit or residual routine stacks S or the whole
+of T, and its working memory beside the result is one chunk's; S is
+stacked only by `build_regressor_s`, and T only by `build_regressor_t`
+and the Gram where it fits in that buffer. The structured Gram stacks
+T's layout over two snippets of 2K samples at the ends of the signal, for
+its edge terms.
 """
 
 from __future__ import annotations
@@ -354,24 +356,25 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     One pass over the sample window, cut where the Gram products cut it
     (`linalg._chunk_bounds`). A window of one chunk gets the lead term
     minus the intercept, then one product per lag on a slice of `x`
-    through a buffer the size of the result. A cut window is cut again,
-    into chunks narrow enough that T's rows of a chunk, stacked into one
-    reused buffer (`_stack_regressor`), and the coefficient block
+    through a buffer the size of the result. A cut window is one loop,
+    for the residuals and their Gram alike. It is cut again, into chunks
+    narrow enough that T's rows of a chunk, stacked into one reused
+    buffer (`_stack_regressor`), and the coefficient block
     ``[-intercept | -lags | mixing]`` fit in the elements of the Gram
-    pass's M-row chunk buffer: each chunk of the result is one product of
-    the two, with T's q rows as its inner dimension, written in place.
-    With `gram` the chunk is written into one reused buffer instead, and
-    its Gram summed as `_window_products` sums one, through a conjugated
-    copy as the second operand, so the result is never held whole. So S
-    is never stacked, nor T whole, and the working memory besides the
-    result is one chunk's.
+    pass's M-row chunk buffer. Each chunk's residuals are one product of
+    the two, with T's q rows as its inner dimension, written into that
+    chunk of the result, or with `gram` into one reused chunk buffer
+    whose Gram is summed as `_window_products` sums one, through a
+    conjugated copy as the second operand, so the result is never held
+    whole. So S is never stacked, nor T whole, and the working memory
+    besides the result is one chunk's.
     """
     m, n = x.shape
     operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
     dtype = np.result_type(*operands)
     q = m * (k + 1) + 1
     bounds = _chunk_bounds(m, n, k, rows=q)
-    if len(bounds) == 2:
+    if len(bounds) == 2:  # per-lag: a stack here ran 1.06x the fit at (3,2,256)
         r = np.empty((m, n - k), dtype=dtype)
         if mixing is None:
             r[...] = x[:, k:]
@@ -384,30 +387,31 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
             r -= product
         del product  # freed before the Gram's conjugated copy
         return _window_products(r, 0)[0][0] if gram else r
+    # Stacked: per-lag chunks ran 1.07x (ls) and 1.12x (both) at (8,8,32768) c.
     block = np.concatenate((-intercept[:, None], *(-lag for lag in lags),
                             np.eye(m) if mixing is None else mixing), axis=1, dtype=dtype)
     width = bounds[-1] - bounds[-2]
     buffer = np.empty((q, width), dtype=dtype)
     buffer[0] = 1  # the stacks' row of ones, written once
-    if not gram:
+    if gram:
+        chunk, copy = np.empty((2, m, width), dtype=dtype)
+        g, term = np.zeros((2, m, m), dtype=dtype)
+    else:
         r = np.empty((m, n - k), dtype=dtype)
-        for a, b in pairwise(bounds):
-            stack = _stack_regressor(x[:, a - k:b], k, True, buffer[:, :b - a])
-            np.matmul(block, stack, out=r[:, a - k:b - k])
-        return r
-    chunk, copy = np.empty((2, m, width), dtype=dtype)
-    g, term = np.zeros((2, m, m), dtype=dtype)
     for a, b in pairwise(bounds):
         stack = _stack_regressor(x[:, a - k:b], k, True, buffer[:, :b - a])
-        v, v_conj = chunk[:, :b - a], copy[:, :b - a]
+        v = chunk[:, :b - a] if gram else r[:, a - k:b - k]
         np.matmul(block, stack, out=v)
-        if dtype.kind == "c":
-            np.conjugate(v, out=v_conj)
-        else:
-            v_conj[...] = v
-        np.matmul(v, v_conj.T, out=term)
-        g += term
-    return g
+        if gram:
+            # A copy: v @ v^H, one buffer, goes to syrk: 1.21x both at (4,2,65536).
+            v_conj = copy[:, :b - a]
+            if dtype.kind == "c":
+                np.conjugate(v, out=v_conj)
+            else:  # assignment: 1.9 us against 3.5 for np.conjugate(out=)
+                v_conj[...] = v
+            np.matmul(v, v_conj.T, out=term)
+            g += term
+    return g if gram else r
 
 
 def _caller_residuals(model: SvarCoefficients | RvarCoefficients, x: ArrayLike,
@@ -454,8 +458,7 @@ def companion_matrix(a: tuple[NDArray, ...] | list[NDArray]) -> NDArray:
     dtype = np.result_type(*(ai.dtype for ai in a))
     comp = np.zeros((m * k, m * k), dtype=dtype)
     comp[:m, :] = np.hstack(a)
-    if k > 1:
-        comp[m:, :-m] = np.eye(m * (k - 1), dtype=dtype)
+    comp[m:, :-m] = np.eye(m * (k - 1), dtype=dtype)
     return comp
 
 

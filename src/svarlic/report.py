@@ -50,14 +50,15 @@ def _coefficient_lines(model: SvarCoefficients) -> list[str]:
 def render_fit_report(
     model: SvarCoefficients,
     *,
-    m: int,
     n: int,
-    k: int,
     method: str,
     source: str,
     whitening: float,
     discrepancy: float | None = None,
 ) -> str:
+    """Report of a fit of `model` to N = `n` samples: M and K are read off
+    the model."""
+    m, k = model.branches, model.order
     lines = [
         "svarlic fit report",
         f"input: {source}",

@@ -66,8 +66,7 @@ def random_stable_svar(
 
     mixing = np.zeros((m, m), dtype=np.complex128 if complex_field else np.float64)
     idx = np.tril_indices(m, -1)
-    if idx[0].size:
-        mixing[idx] = 0.3 * draw(idx[0].size)
+    mixing[idx] = 0.3 * draw(idx[0].size)
     np.fill_diagonal(mixing, rng.uniform(0.5, 1.5, size=m))
     intercept = draw(m)
 
@@ -141,7 +140,7 @@ def simulate_series(
         buf = np.zeros((k + blocks * size, m), dtype=driven.dtype)
         buf[k:k + total] = driven.T
         past = stacked
-        if size > 1:
+        if size > 1:  # B = 1 through the block response: +3-4 ms per (64,8) series
             past, driving = _block_response(stacked, m, k, size)
             rows = buf[k:].reshape(blocks, width)
             rows[:, m:] += rows[:, :-m] @ driving.T

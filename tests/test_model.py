@@ -445,6 +445,34 @@ class TestChunkedResiduals:
         check()
         residual_stacks.check()
 
+    def test_gram_mode_is_the_gram_of_the_residuals(self, chunks, residual_stacks):
+        # fit_both's V V^H comes out of the residuals' own chunk loop: with
+        # and without a mixing matrix, and complex lags on a real signal,
+        # it is r r^H of the residuals r to rounding.
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
+               complex_lags=st.booleans(), mixed=st.booleans(), width=st.integers(1, 48),
+               seed=st.integers(0, 2**31), data=st.data())
+        def check(m, k, complex_field, complex_lags, mixed, width, seed, data):
+            n = residual_stacks.window(data, m, k, width, lead=1, most=6)
+            rng = np.random.default_rng(seed)
+            x = draw_signal(rng, m, n, complex_field)
+            lags = tuple(draw_signal(rng, m, m, complex_lags) for _ in range(k))
+            mixing = (np.tril(rng.standard_normal((m, m)), -1) + 2 * np.eye(m)
+                      if mixed else None)
+            intercept = rng.standard_normal(m)
+            with chunks(width):
+                r = model._residuals(x, k, mixing, intercept, lags)
+                g = model._residuals(x, k, mixing, intercept, lags, gram=True)
+            expected = r @ r.conj().T
+            assert g.dtype == r.dtype
+            np.testing.assert_allclose(g, expected, rtol=0,
+                                       atol=1e-13 * np.abs(expected).max())
+
+        check()
+        residual_stacks.check()
+
     def test_ls_memory_is_v_and_two_chunks(self):
         # V is allocated once; the lag products go through one chunk-sized
         # buffer, not one M x (N-K) temporary per lag.
@@ -593,6 +621,11 @@ class TestCompanion:
         assert np.array_equal(comp[:2, 2:], a2)
         assert np.array_equal(comp[2:, :2], np.eye(2))
         assert np.array_equal(comp[2:, 2:], np.zeros((2, 2)))
+
+    def test_companion_matrix_of_one_lag_is_the_lag(self):
+        a1 = np.array([[1.0, 2.0], [3.0, 4j]])
+        comp = companion_matrix((a1,))
+        assert comp.dtype == a1.dtype and np.array_equal(comp, a1)
 
     def test_companion_requires_a_lag(self):
         with pytest.raises(ValueError):

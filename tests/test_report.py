@@ -45,7 +45,7 @@ def small_model():
 
 class TestFitReport:
     def test_field_order(self):
-        text = render_fit_report(small_model(), m=1, n=10, k=1, method="both",
+        text = render_fit_report(small_model(), n=10, method="both",
                                  source="x.csv", whitening=1e-15,
                                  discrepancy=2e-16)
         keys = [line.split(":")[0] for line in text.strip().splitlines()[1:]]
@@ -53,13 +53,19 @@ class TestFitReport:
                         "L", "R_1", "t", "whitening_error", "ls_multiplies",
                         "lic_multiplies", "savings_ratio", "discrepancy"]
 
+    def test_shape_is_read_off_the_model(self):
+        model = SvarCoefficients(L=np.eye(2))
+        text = render_fit_report(model, n=10, method="lic", source="x.csv",
+                                 whitening=0.0)
+        assert "branches_m: 2\nsamples_n: 10\norder_k: 0\n" in text
+
     def test_discrepancy_omitted_for_single_method(self):
-        text = render_fit_report(small_model(), m=1, n=10, k=1, method="ls",
+        text = render_fit_report(small_model(), n=10, method="ls",
                                  source="x.csv", whitening=0.0)
         assert "discrepancy" not in text
 
     def test_deterministic(self):
-        args = dict(m=1, n=10, k=1, method="lic", source="x.csv", whitening=0.5)
+        args = dict(n=10, method="lic", source="x.csv", whitening=0.5)
         assert (render_fit_report(small_model(), **args)
                 == render_fit_report(small_model(), **args))
 
