@@ -13,6 +13,7 @@ single diagnostic line to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import statistics
 import sys
 import time
@@ -21,7 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import fit_both, fit_rvar_ls, fit_svar_lic, rvar_to_svar
+from .estimators import (
+    _require_samples,
+    fit_both,
+    fit_rvar_ls,
+    fit_svar_lic,
+    rvar_to_svar,
+)
 from .exceptions import (
     InsufficientSamples,
     NotPositiveDefinite,
@@ -111,24 +118,38 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    _, x = _dataset(args)
-
-    fits = (lambda: rvar_to_svar(fit_rvar_ls(x, args.order)),
-            lambda: fit_svar_lic(x, args.order))
+def _alternating_seconds(fits, trials: int) -> list[list[float]]:
+    """Seconds of each of the calls `fits`, one list per fit: one untimed
+    warm-up call each, then every fit once per trial, in reverse order
+    every other trial, so all see the same drift of the host and the same
+    heap history. The garbage collector is off during each timed call."""
     for fit in fits:
         fit()  # warm-up, untimed
-    # The routes alternate, and swap which goes first every trial, so both
-    # see the same drift of the host and the same heap history.
-    samples = ([], [])
-    for trial in range(args.trials):
-        for route in (0, 1) if trial % 2 == 0 else (1, 0):
-            start = time.perf_counter()
-            fits[route]()
-            samples[route].append(time.perf_counter() - start)
-    ls_median, lic_median = map(statistics.median, samples)
+    samples = [[] for _ in fits]
+    order = list(range(len(fits)))
+    for trial in range(trials):
+        for i in order if trial % 2 == 0 else order[::-1]:
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                fits[i]()
+                samples[i].append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+    return samples
+
+
+def _cmd_bench(args) -> int:
+    _, x = _dataset(args)
+    k = args.order
+    # Both routes' sample rules, in `fit_both`'s order, before a warm-up
+    # fit can fail on a series too short for the other route.
+    _require_samples(x.shape, k, direct=False)
+    _require_samples(x.shape, k, direct=True)
+    ls_median, lic_median = map(statistics.median, _alternating_seconds(
+        (lambda: rvar_to_svar(fit_rvar_ls(x, k)), lambda: fit_svar_lic(x, k)), args.trials))
     report = render_bench_report(
-        m=args.branches, k=args.order, n=args.length,
+        m=args.branches, k=k, n=args.length,
         trials=args.trials, seed=args.seed,
         ls_median=ls_median, lic_median=lic_median,
     )
@@ -160,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--length", "-n", required=True, type=_int_at_least(1),
                       help="number of samples N")
     dataset = argparse.ArgumentParser(add_help=False, parents=[size])
-    dataset.add_argument("--seed", type=int, default=0)
+    dataset.add_argument("--seed", type=_int_at_least(0), default=0)
     dataset.add_argument("--radius", type=float, default=0.8,
                          help="target companion spectral radius in (0, 1)")
 

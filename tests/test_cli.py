@@ -1,5 +1,6 @@
 """CLI tests, run in process through svarlic.cli.main."""
 
+import gc
 from types import SimpleNamespace
 
 import numpy as np
@@ -263,6 +264,26 @@ class TestBench:
         assert log == ["ls", "lic"] + sum(timed, [])
         assert "trials=4" in out
 
+    def test_series_too_short_for_the_direct_route_names_it(self, capsys):
+        # N-K = 3 meets the LS rule (3 >= 3) but not the direct one (5).
+        code, out, err = run(capsys, "bench", "-m", "2", "-k", "1", "-n", "4")
+        assert (code, out) == (3, "")
+        assert err == ("svarlic: error: direct route needs N - K >= M*(K+1) + 1; "
+                       "got N-K=3 < 5 for M=2, K=1\n")
+
+    def test_collector_is_off_only_in_timed_calls_and_back_on_after_a_raise(self):
+        seen = []
+
+        def fit():
+            seen.append(gc.isenabled())
+            if len(seen) == 3:
+                raise RuntimeError("third call")
+
+        with pytest.raises(RuntimeError):
+            cli._alternating_seconds([fit], 5)
+        assert seen == [True, False, False]
+        assert gc.isenabled()
+
     def test_zero_trials_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "-m", "2", "-k", "1", "-n", "64", "--trials", "0"])
@@ -307,3 +328,12 @@ class TestUsageErrors:
             main(["simulate", "-m", "0", "-k", "1", "-n", "8",
                   "-o", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_negative_seed_names_the_flag(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-m", "2", "-k", "1", "-n", "64", "--seed", "-1",
+                  "-o", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            "svarlic: error: argument --seed: must be >= 0, got -1\n"

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -14,21 +16,6 @@ def load_tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_fit_faults_prints_every_route():
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "fit_faults.py"), "2", "1", "200",
-         "--complex", "--rounds", "3"],
-        capture_output=True, text=True, check=True).stdout
-    header, *rows = out.strip().splitlines()
-    assert header == "route median_s minflt_per_fit peak_mib"
-    assert [row.split()[0] for row in rows] == ["lic", "ls", "both"]
-    for row in rows:
-        _, seconds, faults, peak = row.split()
-        assert float(seconds) > 0 and float(faults) >= 0
-        # Every fit holds at least its Gram, (M(K+1)+1)^2 complex values.
-        assert float(peak) >= 5 * 5 * 16 / 2**20
 
 
 CODE_LINES_PACKAGE = {
@@ -105,13 +92,26 @@ def test_ab_inprocess_times_every_route_on_both_sides():
          "2", "1", "64", "--complex", "--rounds", "3"],
         capture_output=True, text=True, check=True).stdout
     header, *rows = out.strip().splitlines()
-    assert header.split() == ["route", "parent_s", "change_s", "ratio", "won"]
+    assert header.split() == ["route", "parent_s", "change_s", "ratio", "won",
+                              "parent_minflt", "change_minflt", "parent_mib", "change_mib"]
     assert [row.split()[0] for row in rows] == ["lic", "ls", "both"]
     for row in rows:
-        _, parent, change, ratio, won = row.split()
+        _, parent, change, ratio, won, *faults_and_peaks = row.split()
         assert float(parent) > 0 and float(change) > 0 and float(ratio) > 0
         wins, rounds = won.split("/")
         assert 0 <= int(wins) <= int(rounds) == 3
+        assert all(int(faults) >= 0 for faults in faults_and_peaks[:2])
+        # Every fit holds at least its Gram, (M(K+1)+1)^2 complex values.
+        assert all(float(peak) >= 5 * 5 * 16 / 2**20 for peak in faults_and_peaks[2:])
+
+
+def test_ab_inprocess_rejects_zero_rounds():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), str(ROOT), str(ROOT),
+         "2", "1", "64", "--rounds", "0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines()[-1].endswith("--rounds must be at least 1")
 
 
 def summary_line(metrics, correct=True, attempted=100, failed=0):
@@ -144,3 +144,12 @@ def test_bench_pairs_summarizes_each_end_to_end_metric():
     ]
     assert not correct
     assert bench_pairs.summarize(parent, parent, better)[1]
+
+
+def test_bench_pairs_rejects_zero_pairs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_tool("bench_pairs").main([str(ROOT), str(ROOT), "--workload", "all",
+                                       "--pairs", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
+        "--pairs must be at least 1")

@@ -1,76 +1,108 @@
-"""Time the fit routes of two trees in one process, call against call.
+"""Time the fit routes of two trees in one process, call against call, and
+count each fit's minor page faults and trace its peak memory.
 
     python3 tools/ab_inprocess.py PARENT_TREE CHANGE_TREE M K N [--complex]
-                                  [--rounds R]
+                                  [--rounds R] [--seed S]
 
 Each tree's ``src/svarlic`` is copied into one temporary directory under
 its own package name, and both copies are imported into this process, so
 the two sides share one interpreter, one heap and one BLAS. The series is
-the change tree's, seeded as `tools/fit_faults.py` seeds it with its
-default seed 1, complex with ``--complex``. Every round fits it once by
-each of that tool's routes, ``lic``, ``ls`` and ``both``, on both sides,
-the parent first in even rounds and the change first in odd ones, with the
-garbage collector off during each call. The BLAS pool runs on one thread.
+the change tree's: its model is drawn with seed S (default 1) and the
+series with S + 1, as `svarlic simulate` does, complex with ``--complex``.
+Each route, ``lic`` (`fit_svar_lic`), ``ls`` (`fit_rvar_ls` then
+`rvar_to_svar`) and ``both`` (`fit_both`), is fitted on both sides, the
+parent's and the change's calls next to each other. The calls are timed
+in R rounds by `svarlic bench`'s loop, taken from this tool's own tree:
+one untimed warm-up each, every call once per round in reverse order every
+other round, the garbage collector off during each call. So the parent
+goes first in even rounds and the change in odd ones. After the timed
+rounds, one untimed fit per side and route runs under
+`getrusage(RUSAGE_SELF)` and one more under `tracemalloc`, as perfbench's
+peak-memory pass does. The BLAS pool runs on one thread.
 
 Prints one row per route: each side's median seconds per call, the median
-of the change-over-parent ratios of the R pairs, and the pairs the change
-won. Drift in the host's speed over seconds moves both sides of a pair
-alike, so the paired ratio resolves edits of a few microseconds that
-alternating subprocess runs cannot; `tools/bench_pairs.py` runs the
-benchmark itself. The temporary directory is removed on exit.
+of the change-over-parent ratios of the R pairs, the pairs the change won,
+each side's minor faults in one fit and each side's traced peak in MiB.
+Drift in the host's speed over seconds moves both sides of a pair alike,
+so the paired ratio resolves edits of a few microseconds that alternating
+subprocess runs cannot; `tools/bench_pairs.py` runs the benchmark itself.
+Pass one tree twice to profile it alone: the ratio then reads the noise
+floor. The temporary directory is removed on exit.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import importlib
 import os
+import resource
 import shutil
 import statistics
 import sys
 import tempfile
+import tracemalloc
+from functools import partial
 from pathlib import Path
-from time import perf_counter
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fit_faults import routes, seeded_series  # noqa: E402
+from svarlic.cli import _alternating_seconds  # noqa: E402
 
 SIDES = ("parent", "change")
 
 
-def seconds_per_call(fit, x, k) -> float:
-    gc.disable()
+def routes(package) -> dict:
+    """The three fit routes of an imported copy of the package, in
+    perfbench's order."""
+    return {"lic": package.fit_svar_lic,
+            "ls": lambda x, k: package.rvar_to_svar(package.fit_rvar_ls(x, k)),
+            "both": package.fit_both}
+
+
+def seeded_series(package, m: int, k: int, n: int, complex_field: bool, seed: int):
+    """The package's series of N samples from its model drawn with `seed`,
+    simulated with `seed + 1`."""
+    model = package.random_stable_svar(m, k, seed, complex_field=complex_field)
+    return package.simulate_series(model, n, seed + 1)
+
+
+def minor_faults(fit) -> int:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fit()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def peak_mib(fit) -> float:
+    tracemalloc.start()
     try:
-        start = perf_counter()
-        fit(x, k)
-        return perf_counter() - start
+        fit()
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
-        gc.enable()
+        tracemalloc.stop()
 
 
 def compare(packages: dict, m: int, k: int, n: int, complex_field: bool,
-            rounds: int) -> list[str]:
+            rounds: int, seed: int) -> list[str]:
     """Report rows for `rounds` interleaved rounds of both `packages`."""
-    x = seeded_series(packages["change"], m, k, n, complex_field, seed=1)
-    fits = {side: routes(package) for side, package in packages.items()}
-    names = list(fits["change"])
-    for side in SIDES:  # warm caches and lazy set-up before timing
-        for route in names:
-            fits[side][route](x, k)
-    times = {(side, route): [] for side in SIDES for route in names}
-    for r in range(rounds):
-        for route in names:
-            for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                times[side, route].append(seconds_per_call(fits[side][route], x, k))
-    rows = [f"{'route':<6} {'parent_s':>12} {'change_s':>12} {'ratio':>7} {'won':>11}"]
+    x = seeded_series(packages["change"], m, k, n, complex_field, seed)
+    side_routes = {side: routes(package) for side, package in packages.items()}
+    names = list(side_routes["change"])
+    fits = {(side, route): partial(side_routes[side][route], x, k)
+            for route in names for side in SIDES}
+    times = dict(zip(fits, _alternating_seconds(list(fits.values()), rounds)))
+    faults = {key: minor_faults(fit) for key, fit in fits.items()}
+    peaks = {key: peak_mib(fit) for key, fit in fits.items()}
+    rows = [f"{'route':<6} {'parent_s':>12} {'change_s':>12} {'ratio':>7} {'won':>11} "
+            f"{'parent_minflt':>13} {'change_minflt':>13} {'parent_mib':>10} {'change_mib':>10}"]
     for route in names:
         old, new = times["parent", route], times["change", route]
         ratio = statistics.median(b / a for a, b in zip(old, new))
         won = sum(b < a for a, b in zip(old, new))
         rows.append(f"{route:<6} {statistics.median(old):>12.4e} "
-                    f"{statistics.median(new):>12.4e} {ratio:>7.3f} {f'{won}/{rounds}':>11}")
+                    f"{statistics.median(new):>12.4e} {ratio:>7.3f} {f'{won}/{rounds}':>11} "
+                    + " ".join(f"{faults[side, route]:>13}" for side in SIDES) + " "
+                    + " ".join(f"{peaks[side, route]:>10.4f}" for side in SIDES))
     return rows
 
 
@@ -78,11 +110,11 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("m", type=int)
-    parser.add_argument("k", type=int)
-    parser.add_argument("n", type=int)
+    for name in ("m", "k", "n"):
+        parser.add_argument(name, type=int)
     parser.add_argument("--complex", action="store_true")
     parser.add_argument("--rounds", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -95,7 +127,8 @@ def main(argv: list[str]) -> int:
             shutil.copytree(getattr(args, side) / "src" / "svarlic", Path(workdir) / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
             packages[side] = importlib.import_module(name)
-        print("\n".join(compare(packages, args.m, args.k, args.n, args.complex, args.rounds)))
+        print("\n".join(compare(packages, args.m, args.k, args.n, args.complex,
+                                args.rounds, args.seed)))
     finally:
         sys.path.remove(workdir)
         shutil.rmtree(workdir)
