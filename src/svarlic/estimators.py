@@ -34,9 +34,9 @@ inverse factor, all M of ``V V^H``'s in route 1 and the bottom M of
 Under the shared positive-diagonal factor convention the two routes agree
 exactly in exact arithmetic; `fit_both` runs them side by side and reports
 the floating-point discrepancy. Its route 1 needs only ``V V^H``, not V:
-it sums that Gram over chunks of the signal (`model._residuals`), and
-whitens through the one step `rvar_to_svar` takes after forming
-``V V^H`` from a whole V (`_whiten`).
+it sums that Gram over chunks or blocks of the signal
+(`model._residuals`), and whitens through the one step `rvar_to_svar`
+takes after forming ``V V^H`` from a whole V (`_whiten`).
 
 Whitening here is unnormalized: the fitted residuals satisfy
 ``sum_n w(n) w(n)^H = I`` without a 1/(N-K) factor, so the coefficient
@@ -131,9 +131,12 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
     explicitly inverted. Returns the intercept `c`, lag matrices
     `A_1..A_K` and the residual matrix ``V = X - A S``.
 
-    `V` is formed in one pass over chunks of the signal
-    (`model._residuals`), allocated once, without S or a temporary its
-    size. `rvar_residuals` evaluates the same expression on the same
+    The flush floor is read off the Gram's diagonal, and the Gram is freed
+    once the coefficients are solved, before `V` is formed. `V` is formed
+    in one pass over chunks or blocks of the signal (`model._residuals`),
+    allocated once, beside one chunk- or block-sized buffer and without
+    S, so the route never holds the Gram or a second array of V's size
+    beside it. `rvar_residuals` evaluates the same expression on the same
     arrays, so it reproduces `V` bit for bit.
 
     Raises
@@ -149,9 +152,11 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
     _require_samples(x.shape, k, direct=False)
     m = x.shape[0]
     gram = _regressor_gram(x, k)
+    floor = _flush_floor(gram, m)
     c, lags = _solve_ls(m, k, gram)
+    del gram  # freed before V: _solve_ls returns copies
     v = _residuals(x, k, None, c, lags)
-    if np.vdot(v, v).real <= _flush_floor(gram, m):
+    if np.vdot(v, v).real <= floor:
         v = np.zeros_like(v)
     return _fitted(RvarCoefficients, c=c, A=lags, V=v)
 
@@ -236,22 +241,30 @@ def fit_svar_lic(x: ArrayLike, k: int) -> SvarCoefficients:
 
     Wherever T does not fit in one chunk buffer (`model._regressor_gram`
     states the rule), ``T T^H`` is formed from the K+1 distinct M x M lag
-    products of the signal and T itself is never built.
+    products of the signal and T itself is never built. ``T T^H`` is freed
+    once it is factored, before the division, so the factor is the one
+    Gram-sized array the division holds.
 
     Raises the same errors as `fit_rvar_ls`, with the stricter sample
     requirement N - K >= M*(K+1) + 1.
     """
     x, k = _check_signal(x, k)
     _require_samples(x.shape, k, direct=True)
-    return _finish_lic(x.shape[0], k, _regressor_gram(x, k))
+    # No name holds the Gram, so it is freed once it is factored.
+    return _finish_lic(x.shape[0], k, _factor_stacked(_regressor_gram(x, k)))
 
 
-def _finish_lic(m: int, k: int, gram: NDArray) -> SvarCoefficients:
-    """The direct route from ``T T^H`` on: factor it, solve for the bottom
-    M rows of the inverse factor and read the coefficients out of them."""
-    u_alpha = _inverse_bottom_rows(
-        _factor(gram, "stacked Gram matrix TT^H",
-                "the signal is deterministic or has collinear branches"), m)
+def _factor_stacked(gram: NDArray) -> NDArray:
+    """The lower factor of ``T T^H`` (`_factor`)."""
+    return _factor(gram, "stacked Gram matrix TT^H",
+                   "the signal is deterministic or has collinear branches")
+
+
+def _finish_lic(m: int, k: int, factor: NDArray) -> SvarCoefficients:
+    """The direct route from the lower factor of ``T T^H`` on: solve for
+    the bottom M rows of its inverse and read the coefficients out of
+    them."""
+    u_alpha = _inverse_bottom_rows(factor, m)
     coefficients = u_alpha[:, :m * k + 1]
     np.negative(coefficients, out=coefficients)  # u_alpha is fresh: negate in place
     t, lags = _unstack_coefficients(coefficients)
@@ -325,11 +338,15 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
     that one Gram, so they decide rank from the same numbers.
 
     The least-squares half is `fit_rvar_ls` then `rvar_to_svar` without
-    V: ``V V^H`` is summed chunk by chunk as the residuals are formed, and
-    V is flushed, as `fit_rvar_ls` flushes it, on that Gram's trace,
-    ``||V||_F^2``. Where the signal's window is one chunk, the result is
-    bit for bit that of the two public steps; where it is cut, the Gram
-    is summed over other chunks, and the two agree to rounding.
+    V: ``V V^H`` is summed chunk by chunk, or block by block, as the
+    residuals are formed (`model._residuals`), so V is never held whole
+    where the window is cut, and V is flushed, as `fit_rvar_ls` flushes
+    it, on that Gram's trace, ``||V||_F^2``. Where the residuals' window
+    is one block, one product per lag over the whole window (N-K at most
+    `linalg._CHUNK_SAMPLES` and not cut by the Gram's chunks), the result
+    is bit for bit that of the two public steps; where it is cut into
+    chunks or blocks, the Gram is summed over them, and the two agree to
+    rounding.
     """
     x, k = _check_signal(x, k)
     _require_samples(x.shape, k, direct=False)
@@ -343,5 +360,5 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
     if vv.diagonal().real.sum() <= _flush_floor(gram, m):
         vv = np.zeros_like(vv)
     ls = _whiten(vv, c, lags)
-    lic = _finish_lic(m, k, gram)
+    lic = _finish_lic(m, k, _factor_stacked(gram))
     return FitComparison(ls=ls, lic=lic, discrepancy=coefficient_discrepancy(ls, lic))

@@ -50,7 +50,9 @@ Gram product is summed by one chunk loop over those bounds,
 Gram, and with K = 0 the plain ``a a^H`` of `gram_hermitian` and of the
 regressor Gram where T is stacked whole. The residuals
 (`model._residuals`) cut the same windows, into chunks as much narrower
-as their stacked rows are more than the Gram's M.
+as their stacked rows are more than the Gram's M; a window the rule
+leaves uncut they walk in blocks of at most `_CHUNK_SAMPLES` samples
+(`_even_bounds`), so their working memory is bounded on every window.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -154,11 +156,14 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
 #: (CHANGES.md has the sweep). A window is not cut where a chunk would hold
 #: fewer than `_MIN_CHUNK` samples (M > 22): products that wide gain
 #: nothing from that kernel and lose to per-call cost in narrow chunks.
-#: The M-row buffer of the widest chunk (`_chunk_width`) also decides where
-#: the regressor Gram stacks T whole (`model._regressor_gram` states the
-#: rule). The residuals stack q = M(K+1)+1 rows per sample, so the rule cuts
-#: their window into narrower chunks, whose stack and M x q coefficient
-#: block fit in the M-row buffer of the Gram's widest chunk: one product
+#: The residuals' per-lag pass still cuts such a window into blocks of at
+#: most `_CHUNK_SAMPLES` samples (`_even_bounds`), so that its buffers do
+#: not grow with N. The M-row buffer of the widest chunk (`_chunk_width`)
+#: also decides where the regressor Gram stacks T whole
+#: (`model._regressor_gram` states the rule). The residuals stack
+#: q = M(K+1)+1 rows per sample, so the rule cuts their window into
+#: narrower chunks, whose stack and M x q coefficient block fit in the
+#: M-row buffer of the Gram's widest chunk: one product
 #: per chunk, of inner dimension q, in the memory that K products of inner
 #: dimension M per Gram-sized chunk took. Against those (medians of
 #: paired interleaved calls, one thread, 2-core Xeon) the residuals ran
@@ -193,10 +198,21 @@ def _chunk_bounds(m: int, n: int, k: int, rows: int | None = None) -> list[int]:
     width = _chunk_width(m)
     if width < _MIN_CHUNK or n - k <= width:
         return [k, n]
-    chunks = -(-(n - k) // width)
     if rows is not None:
+        chunks = -(-(n - k) // width)
         budget = m * -(-(n - k) // chunks)  # the M-row buffer's elements
-        chunks = -(-(n - k) // max(budget // rows - m, 1))
+        width = max(budget // rows - m, 1)
+    return _even_bounds(k, n, width)
+
+
+def _even_bounds(k: int, n: int, width: int) -> list[int]:
+    """The bounds ``[K, .., N]`` of the fewest near-equal chunks of at most
+    `width` samples that cover the window of samples K .. N-1; the last
+    one is the widest. `_chunk_bounds` cuts by it, and with `width` at
+    `_CHUNK_SAMPLES`, at any M, it gives the blocks in which the
+    residuals' per-lag pass (`model._residuals`) walks a window that
+    `_chunk_bounds` leaves uncut."""
+    chunks = -(-(n - k) // width)
     return [k + i * (n - k) // chunks for i in range(chunks + 1)]
 
 

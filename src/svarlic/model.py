@@ -40,15 +40,20 @@ are stacked into one reused buffer (`_stack_regressor`), and one product
 with the coefficient block ``[-c | -A_1 .. -A_K | I]``, or
 ``[-t | -R_1 .. -R_K | L]``, writes that chunk's residuals, into the
 result or, for ``V V^H``, into one reused chunk buffer whose Gram is
-summed, so `fit_both` never holds `V` whole there. The chunks are
-narrowed so that the stack and the block fit in the Gram pass's chunk
-buffer. A window of one chunk takes one product per lag on a slice of
-the signal instead. So no fit or residual routine stacks S or the whole
-of T, and its working memory beside the result is one chunk's; S is
-stacked only by `build_regressor_s`, and T only by `build_regressor_t`
-and the Gram where it fits in that buffer. The structured Gram stacks
-T's layout over two snippets of 2K samples at the ends of the signal, for
-its edge terms.
+summed. The chunks are narrowed so that the stack and the block fit in
+the Gram pass's chunk buffer. A window the Gram products leave uncut
+(one chunk, or any window where M > 22) takes one product per lag on
+slices of the signal instead, in near-equal blocks of at most
+`linalg._CHUNK_SAMPLES` samples (`linalg._even_bounds`), through one
+reused block-sized product buffer; for ``V V^H`` each block's residuals
+go into one reused block buffer whose Gram is summed. So `fit_both`
+never holds `V` whole where the window is cut into chunks or blocks, no
+fit or residual routine stacks S or the whole of T, and its working
+memory beside the result is one chunk's or one block's; S is stacked
+only by `build_regressor_s`, and T only by `build_regressor_t` and the
+Gram where it fits in that buffer. The structured Gram stacks T's layout
+over two snippets of 2K samples at the ends of the signal, for its edge
+terms.
 """
 
 from __future__ import annotations
@@ -59,12 +64,14 @@ from itertools import pairwise
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from . import linalg
 from .exceptions import DimensionMismatch, OrderTooLarge
 from .linalg import (
     _as_float_matrix,
     _check_lower_factor,
     _chunk_bounds,
     _chunk_width,
+    _even_bounds,
     _finish_gram,
     _finite,
     _inverse_bottom_rows,
@@ -354,20 +361,26 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     that array instead, not yet made Hermitian (`linalg._finish_gram`).
 
     One pass over the sample window, cut where the Gram products cut it
-    (`linalg._chunk_bounds`). A window of one chunk gets the lead term
-    minus the intercept, then one product per lag on a slice of `x`
-    through a buffer the size of the result. A cut window is one loop,
-    for the residuals and their Gram alike. It is cut again, into chunks
-    narrow enough that T's rows of a chunk, stacked into one reused
-    buffer (`_stack_regressor`), and the coefficient block
+    (`linalg._chunk_bounds`). A window they leave uncut is walked in
+    near-equal blocks of at most `linalg._CHUNK_SAMPLES` samples
+    (`linalg._even_bounds`), even where M > 22: each block gets the lead
+    term minus the intercept, then one product per lag on a slice of `x`
+    through one reused block-sized buffer (`_lag_block`), into that block
+    of the result, or with `gram` into one reused block buffer whose Gram
+    is summed. A window of one block takes those products on the whole
+    window, with no views. A cut window is one loop, for the residuals
+    and their Gram alike. It is cut again, into chunks narrow enough that
+    T's rows of a chunk, stacked into one reused buffer
+    (`_stack_regressor`), and the coefficient block
     ``[-intercept | -lags | mixing]`` fit in the elements of the Gram
     pass's M-row chunk buffer. Each chunk's residuals are one product of
     the two, with T's q rows as its inner dimension, written into that
     chunk of the result, or with `gram` into one reused chunk buffer
     whose Gram is summed as `_window_products` sums one, through a
-    conjugated copy as the second operand, so the result is never held
-    whole. So S is never stacked, nor T whole, and the working memory
-    besides the result is one chunk's.
+    conjugated copy as the second operand. So with `gram` the result is
+    never held whole where the window is cut into chunks or blocks, S is
+    never stacked, nor T whole, and the working memory besides the result
+    is one chunk's or one block's.
     """
     m, n = x.shape
     operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
@@ -375,18 +388,20 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     q = m * (k + 1) + 1
     bounds = _chunk_bounds(m, n, k, rows=q)
     if len(bounds) == 2:  # per-lag: a stack here ran 1.06x the fit at (3,2,256)
-        r = np.empty((m, n - k), dtype=dtype)
-        if mixing is None:
-            r[...] = x[:, k:]
-        else:
-            np.matmul(mixing, x[:, k:], out=r)
-        r -= intercept[:, None]
-        product = np.empty_like(r)
-        for i, lag in enumerate(lags, 1):
-            np.matmul(lag, x[:, k - i:n - i], out=product)
-            r -= product
-        del product  # freed before the Gram's conjugated copy
-        return _window_products(r, 0)[0][0] if gram else r
+        if n - k <= linalg._CHUNK_SAMPLES:  # one block: the loop took V 9.3 not 7.8 us there
+            r = np.empty((m, n - k), dtype=dtype)
+            return _lag_block(x, k, mixing, intercept, lags, r, np.empty_like(r), gram)
+        blocks = _even_bounds(k, n, linalg._CHUNK_SAMPLES)
+        width = blocks[-1] - blocks[-2]
+        r = np.empty((m, width if gram else n - k), dtype=dtype)
+        product = np.empty((m, width), dtype=dtype)
+        for a, b in pairwise(blocks):
+            term = _lag_block(x[:, a - k:b], k, mixing, intercept, lags,
+                              r[:, :b - a] if gram else r[:, a - k:b - k],
+                              product[:, :b - a], gram)
+            if gram:
+                g = term if a == k else g + term
+        return g if gram else r
     # Stacked: per-lag chunks ran 1.07x (ls) and 1.12x (both) at (8,8,32768) c.
     block = np.concatenate((-intercept[:, None], *(-lag for lag in lags),
                             np.eye(m) if mixing is None else mixing), axis=1, dtype=dtype)
@@ -412,6 +427,27 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
             np.matmul(v, v_conj.T, out=term)
             g += term
     return g if gram else r
+
+
+def _lag_block(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
+               lags: tuple[NDArray, ...], r: NDArray, product: NDArray,
+               gram: bool) -> NDArray:
+    """`_residuals` of the window K .. N-1 of `x` by one product per lag,
+    written into `r` through `product`, both M x (N-K); with `gram`, the
+    Gram of `r` instead, formed as `_window_products` forms one, its
+    conjugated copy in `product`."""
+    n = x.shape[1]
+    if mixing is None:
+        r[...] = x[:, k:]
+    else:
+        np.matmul(mixing, x[:, k:], out=r)
+    r -= intercept[:, None]
+    for i, lag in enumerate(lags, 1):
+        np.matmul(lag, x[:, k - i:n - i], out=product)
+        r -= product
+    if not gram:
+        return r
+    return r @ (np.conjugate(r, out=product) if r.dtype.kind == "c" else r).T
 
 
 def _caller_residuals(model: SvarCoefficients | RvarCoefficients, x: ArrayLike,

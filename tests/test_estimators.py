@@ -506,6 +506,60 @@ class TestGramWork:
             tracemalloc.stop()
         assert peak < m * (n - k) * 8
 
+    def test_wide_ls_holds_neither_the_gram_nor_a_second_v(self):
+        # The Gram is freed before V is formed, and the per-lag residual
+        # pass, which no chunk cuts at M > 22, runs its products through
+        # one buffer of a block, here half of V. The Gram or a V-sized
+        # product buffer beside V would break the bound.
+        m, k, n = 64, 8, 8192
+        x = np.random.default_rng(39).standard_normal((m, n))
+        gram_bytes = (m * (k + 1) + 1) ** 2 * 8
+        v_bytes = m * (n - k) * 8
+        tracemalloc.start()
+        try:
+            rvar_to_svar(fit_rvar_ls(x, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gram_bytes + v_bytes
+
+    def test_fit_both_never_holds_v_where_no_chunk_cuts_the_window(self):
+        # At M > 22 V V^H is summed over blocks of at most _CHUNK_SAMPLES
+        # samples, three of 6144 here: a block of residuals and a block of
+        # products, below the M x (N-K) array of V.
+        m, k, n = 24, 1, 18433
+        x = np.random.default_rng(40).standard_normal((m, n))
+        assert linalg._chunk_bounds(m, n, k) == [k, n]
+        tracemalloc.start()
+        try:
+            fit_both(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * (n - k) * 8
+
+    def test_lic_frees_the_gram_before_the_division(self, monkeypatch):
+        # When the bottom rows of the inverse factor are solved for, the
+        # factor is the one Gram-sized array held; T T^H beside it would
+        # make two.
+        m, k, n = 64, 8, 8192
+        x = np.random.default_rng(41).standard_normal((m, n))
+        gram_bytes = (m * (k + 1) + 1) ** 2 * 8
+        held = []
+        original = estimators._inverse_bottom_rows
+
+        def spy(c, rows):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return original(c, rows)
+
+        monkeypatch.setattr(estimators, "_inverse_bottom_rows", spy)
+        tracemalloc.start()
+        try:
+            fit_svar_lic(x, k)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] < 1.5 * gram_bytes
+
     @pytest.mark.parametrize("m,k,n", [(2, 2, 200), (4, 2, 8192)])
     def test_fit_both_forms_one_regressor_gram(self, monkeypatch, m, k, n):
         # One q x q Gram for both routes and the M x M residual Gram;
@@ -799,20 +853,24 @@ class TestBranchScaling:
 
 
 class TestFitBothLeastSquaresHalf:
-    """`fit_both` whitens from ``V V^H`` summed chunk by chunk, without V;
-    its least-squares half agrees with ``rvar_to_svar(fit_rvar_ls(x))``:
-    bit for bit where the window is one chunk, so both Grams of V are the
-    same product, and to rounding where it is cut."""
+    """`fit_both` whitens from ``V V^H`` summed chunk by chunk, or block
+    by block, without V; its least-squares half agrees with
+    ``rvar_to_svar(fit_rvar_ls(x))``: bit for bit where the residuals'
+    window is one block, one product per lag over the whole window, so
+    both Grams of V are the same product, and to rounding where it is cut
+    into chunks or blocks."""
 
     @staticmethod
     def halves(x, k):
         return fit_both(x, k).ls, rvar_to_svar(fit_rvar_ls(x, k))
 
-    @pytest.mark.parametrize("m,k,n", [(3, 2, 256), (24, 1, 1000)])
+    @pytest.mark.parametrize("m,k,n", [(3, 2, 256), (24, 1, 1000), (24, 1, 6145)])
     def test_one_chunk_windows_agree_bit_for_bit(self, m, k, n):
         # (3, 2, 256) stacks T whole; (24, 1, 1000) forms the structured
-        # Gram, whose window M > 22 never cuts.
+        # Gram, whose window M > 22 never cuts, and (24, 1, 6145) too, on
+        # the widest window the residuals take as one block.
         assert linalg._chunk_bounds(m, n, k) == [k, n]
+        assert n - k <= linalg._CHUNK_SAMPLES
         assert stacks_t_whole(m, k, n) == (m == 3)
         both, ls = self.halves(stable_series(m, k, n, seed=37), k)
         for a, b in [(both.L, ls.L), (both.t, ls.t), *zip(both.R, ls.R)]:
@@ -845,6 +903,44 @@ class TestFitBothLeastSquaresHalf:
 
         check()
         residual_stacks.check()
+
+
+class TestPerLagBlocks:
+    """Where no chunk cuts the window, as at M > 22, the residuals'
+    one-product-per-lag pass walks it in near-equal blocks of at most
+    `linalg._CHUNK_SAMPLES` samples, here patched to 1 .. 48, and nothing
+    else: the Gram products stay uncut."""
+
+    def test_blocked_windows_agree(self):
+        seen = []
+
+        @settings(max_examples=50, deadline=None, derandomize=True)
+        @given(m=st.integers(23, 26), k=st.integers(0, 2), complex_field=st.booleans(),
+               width=st.integers(1, 48), extra=st.integers(0, 96),
+               seed=st.integers(0, 2**31))
+        def check(m, k, complex_field, width, extra, seed):
+            # Windows of at least twice T's rows, so V V^H is well conditioned.
+            n = k + 2 * (m * (k + 1) + 1) + extra
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((m, n))
+            if complex_field:
+                x = x + 1j * rng.standard_normal((m, n))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "_CHUNK_SAMPLES", width)
+                fit = fit_rvar_ls(x, k)
+                assert rvar_residuals(fit, x).tobytes() == fit.V.tobytes()
+                both = fit_both(x, k).ls
+            seen.append(-(-(n - k) // width))
+            unblocked = x[:, k:] - fit.c[:, None]
+            for i, a in enumerate(fit.A, 1):
+                unblocked -= a @ x[:, k - i:n - i]
+            np.testing.assert_allclose(fit.V, unblocked, rtol=0,
+                                       atol=1e-13 * np.abs(unblocked).max())
+            assert coefficient_discrepancy(rvar_to_svar(fit), both) <= 1e-13
+
+        check()
+        # Windows of a few blocks and of many one-sample blocks alike.
+        assert min(seen) <= 4 and max(seen) >= 100
 
 
 class TestEquivalence:
