@@ -36,7 +36,11 @@ exactly in exact arithmetic; `fit_both` runs them side by side and reports
 the floating-point discrepancy. Its route 1 needs only ``V V^H``, not V:
 it sums that Gram over chunks or blocks of the signal
 (`model._residuals`), and whitens through the one step `rvar_to_svar`
-takes after forming ``V V^H`` from a whole V (`_whiten`).
+takes after forming ``V V^H`` from a whole V (`_whiten`). It factors the
+Grams in the order ``S S^H``, ``T T^H``, ``V V^H``, freeing ``T T^H`` and
+its factor before the residual pass, so its peak memory is the direct
+route's floor, ``T T^H`` beside its factor, and a deterministic series
+names ``T T^H``, as it does in route 2.
 
 Whitening here is unnormalized: the fitted residuals satisfy
 ``sum_n w(n) w(n)^H = I`` without a 1/(N-K) factor, so the coefficient
@@ -337,28 +341,48 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
     whose check reads the signal's finiteness; both routes finish from
     that one Gram, so they decide rank from the same numbers.
 
+    The steps run in the order that frees each Gram-sized array before
+    the next step needs room: form ``T T^H`` and read the flush floor off
+    its diagonal, solve the least-squares block through the factor of
+    ``S S^H``, factor ``T T^H`` and free it, take the direct route's
+    bottom rows and free the factor, and only then sum ``V V^H`` over the
+    residual pass, flush it, whiten and measure the discrepancy. So the
+    peak is the larger of the least-squares solve and the direct route's
+    floor, ``T T^H`` beside its factor (5.33 MiB at (64,8,8192), where
+    ``T T^H`` held through the residual pass made 6.88), and the Grams
+    are factored in the order ``S S^H``, ``T T^H``, ``V V^H``: a
+    deterministic series raises `RankDeficient` naming ``T T^H``, as
+    `fit_svar_lic` does, before its residuals are flushed.
+
     The least-squares half is `fit_rvar_ls` then `rvar_to_svar` without
     V: ``V V^H`` is summed chunk by chunk, or block by block, as the
     residuals are formed (`model._residuals`), so V is never held whole
     where the window is cut, and V is flushed, as `fit_rvar_ls` flushes
-    it, on that Gram's trace, ``||V||_F^2``. Where the residuals' window
-    is one block, one product per lag over the whole window (N-K at most
-    `linalg._CHUNK_SAMPLES` and not cut by the Gram's chunks), the result
-    is bit for bit that of the two public steps; where it is cut into
-    chunks or blocks, the Gram is summed over them, and the two agree to
-    rounding.
+    it, on that Gram's trace, ``||V||_F^2``. The flush stays: it is
+    `fit_rvar_ls`'s rule, and whether ``T T^H``'s pivot rule always
+    rejects the series it guards against first depends on
+    `linalg.PIVOT_RTOL` against `RESIDUAL_FLUSH_RTOL`. Where the
+    residuals' window is one block, one product per lag over the whole
+    window (N-K at most `linalg._CHUNK_SAMPLES` and not cut by the Gram's
+    chunks), the result is bit for bit that of the two public steps;
+    where it is cut into chunks or blocks, the Gram is summed over them,
+    and the two agree to rounding.
     """
     x, k = _check_signal(x, k)
     _require_samples(x.shape, k, direct=False)
     _require_samples(x.shape, k, direct=True)
     m = x.shape[0]
     gram = _regressor_gram(x, k)
+    floor = _flush_floor(gram, m)
     c, lags = _solve_ls(m, k, gram)
+    factor = _factor_stacked(gram)
+    del gram  # freed before the division, as in `fit_svar_lic`
+    lic = _finish_lic(m, k, factor)
+    del factor  # freed before the residual pass
     with np.errstate(over="ignore", invalid="ignore"):
         vv = _finish_gram(_residuals(x, k, None, c, lags, gram=True), None)
     # The trace of V V^H is ||V||_F^2, the sum `fit_rvar_ls` flushes on.
-    if vv.diagonal().real.sum() <= _flush_floor(gram, m):
+    if vv.diagonal().real.sum() <= floor:
         vv = np.zeros_like(vv)
     ls = _whiten(vv, c, lags)
-    lic = _finish_lic(m, k, _factor_stacked(gram))
     return FitComparison(ls=ls, lic=lic, discrepancy=coefficient_discrepancy(ls, lic))

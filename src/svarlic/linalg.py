@@ -53,6 +53,9 @@ regressor Gram where T is stacked whole. The residuals
 as their stacked rows are more than the Gram's M; a window the rule
 leaves uncut they walk in blocks of at most `_CHUNK_SAMPLES` samples
 (`_even_bounds`), so their working memory is bounded on every window.
+The Gram products walk such a window in the same blocks where it is
+complex and wider than one block, so no product conjugates a whole
+window; a real one they take in one product per lag that copies nothing.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -118,8 +121,10 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
     """Return the Gram matrix ``a @ a^H`` of shape (rows, rows).
 
     The product is `_window_products` at K = 0: summed over chunks of
-    columns where `a` is long enough to be cut, so a complex `a` is
-    conjugated one chunk at a time. The result is Hermitian exactly, entry
+    columns where `a` is long enough to be cut, and where a complex `a`
+    the chunk rule leaves uncut has more than `_CHUNK_SAMPLES` columns,
+    over blocks of at most that many, so a complex `a` is conjugated one
+    chunk or block at a time. The result is Hermitian exactly, entry
     for entry: the product is averaged with its conjugate transpose,
     halved first so that nothing that fits overflows, which also makes
     the diagonal real.
@@ -157,10 +162,11 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
 #: fewer than `_MIN_CHUNK` samples (M > 22): products that wide gain
 #: nothing from that kernel and lose to per-call cost in narrow chunks.
 #: The residuals' per-lag pass still cuts such a window into blocks of at
-#: most `_CHUNK_SAMPLES` samples (`_even_bounds`), so that its buffers do
-#: not grow with N. The M-row buffer of the widest chunk (`_chunk_width`)
-#: also decides where the regressor Gram stacks T whole
-#: (`model._regressor_gram` states the rule). The residuals stack
+#: most `_CHUNK_SAMPLES` samples (`_even_bounds`), and so do the Gram
+#: products where it is complex, so that their buffers do not grow with N.
+#: The M-row buffer of the widest chunk (`_chunk_width`) also decides where
+#: the regressor Gram stacks T whole (`model._regressor_gram` states the
+#: rule). The residuals stack
 #: q = M(K+1)+1 rows per sample, so the rule cuts their window into
 #: narrower chunks, whose stack and M x q coefficient block fit in the
 #: M-row buffer of the Gram's widest chunk: one product
@@ -211,7 +217,8 @@ def _even_bounds(k: int, n: int, width: int) -> list[int]:
     one is the widest. `_chunk_bounds` cuts by it, and with `width` at
     `_CHUNK_SAMPLES`, at any M, it gives the blocks in which the
     residuals' per-lag pass (`model._residuals`) walks a window that
-    `_chunk_bounds` leaves uncut."""
+    `_chunk_bounds` leaves uncut, and `_window_products` such a window
+    if it is complex."""
     chunks = -(-(n - k) // width)
     return [k + i * (n - k) // chunks for i in range(chunks + 1)]
 
@@ -223,19 +230,25 @@ def _window_products(x: NDArray, k: int,
     d = 0 .. K, and with `sums` the window's row sums (else None). With
     K = 0 it is the Gram ``x x^H``.
 
-    The package's one chunk loop for Gram products. A window of one chunk
-    takes one product per lag and no buffer. Above that, each chunk is
-    copied, conjugated if complex, into one reused buffer that every
-    product reads while it is in cache. The copy is a second operand, so
-    numpy sends ``P_0`` to gemm, which OpenBLAS runs in its small-matrix
-    kernel, and not to syrk, which has none. With `sums`, a row of ones
-    under the copy gives ``P_0`` one more column, the chunk's row sums.
-    Each chunk's products go through preallocated arrays, so the working
-    memory is the buffer. Run it with overflow and invalid operations
-    ignored: the caller checks the result.
+    The package's one chunk loop for Gram products. A real window of one
+    chunk, or a complex one of at most `_CHUNK_SAMPLES` samples, takes one
+    product per lag and no buffer. A complex window that `_chunk_bounds`
+    leaves uncut and that is wider than that is walked in near-equal
+    blocks of at most `_CHUNK_SAMPLES` samples (`_even_bounds`), the
+    residuals' blocks, so it is never conjugated whole. Each chunk of a
+    cut window, and each such block, is copied, conjugated if complex,
+    into one reused buffer that every product reads while it is in cache. The copy
+    is a second operand, so numpy sends ``P_0`` to gemm, which OpenBLAS
+    runs in its small-matrix kernel, and not to syrk, which has none.
+    With `sums`, a row of ones under the copy gives ``P_0`` one more
+    column, the chunk's row sums. Each chunk's products go through
+    preallocated arrays, so the working memory is the buffer. Run it with
+    overflow and invalid operations ignored: the caller checks the result.
     """
     m, n = x.shape
     bounds = _chunk_bounds(m, n, k)
+    if len(bounds) == 2 and n - k > _CHUNK_SAMPLES and x.dtype.kind == "c":
+        bounds = _even_bounds(k, n, _CHUNK_SAMPLES)  # never conjugated whole
     if len(bounds) == 2:  # no copy: the buffer took 9.4 against 4.9 us at (3,2,256)
         window = x[:, k:]
         window_h = window.conj().T

@@ -276,9 +276,9 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
     samples (about ``M^2 (K+1) N`` multiplies, against ``q^2 N`` for the
     dense product). They and the intercept row's window sums are summed
     over chunks of samples (`_window_products`), so the working memory is
-    one chunk-sized buffer where the window is cut, and at most one
-    conjugated copy of the window (complex input) where it is not, never
-    T's ``M (K+1) N`` values.
+    one chunk-sized buffer where the window is cut, and one buffer of at
+    most `linalg._CHUNK_SAMPLES` samples, a conjugated block, where it is
+    complex and not cut, never T's ``M (K+1) N`` values.
 
     The edge terms are two stacks in T's own layout (`_stack_regressor`),
     written side by side into one q x 2K array, of two snippets of 2K

@@ -560,6 +560,22 @@ class TestGramWork:
             tracemalloc.stop()
         assert len(held) == 1 and held[0] < 1.5 * gram_bytes
 
+    def test_fit_both_peaks_at_the_direct_routes_floor(self):
+        # T T^H is factored and freed before the direct route's division,
+        # and the factor before the residual pass, so the peak is the
+        # factor step's Gram and factor. T T^H held through the residual
+        # pass and the division read 6.88 MiB here.
+        m, k, n = 64, 8, 8192
+        x = np.random.default_rng(42).standard_normal((m, n))
+        gram_bytes = (m * (k + 1) + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            fit_both(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * gram_bytes + 2**19
+
     @pytest.mark.parametrize("m,k,n", [(2, 2, 200), (4, 2, 8192)])
     def test_fit_both_forms_one_regressor_gram(self, monkeypatch, m, k, n):
         # One q x q Gram for both routes and the M x M residual Gram;
@@ -734,7 +750,7 @@ class TestOneFactorStep:
 
     @pytest.mark.parametrize("m, k, n", [(3, 2, 256), (4, 2, 8192), (16, 4, 2048)])
     @pytest.mark.parametrize("route, grams", [
-        ("lic", [TTH]), ("ls", [SSH, VVH]), ("both", [SSH, VVH, TTH])])
+        ("lic", [TTH]), ("ls", [SSH, VVH]), ("both", [SSH, TTH, VVH])])
     def test_each_gram_factored_once(self, factored, route, grams, m, k, n):
         x = stable_series(m, k, n, seed=34)
         fit = {"lic": fit_svar_lic, "both": fit_both,
@@ -769,8 +785,10 @@ class TestRankDeficientMessages:
          "the signal is deterministic or has collinear branches"),
         ("ls", "regressor Gram matrix SS^H", 2, "the regressors are collinear"),
         ("ramp", "residual Gram matrix VV^H", 0, "residuals are rank deficient"),
-        # fit_both flushes on the trace of V V^H, summed without V.
-        ("both-ramp", "residual Gram matrix VV^H", 0, "residuals are rank deficient"),
+        # fit_both factors T T^H before it sums V V^H, so it names the
+        # cause the ramp has, as fit_svar_lic(ramp, 1) does.
+        ("both-ramp", "stacked Gram matrix TT^H", 2,
+         "the signal is deterministic or has collinear branches"),
     ])
     def test_message_and_cause(self, route, gram, index, cause):
         x = stable_series(2, 1, 200, seed=33)
@@ -930,7 +948,12 @@ class TestPerLagBlocks:
                 fit = fit_rvar_ls(x, k)
                 assert rvar_residuals(fit, x).tobytes() == fit.V.tobytes()
                 both = fit_both(x, k).ls
+                gram = model._regressor_gram(x, k)
             seen.append(-(-(n - k) // width))
+            # Under the patch a complex window's Gram is summed over blocks.
+            expected = model._regressor_gram(x, k)
+            np.testing.assert_allclose(gram, expected, rtol=0,
+                                       atol=1e-13 * np.abs(expected).max())
             unblocked = x[:, k:] - fit.c[:, None]
             for i, a in enumerate(fit.A, 1):
                 unblocked -= a @ x[:, k - i:n - i]

@@ -305,13 +305,20 @@ class TestChunkedGram:
             assert [p.tobytes() for p in products] == expected
             assert sums.tobytes() == window.sum(axis=1).tobytes()
 
-    def test_complex_memory_stays_below_one_window_copy(self, chunks):
+    @pytest.mark.parametrize("m", [2, 24])
+    def test_complex_memory_stays_below_one_window_copy(self, m):
         # A conjugated copy of the whole window would take M (N-K) 16 bytes;
-        # chunks of 500 samples need an eighth of that.
-        m, k, n = 2, 2, 4002
+        # chunks of 500 samples need an eighth of that. At M > 22 the chunk
+        # rule leaves the window uncut, and it is conjugated in blocks of
+        # _CHUNK_SAMPLES = 500 samples instead.
+        k, n = 2, 4002
         rng = np.random.default_rng(5)
         x = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        with chunks(500):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_CHUNK_SAMPLES", 500)
+            if m <= 22:  # lets the chunk rule cut the window
+                patch.setattr(linalg, "_MIN_CHUNK", 1)
+            assert (len(linalg._chunk_bounds(m, n, k)) > 2) == (m <= 22)
             tracemalloc.start()
             try:
                 _regressor_gram(x, k)

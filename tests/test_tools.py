@@ -105,6 +105,26 @@ def test_ab_inprocess_times_every_route_on_both_sides():
         assert all(float(peak) >= 5 * 5 * 16 / 2**20 for peak in faults_and_peaks[2:])
 
 
+def test_ab_inprocess_reads_both_tree_orders():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), str(ROOT), str(ROOT),
+         "2", "1", "64", "--rounds", "3", "--both-orders"],
+        capture_output=True, text=True, check=True).stdout
+    lines = out.strip().splitlines()
+    assert lines[0] == "order 1: parent, change" and lines[5] == "order 2: change, parent"
+    assert lines[1] == lines[6] and lines[1].split()[:4] == ["route", "parent_s", "change_s",
+                                                             "ratio"]
+    assert lines[10].split() == ["route", "order_1", "order_2", "geomean"]
+    for one, two, summary in zip(lines[2:5], lines[7:10], lines[11:]):
+        route, order_1, order_2, geomean = summary.split()
+        assert one.split()[0] == two.split()[0] == route
+        # Both orders as change over parent: order 2's ratio inverted.
+        assert float(order_1) == float(one.split()[3])
+        assert abs(float(order_2) - 1 / float(two.split()[3])) <= 5e-4
+        assert abs(float(geomean) - (float(order_1) * float(order_2)) ** 0.5) <= 1e-3
+    assert [line.split()[0] for line in lines[11:]] == ["lic", "ls", "both"]
+
+
 def test_ab_inprocess_rejects_zero_rounds():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), str(ROOT), str(ROOT),

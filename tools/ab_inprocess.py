@@ -2,7 +2,7 @@
 count each fit's minor page faults and trace its peak memory.
 
     python3 tools/ab_inprocess.py PARENT_TREE CHANGE_TREE M K N [--complex]
-                                  [--rounds R] [--seed S]
+                                  [--rounds R] [--seed S] [--both-orders]
 
 Each tree's ``src/svarlic`` is copied into one temporary directory under
 its own package name, and both copies are imported into this process, so
@@ -28,16 +28,28 @@ so the paired ratio resolves edits of a few microseconds that alternating
 subprocess runs cannot; `tools/bench_pairs.py` runs the benchmark itself.
 Pass one tree twice to profile it alone: the ratio then reads the noise
 floor. The temporary directory is removed on exit.
+
+One order favours a side: the same tree passed twice has read the second
+tree up to 1.6% slower at (3,2,256). With ``--both-orders`` the comparison
+runs twice, in two child processes, first with the trees in the order
+given and then swapped, and prints both runs' rows under an ``order 1``
+and an ``order 2`` line (in order 2 the ``parent`` columns are the change
+tree's), then one row per route: both runs' ratios as change over parent,
+order 2's inverted, and their geometric mean, in which the bias of the
+order cancels. Order 2 draws the series from the parent tree, the same
+series unless the change moves `svarlic.synthetic`.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import os
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -106,6 +118,31 @@ def compare(packages: dict, m: int, k: int, n: int, complex_field: bool,
     return rows
 
 
+def one_order(first: Path, second: Path, args: argparse.Namespace) -> list[str]:
+    """The report rows of this tool run in a child process with `first`
+    as the parent tree and `second` as the change tree."""
+    command = [sys.executable, str(Path(__file__).resolve()), str(first), str(second),
+               str(args.m), str(args.k), str(args.n), "--rounds", str(args.rounds),
+               "--seed", str(args.seed), *(["--complex"] if args.complex else [])]
+    return subprocess.run(command, capture_output=True, text=True,
+                          check=True).stdout.strip().splitlines()
+
+
+def both_orders(args: argparse.Namespace) -> list[str]:
+    """Report rows of the comparison in both tree orders, and each route's
+    change-over-parent ratio from each order and their geometric mean."""
+    forward = one_order(args.parent, args.change, args)
+    backward = one_order(args.change, args.parent, args)
+    rows = ["order 1: parent, change", *forward, "order 2: change, parent", *backward,
+            f"{'route':<6} {'order_1':>7} {'order_2':>7} {'geomean':>7}"]
+    for one, two in zip(forward[1:], backward[1:]):
+        route, ratio = one.split()[0], float(one.split()[3])
+        swapped = 1 / float(two.split()[3])
+        rows.append(f"{route:<6} {ratio:>7.3f} {swapped:>7.3f} "
+                    f"{math.sqrt(ratio * swapped):>7.3f}")
+    return rows
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -115,9 +152,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--complex", action="store_true")
     parser.add_argument("--rounds", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--both-orders", action="store_true")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.both_orders:
+        print("\n".join(both_orders(args)))
+        return 0
     workdir = tempfile.mkdtemp(prefix="ab_inprocess_")
     try:
         sys.path.insert(0, workdir)

@@ -14,7 +14,9 @@ also a cut residual window at K = 0 and a complex M = 1 model, whose
 mixing matrix has no entry below the diagonal to draw. At M = 24, whose
 windows no chunk cuts, ``24,1,6145`` is the widest window the residuals'
 per-lag pass takes as one block and ``24,1,6146`` the narrowest it cuts
-into two. The BLAS pool runs on one thread.
+into two; their complex rows do the same for the Gram products, which
+conjugate such a window one block at a time. The BLAS pool runs on one
+thread.
 
 Prints one ``shape output sha256`` row per output: first the simulated
 input's ``series``, so that a fit row that moves can be traced to a moved
@@ -43,7 +45,7 @@ from svarlic import estimators, synthetic  # noqa: E402
 
 SHAPES = ("3,2,256", "4,2,65536", "8,8,32768,c", "64,8,8192", "2,0,300,c",
           "5,1,600", "16,4,2048", "4,2,4098", "4,2,4098,c", "2,6,4102,c", "16,4,166",
-          "4,0,65536", "1,2,5000,c", "24,1,6145", "24,1,6146")
+          "4,0,65536", "1,2,5000,c", "24,1,6145", "24,1,6146", "24,1,6145,c", "24,1,6146,c")
 
 
 def digest(value: object) -> str:
