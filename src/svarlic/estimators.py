@@ -34,7 +34,7 @@ inverse factor, all M of ``V V^H``'s in route 1 and the bottom M of
 Under the shared positive-diagonal factor convention the two routes agree
 exactly in exact arithmetic; `fit_both` runs them side by side and reports
 the floating-point discrepancy. Its route 1 needs only ``V V^H``, not V:
-it sums that Gram over chunks or blocks of the signal
+it sums that Gram over chunks of the signal
 (`model._residuals`), and whitens through the one step `rvar_to_svar`
 takes after forming ``V V^H`` from a whole V (`_whiten`). It factors the
 Grams in the order ``S S^H``, ``T T^H``, ``V V^H``, freeing ``T T^H`` and
@@ -137,11 +137,10 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
 
     The flush floor is read off the Gram's diagonal, and the Gram is freed
     once the coefficients are solved, before `V` is formed. `V` is formed
-    in one pass over chunks or blocks of the signal (`model._residuals`),
-    allocated once, beside one chunk- or block-sized buffer and without
-    S, so the route never holds the Gram or a second array of V's size
-    beside it. `rvar_residuals` evaluates the same expression on the same
-    arrays, so it reproduces `V` bit for bit.
+    in one loop over chunks of the signal (`model._residuals`), beside one
+    chunk-sized buffer, so the route never holds the Gram or a second
+    array of V's size beside it. `rvar_residuals` evaluates the same
+    expression on the same arrays, so it reproduces `V` bit for bit.
 
     Raises
     ------
@@ -355,18 +354,17 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
     `fit_svar_lic` does, before its residuals are flushed.
 
     The least-squares half is `fit_rvar_ls` then `rvar_to_svar` without
-    V: ``V V^H`` is summed chunk by chunk, or block by block, as the
-    residuals are formed (`model._residuals`), so V is never held whole
-    where the window is cut, and V is flushed, as `fit_rvar_ls` flushes
-    it, on that Gram's trace, ``||V||_F^2``. The flush stays: it is
-    `fit_rvar_ls`'s rule, and whether ``T T^H``'s pivot rule always
-    rejects the series it guards against first depends on
-    `linalg.PIVOT_RTOL` against `RESIDUAL_FLUSH_RTOL`. Where the
-    residuals' window is one block, one product per lag over the whole
-    window (N-K at most `linalg._CHUNK_SAMPLES` and not cut by the Gram's
-    chunks), the result is bit for bit that of the two public steps;
-    where it is cut into chunks or blocks, the Gram is summed over them,
-    and the two agree to rounding.
+    V: ``V V^H`` is summed chunk by chunk in the residuals' loop
+    (`model._residuals`), so V is never held whole where the window is
+    cut, and V is flushed, as `fit_rvar_ls` flushes it, on that Gram's
+    trace, ``||V||_F^2``. The flush stays: it is `fit_rvar_ls`'s rule,
+    and whether ``T T^H``'s pivot rule always rejects the series it
+    guards against first depends on `linalg.PIVOT_RTOL` against
+    `RESIDUAL_FLUSH_RTOL`. Where the residuals' window is one chunk, one
+    product per lag over the whole window (N-K at most
+    `linalg._CHUNK_SAMPLES` and not cut by the Gram's chunks), the result
+    is bit for bit that of the two public steps; where it is cut, the
+    Gram is summed over the chunks, and the two agree to rounding.
     """
     x, k = _check_signal(x, k)
     _require_samples(x.shape, k, direct=False)

@@ -44,14 +44,14 @@ solve and inverse, the residual routines and the rescaling of a reduced
 form all raise through it, so no public routine returns a silent inf or
 NaN or leaks a numpy warning.
 
-Every pass over the samples is cut by one rule, `_chunk_bounds`. Every
-Gram product is summed by one chunk loop over those bounds,
-`_window_products`: the K+1 lag products of the structured regressor
+Every pass over the samples is cut by one rule, `_chunk_bounds`, and
+walked by one of two chunk loops. `_window_products` sums the Gram
+products of the signal: the K+1 lag products of the structured regressor
 Gram, and with K = 0 the plain ``a a^H`` of `gram_hermitian` and of the
-regressor Gram where T is stacked whole. The residuals
-(`model._residuals`) cut the same windows, into chunks as much narrower
-as their stacked rows are more than the Gram's M; a window the rule
-leaves uncut they walk in blocks of at most `_CHUNK_SAMPLES` samples
+regressor Gram where T is stacked whole. `model._residuals` forms the
+residuals and sums `fit_both`'s ``V V^H``, in chunks as much narrower as
+their stacked rows are more than the Gram's M. A window the rule leaves
+uncut the residuals walk in blocks of at most `_CHUNK_SAMPLES` samples
 (`_even_bounds`), so their working memory is bounded on every window.
 The Gram products walk such a window in the same blocks where it is
 complex and wider than one block, so no product conjugates a whole

@@ -31,27 +31,18 @@ still charges the paper's ``q^2 N / 2``. The fits read the signal's
 finiteness off that Gram rather than scanning the signal
 (`_check_signal`).
 
-Residuals of either form, the least-squares fit's `V` included, are one
-expression, `_residuals`: one pass over the sample window, cut where the
-Gram products cut it (`linalg._chunk_bounds`, the one rule for every
-pass over the samples). Where the window is cut it is one loop for the
-residuals and for `fit_both`'s ``V V^H`` alike: each chunk's rows of T
-are stacked into one reused buffer (`_stack_regressor`), and one product
-with the coefficient block ``[-c | -A_1 .. -A_K | I]``, or
-``[-t | -R_1 .. -R_K | L]``, writes that chunk's residuals, into the
-result or, for ``V V^H``, into one reused chunk buffer whose Gram is
-summed. The chunks are narrowed so that the stack and the block fit in
-the Gram pass's chunk buffer. A window the Gram products leave uncut
-(one chunk, or any window where M > 22) takes one product per lag on
-slices of the signal instead, in near-equal blocks of at most
-`linalg._CHUNK_SAMPLES` samples (`linalg._even_bounds`), through one
-reused block-sized product buffer; for ``V V^H`` each block's residuals
-go into one reused block buffer whose Gram is summed. So `fit_both`
-never holds `V` whole where the window is cut into chunks or blocks, no
-fit or residual routine stacks S or the whole of T, and its working
-memory beside the result is one chunk's or one block's; S is stacked
-only by `build_regressor_s`, and T only by `build_regressor_t` and the
-Gram where it fits in that buffer. The structured Gram stacks T's layout
+Residuals of either form, the least-squares fit's `V` and `fit_both`'s
+``V V^H`` included, are one expression and one loop, `_residuals`, over
+chunks of the sample window (`linalg._chunk_bounds`, the one rule for
+every pass over the samples). A chunk of a cut window stacks its rows of
+T into one reused buffer (`_stack_regressor`) for one product with the
+coefficient block ``[-c | -A_1 .. -A_K | I]``, or
+``[-t | -R_1 .. -R_K | L]``; a window the rule leaves uncut is taken in
+blocks of at most `linalg._CHUNK_SAMPLES` samples, one product per lag.
+So no fit or residual routine stacks S or the whole of T, and the
+working memory beside the result is one chunk's: S is stacked only by
+`build_regressor_s`, and T only by `build_regressor_t` and the Gram
+where it fits in that buffer. The structured Gram stacks T's layout
 over two snippets of 2K samples at the ends of the signal, for its edge
 terms.
 """
@@ -360,94 +351,70 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     complex lag give complex residuals. With `gram`, the M x M Gram of
     that array instead, not yet made Hermitian (`linalg._finish_gram`).
 
-    One pass over the sample window, cut where the Gram products cut it
-    (`linalg._chunk_bounds`). A window they leave uncut is walked in
-    near-equal blocks of at most `linalg._CHUNK_SAMPLES` samples
-    (`linalg._even_bounds`), even where M > 22: each block gets the lead
-    term minus the intercept, then one product per lag on a slice of `x`
-    through one reused block-sized buffer (`_lag_block`), into that block
-    of the result, or with `gram` into one reused block buffer whose Gram
-    is summed. A window of one block takes those products on the whole
-    window, with no views. A cut window is one loop, for the residuals
-    and their Gram alike. It is cut again, into chunks narrow enough that
-    T's rows of a chunk, stacked into one reused buffer
-    (`_stack_regressor`), and the coefficient block
-    ``[-intercept | -lags | mixing]`` fit in the elements of the Gram
-    pass's M-row chunk buffer. Each chunk's residuals are one product of
-    the two, with T's q rows as its inner dimension, written into that
-    chunk of the result, or with `gram` into one reused chunk buffer
-    whose Gram is summed as `_window_products` sums one, through a
-    conjugated copy as the second operand. So with `gram` the result is
-    never held whole where the window is cut into chunks or blocks, S is
-    never stacked, nor T whole, and the working memory besides the result
-    is one chunk's or one block's.
+    One loop over chunks of the sample window, cut by
+    `linalg._chunk_bounds` for a pass that stacks T's q rows per sample.
+    Where that rule cuts the window, each chunk's rows of T are stacked
+    into one reused buffer (`_stack_regressor`) and multiplied by the
+    coefficient block ``[-intercept | -lags | mixing]``. Where it leaves
+    the window uncut, the chunks are near-equal blocks of at most
+    `linalg._CHUNK_SAMPLES` samples (`linalg._even_bounds`), one if the
+    window fits in one, and each takes one product per lag through one
+    reused scratch buffer. Each chunk's residuals go into that chunk of
+    the result or, with `gram`, into one reused chunk buffer whose Gram
+    is summed. So with `gram` the result is never held whole where the
+    window is more than one chunk, S is never stacked, nor T whole, and
+    the working memory beside the result is one chunk's.
     """
     m, n = x.shape
     operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
     dtype = np.result_type(*operands)
     q = m * (k + 1) + 1
     bounds = _chunk_bounds(m, n, k, rows=q)
-    if len(bounds) == 2:  # per-lag: a stack here ran 1.06x the fit at (3,2,256)
-        if n - k <= linalg._CHUNK_SAMPLES:  # one block: the loop took V 9.3 not 7.8 us there
-            r = np.empty((m, n - k), dtype=dtype)
-            return _lag_block(x, k, mixing, intercept, lags, r, np.empty_like(r), gram)
-        blocks = _even_bounds(k, n, linalg._CHUNK_SAMPLES)
-        width = blocks[-1] - blocks[-2]
-        r = np.empty((m, width if gram else n - k), dtype=dtype)
-        product = np.empty((m, width), dtype=dtype)
-        for a, b in pairwise(blocks):
-            term = _lag_block(x[:, a - k:b], k, mixing, intercept, lags,
-                              r[:, :b - a] if gram else r[:, a - k:b - k],
-                              product[:, :b - a], gram)
-            if gram:
-                g = term if a == k else g + term
-        return g if gram else r
-    # Stacked: per-lag chunks ran 1.07x (ls) and 1.12x (both) at (8,8,32768) c.
-    block = np.concatenate((-intercept[:, None], *(-lag for lag in lags),
-                            np.eye(m) if mixing is None else mixing), axis=1, dtype=dtype)
+    # Per-lag everywhere ran 1.07x (ls) and 1.12x (both) at (8,8,32768)
+    # complex; stacked everywhere 1.13x/1.15x at (64,8,8192), 1.07x at (3,2,256).
+    stacked = len(bounds) > 2
+    if not stacked and n - k > linalg._CHUNK_SAMPLES:
+        bounds = _even_bounds(k, n, linalg._CHUNK_SAMPLES)
     width = bounds[-1] - bounds[-2]
-    buffer = np.empty((q, width), dtype=dtype)
-    buffer[0] = 1  # the stacks' row of ones, written once
-    if gram:
-        chunk, copy = np.empty((2, m, width), dtype=dtype)
-        g, term = np.zeros((2, m, m), dtype=dtype)
-    else:
-        r = np.empty((m, n - k), dtype=dtype)
+    r = np.empty((m, width if gram else n - k), dtype=dtype)
+    if stacked:
+        block = np.concatenate((-intercept[:, None], *(-lag for lag in lags),
+                                np.eye(m) if mixing is None else mixing), axis=1, dtype=dtype)
+        stack = np.empty((q, width), dtype=dtype)
+        stack[0] = 1  # the stacks' row of ones, written once
+    if gram or not stacked:
+        scratch = np.empty((m, width), dtype=dtype)  # lag products, or v's copy
     for a, b in pairwise(bounds):
-        stack = _stack_regressor(x[:, a - k:b], k, True, buffer[:, :b - a])
-        v = chunk[:, :b - a] if gram else r[:, a - k:b - k]
-        np.matmul(block, stack, out=v)
+        v = r[:, :b - a] if gram else r[:, a - k:b - k]
+        if stacked:
+            np.matmul(block, _stack_regressor(x[:, a - k:b], k, True, stack[:, :b - a]), out=v)
+        else:
+            product = scratch[:, :b - a]
+            if mixing is None:
+                v[...] = x[:, a:b]
+            else:
+                np.matmul(mixing, x[:, a:b], out=v)
+            v -= intercept[:, None]
+            for i, lag in enumerate(lags, 1):
+                np.matmul(lag, x[:, a - i:b - i], out=product)
+                v -= product
         if gram:
-            # A copy: v @ v^H, one buffer, goes to syrk: 1.21x both at (4,2,65536).
-            v_conj = copy[:, :b - a]
+            # A stacked chunk's copy sends v @ w.T to gemm: syrk ran both
+            # 1.21x at (4,2,65536). Assigned, it took 1.9 us against 3.5
+            # for np.conjugate(out=). A real per-lag chunk's stays syrk,
+            # as `gram_hermitian` forms it.
+            w = scratch[:, :b - a]
             if dtype.kind == "c":
-                np.conjugate(v, out=v_conj)
-            else:  # assignment: 1.9 us against 3.5 for np.conjugate(out=)
-                v_conj[...] = v
-            np.matmul(v, v_conj.T, out=term)
-            g += term
+                np.conjugate(v, out=w)
+            elif stacked:
+                w[...] = v
+            else:
+                w = v
+            if a == k:  # the first chunk's term is the accumulator
+                g = v @ w.T
+            else:
+                g += v @ w.T
     return g if gram else r
-
-
-def _lag_block(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
-               lags: tuple[NDArray, ...], r: NDArray, product: NDArray,
-               gram: bool) -> NDArray:
-    """`_residuals` of the window K .. N-1 of `x` by one product per lag,
-    written into `r` through `product`, both M x (N-K); with `gram`, the
-    Gram of `r` instead, formed as `_window_products` forms one, its
-    conjugated copy in `product`."""
-    n = x.shape[1]
-    if mixing is None:
-        r[...] = x[:, k:]
-    else:
-        np.matmul(mixing, x[:, k:], out=r)
-    r -= intercept[:, None]
-    for i, lag in enumerate(lags, 1):
-        np.matmul(lag, x[:, k - i:n - i], out=product)
-        r -= product
-    if not gram:
-        return r
-    return r @ (np.conjugate(r, out=product) if r.dtype.kind == "c" else r).T
 
 
 def _caller_residuals(model: SvarCoefficients | RvarCoefficients, x: ArrayLike,

@@ -882,15 +882,17 @@ class TestFitBothLeastSquaresHalf:
     def halves(x, k):
         return fit_both(x, k).ls, rvar_to_svar(fit_rvar_ls(x, k))
 
+    @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("m,k,n", [(3, 2, 256), (24, 1, 1000), (24, 1, 6145)])
-    def test_one_chunk_windows_agree_bit_for_bit(self, m, k, n):
+    def test_one_chunk_windows_agree_bit_for_bit(self, m, k, n, complex_field):
         # (3, 2, 256) stacks T whole; (24, 1, 1000) forms the structured
         # Gram, whose window M > 22 never cuts, and (24, 1, 6145) too, on
         # the widest window the residuals take as one block.
         assert linalg._chunk_bounds(m, n, k) == [k, n]
         assert n - k <= linalg._CHUNK_SAMPLES
         assert stacks_t_whole(m, k, n) == (m == 3)
-        both, ls = self.halves(stable_series(m, k, n, seed=37), k)
+        x = stable_series(m, k, n, seed=37, complex_field=complex_field)
+        both, ls = self.halves(x, k)
         for a, b in [(both.L, ls.L), (both.t, ls.t), *zip(both.R, ls.R)]:
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes()
@@ -927,7 +929,8 @@ class TestPerLagBlocks:
     """Where no chunk cuts the window, as at M > 22, the residuals'
     one-product-per-lag pass walks it in near-equal blocks of at most
     `linalg._CHUNK_SAMPLES` samples, here patched to 1 .. 48, and nothing
-    else: the Gram products stay uncut."""
+    else: the Gram products stay uncut. The residuals with a mixing
+    matrix, and their Gram, take the same blocks."""
 
     def test_blocked_windows_agree(self):
         seen = []
@@ -943,12 +946,17 @@ class TestPerLagBlocks:
             x = rng.standard_normal((m, n))
             if complex_field:
                 x = x + 1j * rng.standard_normal((m, n))
+            mixing = rng.standard_normal((m, m)).astype(x.dtype)
+            if complex_field:
+                mixing += 1j * rng.standard_normal((m, m))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(linalg, "_CHUNK_SAMPLES", width)
                 fit = fit_rvar_ls(x, k)
                 assert rvar_residuals(fit, x).tobytes() == fit.V.tobytes()
                 both = fit_both(x, k).ls
                 gram = model._regressor_gram(x, k)
+                mixed = model._residuals(x, k, mixing, fit.c, fit.A)
+                mixed_gram = model._residuals(x, k, mixing, fit.c, fit.A, gram=True)
             seen.append(-(-(n - k) // width))
             # Under the patch a complex window's Gram is summed over blocks.
             expected = model._regressor_gram(x, k)
@@ -960,6 +968,14 @@ class TestPerLagBlocks:
             np.testing.assert_allclose(fit.V, unblocked, rtol=0,
                                        atol=1e-13 * np.abs(unblocked).max())
             assert coefficient_discrepancy(rvar_to_svar(fit), both) <= 1e-13
+            unblocked = mixing @ x[:, k:] - fit.c[:, None]
+            for i, a in enumerate(fit.A, 1):
+                unblocked -= a @ x[:, k - i:n - i]
+            np.testing.assert_allclose(mixed, unblocked, rtol=0,
+                                       atol=1e-13 * np.abs(unblocked).max())
+            expected = mixed @ mixed.conj().T
+            np.testing.assert_allclose(mixed_gram, expected, rtol=0,
+                                       atol=1e-13 * np.abs(expected).max())
 
         check()
         # Windows of a few blocks and of many one-sample blocks alike.

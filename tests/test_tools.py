@@ -77,11 +77,13 @@ def test_fit_digest_prints_every_output_once_and_repeats():
     rows = [line.split() for line in first.strip().splitlines()]
     assert [row[:2] for row in rows] == [
         ["2,1,200", name] for name in ("series", "ls.c", "ls.A_1", "ls.V", "ls.L", "ls.R_1",
-                                       "ls.t", "lic.L", "lic.R_1", "lic.t", "both.ls.L",
-                                       "both.ls.R_1", "both.ls.t", "both.discrepancy")
+                                       "ls.t", "lic.L", "lic.R_1", "lic.t", "lic.W",
+                                       "both.ls.L", "both.ls.R_1", "both.ls.t",
+                                       "both.discrepancy")
     ] + [
         ["2,0,60,c", name] for name in ("series", "ls.c", "ls.V", "ls.L", "ls.t", "lic.L",
-                                        "lic.t", "both.ls.L", "both.ls.t", "both.discrepancy")
+                                        "lic.t", "lic.W", "both.ls.L", "both.ls.t",
+                                        "both.discrepancy")
     ]
     assert all(len(row) == 3 and len(row[2]) == 64 and int(row[2], 16) >= 0 for row in rows)
 

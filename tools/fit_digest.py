@@ -22,11 +22,12 @@ Prints one ``shape output sha256`` row per output: first the simulated
 input's ``series``, so that a fit row that moves can be traced to a moved
 input; then the least-squares route's ``ls.c``, ``ls.A_i`` and ``ls.V``,
 then its whitened ``ls.L``, ``ls.R_i`` and ``ls.t``; the direct route's
-``lic.L``, ``lic.R_i`` and ``lic.t``; and `fit_both`'s own least-squares
-half, ``both.ls.L``, ``both.ls.R_i`` and ``both.ls.t``, and its
-``both.discrepancy``. An array's digest covers its dtype, shape and
-bytes; the discrepancy's covers its `repr`. Run it on both trees and
-compare the output with `diff`.
+``lic.L``, ``lic.R_i`` and ``lic.t``, and its residuals ``lic.W``
+(`svar_residuals`, the one output whose residuals take a mixing matrix);
+and `fit_both`'s own least-squares half, ``both.ls.L``, ``both.ls.R_i``
+and ``both.ls.t``, and its ``both.discrepancy``. An array's digest
+covers its dtype, shape and bytes; the discrepancy's covers its `repr`.
+Run it on both trees and compare the output with `diff`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from svarlic import estimators, synthetic  # noqa: E402
+from svarlic import estimators, model, synthetic  # noqa: E402
 
 SHAPES = ("3,2,256", "4,2,65536", "8,8,32768,c", "64,8,8192", "2,0,300,c",
           "5,1,600", "16,4,2048", "4,2,4098", "4,2,4098,c", "2,6,4102,c", "16,4,166",
@@ -67,6 +68,8 @@ def outputs(x: np.ndarray, k: int):
         yield f"{route}.L", svar.L
         yield from ((f"{route}.R_{i}", r) for i, r in enumerate(svar.R, 1))
         yield f"{route}.t", svar.t
+        if route == "lic":
+            yield "lic.W", model.svar_residuals(svar, x)
     yield "both.discrepancy", both.discrepancy
 
 
