@@ -35,7 +35,7 @@ from .exceptions import (
     NumericalOverflow,
     OrderTooLarge,
 )
-from .model import whitening_error
+from .model import _check_signal, whitening_error
 from .report import (
     render_bench_report,
     render_count_table,
@@ -141,9 +141,10 @@ def _alternating_seconds(fits, trials: int) -> list[list[float]]:
 
 def _cmd_bench(args) -> int:
     _, x = _dataset(args)
-    k = args.order
-    # Both routes' sample rules, in `fit_both`'s order, before a warm-up
-    # fit can fail on a series too short for the other route.
+    # The order and both routes' sample rules, in `fit_both`'s order,
+    # before a warm-up fit can fail on a series too short for the other
+    # route.
+    x, k = _check_signal(x, args.order)
     _require_samples(x.shape, k, direct=False)
     _require_samples(x.shape, k, direct=True)
     ls_median, lic_median = map(statistics.median, _alternating_seconds(

@@ -347,9 +347,8 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
     bottom rows and free the factor, and only then sum ``V V^H`` over the
     residual pass, flush it, whiten and measure the discrepancy. So the
     peak is the larger of the least-squares solve and the direct route's
-    floor, ``T T^H`` beside its factor (5.33 MiB at (64,8,8192), where
-    ``T T^H`` held through the residual pass made 6.88), and the Grams
-    are factored in the order ``S S^H``, ``T T^H``, ``V V^H``: a
+    floor, ``T T^H`` beside its factor (5.33 MiB at (64,8,8192)), and
+    the Grams are factored in the order ``S S^H``, ``T T^H``, ``V V^H``: a
     deterministic series raises `RankDeficient` naming ``T T^H``, as
     `fit_svar_lic` does, before its residuals are flushed.
 

@@ -271,6 +271,13 @@ class TestBench:
         assert err == ("svarlic: error: direct route needs N - K >= M*(K+1) + 1; "
                        "got N-K=3 < 5 for M=2, K=1\n")
 
+    def test_order_too_large_exits_2_before_the_sample_rules(self, capsys):
+        # N <= K is the order error, as in `fit`, not the rule N-K=-2 < 11.
+        code, out, err = run(capsys, "bench", "-m", "2", "-k", "5", "-n", "3", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert "order too large" in err
+        assert err.count("\n") == 1
+
     def test_collector_is_off_only_in_timed_calls_and_back_on_after_a_raise(self):
         seen = []
 

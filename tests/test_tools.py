@@ -88,43 +88,26 @@ def test_fit_digest_prints_every_output_once_and_repeats():
     assert all(len(row) == 3 and len(row[2]) == 64 and int(row[2], 16) >= 0 for row in rows)
 
 
-def test_ab_inprocess_times_every_route_on_both_sides():
+def test_ab_inprocess_times_every_route_in_both_tree_orders():
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), str(ROOT), str(ROOT),
          "2", "1", "64", "--complex", "--rounds", "3"],
         capture_output=True, text=True, check=True).stdout
     header, *rows = out.strip().splitlines()
-    assert header.split() == ["route", "parent_s", "change_s", "ratio", "won",
-                              "parent_minflt", "change_minflt", "parent_mib", "change_mib"]
+    assert header.split() == ["route", "parent_s", "change_s", "order_1", "order_2", "geomean",
+                              "won", "parent_minflt", "change_minflt", "parent_mib",
+                              "change_mib"]
     assert [row.split()[0] for row in rows] == ["lic", "ls", "both"]
     for row in rows:
-        _, parent, change, ratio, won, *faults_and_peaks = row.split()
-        assert float(parent) > 0 and float(change) > 0 and float(ratio) > 0
-        wins, rounds = won.split("/")
-        assert 0 <= int(wins) <= int(rounds) == 3
+        _, parent, change, order_1, order_2, geomean, won, *faults_and_peaks = row.split()
+        assert float(parent) > 0 and float(change) > 0
+        assert float(order_1) > 0 and float(order_2) > 0
+        assert abs(float(geomean) - (float(order_1) * float(order_2)) ** 0.5) <= 1e-3
+        wins, pairs = won.split("/")
+        assert 0 <= int(wins) <= int(pairs) == 2 * 3
         assert all(int(faults) >= 0 for faults in faults_and_peaks[:2])
         # Every fit holds at least its Gram, (M(K+1)+1)^2 complex values.
         assert all(float(peak) >= 5 * 5 * 16 / 2**20 for peak in faults_and_peaks[2:])
-
-
-def test_ab_inprocess_reads_both_tree_orders():
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), str(ROOT), str(ROOT),
-         "2", "1", "64", "--rounds", "3", "--both-orders"],
-        capture_output=True, text=True, check=True).stdout
-    lines = out.strip().splitlines()
-    assert lines[0] == "order 1: parent, change" and lines[5] == "order 2: change, parent"
-    assert lines[1] == lines[6] and lines[1].split()[:4] == ["route", "parent_s", "change_s",
-                                                             "ratio"]
-    assert lines[10].split() == ["route", "order_1", "order_2", "geomean"]
-    for one, two, summary in zip(lines[2:5], lines[7:10], lines[11:]):
-        route, order_1, order_2, geomean = summary.split()
-        assert one.split()[0] == two.split()[0] == route
-        # Both orders as change over parent: order 2's ratio inverted.
-        assert float(order_1) == float(one.split()[3])
-        assert abs(float(order_2) - 1 / float(two.split()[3])) <= 5e-4
-        assert abs(float(geomean) - (float(order_1) * float(order_2)) ** 0.5) <= 1e-3
-    assert [line.split()[0] for line in lines[11:]] == ["lic", "ls", "both"]
 
 
 def test_ab_inprocess_rejects_zero_rounds():
