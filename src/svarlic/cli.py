@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
-    _require_samples,
+    _check_both,
     fit_both,
     fit_rvar_ls,
     fit_svar_lic,
@@ -35,7 +35,7 @@ from .exceptions import (
     NumericalOverflow,
     OrderTooLarge,
 )
-from .model import _check_signal, whitening_error
+from .model import whitening_error
 from .report import (
     render_bench_report,
     render_count_table,
@@ -141,12 +141,9 @@ def _alternating_seconds(fits, trials: int) -> list[list[float]]:
 
 def _cmd_bench(args) -> int:
     _, x = _dataset(args)
-    # The order and both routes' sample rules, in `fit_both`'s order,
-    # before a warm-up fit can fail on a series too short for the other
-    # route.
-    x, k = _check_signal(x, args.order)
-    _require_samples(x.shape, k, direct=False)
-    _require_samples(x.shape, k, direct=True)
+    # `fit_both`'s door, before a warm-up fit can fail on a series too
+    # short for the other route.
+    x, k = _check_both(x, args.order)
     ls_median, lic_median = map(statistics.median, _alternating_seconds(
         (lambda: rvar_to_svar(fit_rvar_ls(x, k)), lambda: fit_svar_lic(x, k)), args.trials))
     report = render_bench_report(

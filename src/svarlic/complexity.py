@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import _integer
+from .model import _check_order, _integer
 
 __all__ = [
     "MultiplyCount",
@@ -54,10 +54,13 @@ class MultiplyCount:
 
 
 def _validate(m: int, k: int, n: int) -> tuple[int, int, int]:
-    """(M, K, N) as ints under the package's rule for counts, N > K."""
+    """(M, K, N) as ints under the package's rule for counts and its
+    order rule, N > K (`model._check_order`)."""
     m = _integer(m, 1, "branch count M must be >= 1, got {}")
     k = _integer(k, 0, "order K must be >= 0, got {}")
-    return m, k, _integer(n, k + 1, f"need N > K, got N={{}}, K={k}")
+    n = _integer(n, 1, "sample count N must be >= 1, got {}")
+    _check_order(k, n)
+    return m, k, n
 
 
 def ls_multiply_count(m: int, k: int, n: int) -> MultiplyCount:

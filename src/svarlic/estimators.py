@@ -115,6 +115,17 @@ def _require_samples(shape: tuple[int, int], k: int, direct: bool) -> None:
         raise InsufficientSamples(f"{rule}; got N-K={n - k} < {rows} for M={m}, K={k}")
 
 
+def _check_both(x: ArrayLike, k: int) -> tuple[NDArray, int]:
+    """The door of every call that runs both routes on one signal: the
+    signal and order (`_check_signal`), then the least-squares and the
+    direct route's sample rules, in that order. Returns `x` and `k`
+    checked."""
+    x, k = _check_signal(x, k)
+    _require_samples(x.shape, k, direct=False)
+    _require_samples(x.shape, k, direct=True)
+    return x, k
+
+
 def _factor(gram: NDArray, name: str, cause: str) -> NDArray:
     """The lower factor ``C`` of ``gram = C C^H``, for the estimator Gram
     matrix named `name`: the one step where the estimators factor a Gram.
@@ -365,9 +376,7 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
     is bit for bit that of the two public steps; where it is cut, the
     Gram is summed over the chunks, and the two agree to rounding.
     """
-    x, k = _check_signal(x, k)
-    _require_samples(x.shape, k, direct=False)
-    _require_samples(x.shape, k, direct=True)
+    x, k = _check_both(x, k)
     m = x.shape[0]
     gram = _regressor_gram(x, k)
     floor = _flush_floor(gram, m)

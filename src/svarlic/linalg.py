@@ -323,9 +323,10 @@ def _first_failing_pivot(h: NDArray, threshold: float) -> tuple[int, float]:
     the largest passing leading block is found by bisection; the failing
     pivot is the Schur complement of that block at the next index, formed
     with the block's factor from the bisection by one division by its
-    adjoint.
+    adjoint. The bisection starts from the empty block, whose Schur
+    complement is the first diagonal entry itself.
     """
-    good, bad, factor = 0, h.shape[0], None
+    good, bad, factor = 0, h.shape[0], h[:0, :0]
     while bad - good > 1:
         mid = (good + bad) // 2
         c = _checked_factor(h[:mid, :mid], threshold)
@@ -333,11 +334,8 @@ def _first_failing_pivot(h: NDArray, threshold: float) -> tuple[int, float]:
             bad = mid
         else:
             good, factor = mid, c
-    pivot = h[good, good].real
-    if factor is not None:
-        z = _divide_adjoint(h[good:good + 1, :good], factor)
-        pivot -= np.vdot(z, z).real
-    return good, float(pivot)
+    z = _divide_adjoint(h[good:good + 1, :good], factor)
+    return good, float(h[good, good].real - np.vdot(z, z).real)
 
 
 def cholesky_lower(h: ArrayLike) -> NDArray:

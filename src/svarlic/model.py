@@ -199,6 +199,13 @@ def _fitted(cls: type, **fields: object) -> SvarCoefficients | RvarCoefficients:
     return fitted
 
 
+def _check_order(k: int, n: int) -> None:
+    """Raise `OrderTooLarge` unless N > K: the package's one order rule,
+    for the fits' signals and the cost models' counts alike."""
+    if n <= k:
+        raise OrderTooLarge(f"order K={k} too large for N={n} samples (need N > K)")
+
+
 def _check_signal(x: ArrayLike, k: int, branches: int | None = None) -> tuple[NDArray, int]:
     """Check the signal `x` and order `k` at the door of every fit and
     residual route: `x` is coerced to a 2-D float array without reading
@@ -213,9 +220,7 @@ def _check_signal(x: ArrayLike, k: int, branches: int | None = None) -> tuple[ND
     first, their one scan."""
     x = _as_float_matrix(x, "signal")
     k = validate_order(k)
-    n = x.shape[1]
-    if n <= k:
-        raise OrderTooLarge(f"order K={k} too large for N={n} samples (need N > K)")
+    _check_order(k, x.shape[1])
     if branches is not None and x.shape[0] != branches:
         raise DimensionMismatch(
             f"signal has {x.shape[0]} branches, model expects {branches}")

@@ -51,14 +51,7 @@ def random_stable_svar(
     m = _integer(m, 1, "branch count must be >= 1, got {}")
     k = validate_order(k)
     rng = np.random.default_rng(seed)
-
-    def draw(*shape: int) -> NDArray:
-        z = rng.standard_normal(shape)
-        if complex_field:
-            z = (z + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        return z
-
-    lags = tuple(draw(m, m) / (k * np.sqrt(m)) for _ in range(k))
+    lags = tuple(_normal(rng, (m, m), complex_field) / (k * np.sqrt(m)) for _ in range(k))
     radius = companion_spectral_radius(_fitted(RvarCoefficients, c=np.zeros(m), A=lags, V=None))
     if radius > target_radius:
         scale = target_radius / radius
@@ -66,9 +59,9 @@ def random_stable_svar(
 
     mixing = np.zeros((m, m), dtype=np.complex128 if complex_field else np.float64)
     idx = np.tril_indices(m, -1)
-    mixing[idx] = 0.3 * draw(idx[0].size)
+    mixing[idx] = 0.3 * _normal(rng, idx[0].size, complex_field)
     np.fill_diagonal(mixing, rng.uniform(0.5, 1.5, size=m))
-    intercept = draw(m)
+    intercept = _normal(rng, m, complex_field)
 
     return _fitted(SvarCoefficients, L=mixing, R=tuple(mixing @ a for a in lags), t=intercept)
 
@@ -98,9 +91,11 @@ def simulate_series(
     the K samples before the block, read as one contiguous slice. Both
     responses are built once per call by running the single-sample step,
     ``[A_K .. A_1]`` times the K previous samples, on unit inputs. B
-    depends only on M, K, the run length and the field (`_block_size`);
-    B = 1 is the single-sample step itself, bit for bit, and at K = 0 the
-    series is the driving terms. Other B change samples by rounding only.
+    depends only on M, K, the run length and the field (`_block_size`).
+    At B = 1 the response to the past is ``[A_K .. A_1]`` exactly and the
+    response to driving terms is empty, so each step is the single-sample
+    step, bit for bit; at K = 0 the series is the driving terms. Other B
+    change samples by rounding only.
 
     With ``return_noise=True`` also returns the M x `n` shock block aligned
     with the returned samples, for round-trip checks against
@@ -122,12 +117,7 @@ def simulate_series(
                        "burn_in must be >= 0, got {}")
     total = burn_in + n
 
-    rng = np.random.default_rng(seed)
-    if np.iscomplexobj(model.L):
-        noise = (rng.standard_normal((m, total))
-                 + 1j * rng.standard_normal((m, total))) / np.sqrt(2.0)
-    else:
-        noise = rng.standard_normal((m, total))
+    noise = _normal(np.random.default_rng(seed), (m, total), np.iscomplexobj(model.L))
 
     linv, lag_mats, intercept = _implied_reduced_form(model)
     stacked = np.hstack([np.zeros((m, 0)), *lag_mats[::-1]])
@@ -139,11 +129,9 @@ def simulate_series(
         # Zero driving terms pad the run to whole blocks.
         buf = np.zeros((k + blocks * size, m), dtype=driven.dtype)
         buf[k:k + total] = driven.T
-        past = stacked
-        if size > 1:  # B = 1 through the block response: +3-4 ms per (64,8) series
-            past, driving = _block_response(stacked, m, k, size)
-            rows = buf[k:].reshape(blocks, width)
-            rows[:, m:] += rows[:, :-m] @ driving.T
+        past, driving = _block_response(stacked, m, k, size)
+        rows = buf[k:].reshape(blocks, width)
+        rows[:, m:] += rows[:, :-m] @ driving.T
         flat = buf.reshape(-1)
         lead = k * m
         for start in range(lead, flat.size if k else 0, width):
@@ -160,6 +148,16 @@ def simulate_series(
     if return_noise:
         return x, noise[:, burn_in:]
     return x
+
+
+def _normal(rng: np.random.Generator, shape: int | tuple[int, ...],
+            complex_field: bool) -> NDArray:
+    """Standard normal draws of `shape`, or circularly symmetric unit
+    normal ones if `complex_field`, real parts drawn first."""
+    z = rng.standard_normal(shape)
+    if complex_field:
+        z = (z + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return z
 
 
 def _block_size(m: int, k: int, total: int, itemsize: int) -> int:

@@ -244,6 +244,10 @@ class TestCholeskyLower:
         with pytest.raises(NotPositiveDefinite, match="pivot -3.000e.00 at index 1 "):
             cholesky_lower([[1.0, 2.0], [2.0, 1.0]])
 
+    def test_lapack_stop_at_the_first_pivot_names_its_value(self):
+        with pytest.raises(NotPositiveDefinite, match="pivot -2.000e.00 at index 0 "):
+            cholesky_lower([[-2.0, 1.0], [1.0, 3.0]])
+
     def test_pivot_just_above_threshold_factors(self):
         c = cholesky_lower(np.diag([1.0, 1.01 * PIVOT_RTOL]))
         assert c[1, 1] ** 2 > PIVOT_RTOL

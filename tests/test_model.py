@@ -109,7 +109,7 @@ COUNTS = {
         "burn_in must be >= 0, got {}"),
     "complexity m": (lambda v: ls_multiply_count(v, 1, 10), "branch count M must be >= 1, got {}"),
     "complexity k": (lambda v: lic_multiply_count(2, v, 10), "order K must be >= 0, got {}"),
-    "complexity n": (lambda v: savings_ratio(2, 1, v), "need N > K, got N={}, K=1"),
+    "complexity n": (lambda v: savings_ratio(2, 1, v), "sample count N must be >= 1, got {}"),
 }
 
 

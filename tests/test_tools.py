@@ -70,7 +70,8 @@ def test_code_lines_counts_each_module(tmp_path):
 
 
 def test_fit_digest_prints_every_output_once_and_repeats():
-    command = [sys.executable, str(ROOT / "tools" / "fit_digest.py"), "2,1,200", "2,0,60,c"]
+    command = [sys.executable, str(ROOT / "tools" / "fit_digest.py"), "2,1,200", "2,0,60,c",
+               "2,1,200,c,dup"]
     first = subprocess.run(command, capture_output=True, text=True, check=True).stdout
     second = subprocess.run(command, capture_output=True, text=True, check=True).stdout
     assert first == second
@@ -84,6 +85,8 @@ def test_fit_digest_prints_every_output_once_and_repeats():
         ["2,0,60,c", name] for name in ("series", "ls.c", "ls.V", "ls.L", "ls.t", "lic.L",
                                         "lic.t", "lic.W", "both.ls.L", "both.ls.t",
                                         "both.discrepancy")
+    ] + [
+        ["2,1,200,c,dup", name] for name in ("series", "ls.error", "lic.error", "both.error")
     ]
     assert all(len(row) == 3 and len(row[2]) == 64 and int(row[2], 16) >= 0 for row in rows)
 

@@ -1,22 +1,25 @@
 """Print one SHA-256 digest per fit route and output, so that two trees can
 be checked for byte-identical fits.
 
-    python3 tools/fit_digest.py [M,K,N[,c] ...]
+    python3 tools/fit_digest.py [M,K,N[,c][,dup] ...]
 
 Each shape is fitted on one seeded series: the model is drawn with
-`random_stable_svar(M, K, seed=1)`, complex with a trailing ``,c``, and
-the series with `simulate_series(model, N, seed=2)`. Without arguments the
-shapes are those below, which cover dense, one-chunk and cut Gram windows,
-shapes just either side of the rule that stacks T whole for the Gram
-(`model._regressor_gram`), K = 0, complex input, and least-squares solves
-below and above the LU block (p = M*K + 1 up to 64, and 65 and 513), and
-also a cut residual window at K = 0 and a complex M = 1 model, whose
-mixing matrix has no entry below the diagonal to draw. At M = 24, whose
-windows no chunk cuts, ``24,1,6145`` is the widest window the residuals'
-per-lag pass takes as one block and ``24,1,6146`` the narrowest it cuts
-into two; their complex rows do the same for the Gram products, which
-conjugate such a window one block at a time. The BLAS pool runs on one
-thread.
+`random_stable_svar(M, K, seed=1)`, complex with ``,c``, and the series
+with `simulate_series(model, N, seed=2)`; a trailing ``,dup`` copies
+branch 0 into the last branch, so that every route raises `RankDeficient`
+and its message, which carries the failing pivot, is what is digested.
+Without arguments the shapes are those below, which cover dense,
+one-chunk and cut Gram windows, shapes just either side of the rule that
+stacks T whole for the Gram (`model._regressor_gram`), K = 0, complex
+input, and least-squares solves below and above the LU block (p = M*K + 1
+up to 64, and 65 and 513), and also a cut residual window at K = 0 and a
+complex M = 1 model, whose mixing matrix has no entry below the diagonal
+to draw. At M = 24, whose windows no chunk cuts, ``24,1,6145`` is the
+widest window the residuals' per-lag pass takes as one block and
+``24,1,6146`` the narrowest it cuts into two; their complex rows do the
+same for the Gram products, which conjugate such a window one block at a
+time. The two ``3,1,400`` ``dup`` shapes, real and complex, fail at
+index 3. The BLAS pool runs on one thread.
 
 Prints one ``shape output sha256`` row per output: first the simulated
 input's ``series``, so that a fit row that moves can be traced to a moved
@@ -25,9 +28,13 @@ then its whitened ``ls.L``, ``ls.R_i`` and ``ls.t``; the direct route's
 ``lic.L``, ``lic.R_i`` and ``lic.t``, and its residuals ``lic.W``
 (`svar_residuals`, the one output whose residuals take a mixing matrix);
 and `fit_both`'s own least-squares half, ``both.ls.L``, ``both.ls.R_i``
-and ``both.ls.t``, and its ``both.discrepancy``. An array's digest
-covers its dtype, shape and bytes; the discrepancy's covers its `repr`.
-Run it on both trees and compare the output with `diff`.
+and ``both.ls.t``, and its ``both.discrepancy``. A ``dup`` shape prints
+its ``series`` and then ``ls.error`` (`fit_rvar_ls` then `rvar_to_svar`),
+``lic.error`` and ``both.error``, each the route's
+``"<exception type>: <message>"``; a route that fits prints no row. An
+array's digest covers its dtype, shape and bytes; the discrepancy's and a
+message's cover their `repr`. Run it on both trees and compare the
+output with `diff`.
 """
 
 from __future__ import annotations
@@ -43,10 +50,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from svarlic import estimators, model, synthetic  # noqa: E402
+from svarlic.exceptions import SvarlicError  # noqa: E402
 
 SHAPES = ("3,2,256", "4,2,65536", "8,8,32768,c", "64,8,8192", "2,0,300,c",
           "5,1,600", "16,4,2048", "4,2,4098", "4,2,4098,c", "2,6,4102,c", "16,4,166",
-          "4,0,65536", "1,2,5000,c", "24,1,6145", "24,1,6146", "24,1,6145,c", "24,1,6146,c")
+          "4,0,65536", "1,2,5000,c", "24,1,6145", "24,1,6146", "24,1,6145,c", "24,1,6146,c",
+          "3,1,400,dup", "3,1,400,c,dup")
 
 
 def digest(value: object) -> str:
@@ -73,13 +82,27 @@ def outputs(x: np.ndarray, k: int):
     yield "both.discrepancy", both.discrepancy
 
 
+def errors(x: np.ndarray, k: int):
+    """(name, message) for each route's failure on `x`, a series that no
+    route can fit; a route that fits it prints no row."""
+    for route, fit in (("ls", lambda: estimators.rvar_to_svar(estimators.fit_rvar_ls(x, k))),
+                       ("lic", lambda: estimators.fit_svar_lic(x, k)),
+                       ("both", lambda: estimators.fit_both(x, k))):
+        try:
+            fit()
+        except SvarlicError as exc:
+            yield f"{route}.error", f"{type(exc).__name__}: {exc}"
+
+
 def main(argv: list[str]) -> int:
     for shape in argv or SHAPES:
-        m, k, n, *field = shape.split(",")
-        model = synthetic.random_stable_svar(int(m), int(k), 1, complex_field=field == ["c"])
+        m, k, n, *flags = shape.split(",")
+        model = synthetic.random_stable_svar(int(m), int(k), 1, complex_field="c" in flags)
         x = synthetic.simulate_series(model, int(n), 2)
+        if "dup" in flags:
+            x[-1] = x[0]
         print(f"{shape} series {digest(x)}")
-        for name, value in outputs(x, int(k)):
+        for name, value in (errors if "dup" in flags else outputs)(x, int(k)):
             print(f"{shape} {name} {digest(value)}")
     return 0
 
