@@ -62,7 +62,9 @@ def _read_csv(path: str, skip_header: bool) -> np.ndarray:
                           dtype=np.float64, ndmin=2)
     if data.size == 0:
         raise ValueError(f"no samples in {path}")
-    return data.T  # rows are samples on disk; the library wants branches x samples
+    # Rows are samples on disk; the library wants branches x samples, as
+    # rows of adjacent samples, so the fit takes the library's BLAS paths.
+    return np.ascontiguousarray(data.T)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -76,16 +78,13 @@ def _write_text(path: str | None, text: str) -> None:
 def _cmd_fit(args) -> int:
     x = _read_csv(args.input, args.header)
     k = args.order
+    discrepancy = None
     if args.method == "ls":
         model = rvar_to_svar(fit_rvar_ls(x, k))
-        discrepancy = None
     elif args.method == "lic":
         model = fit_svar_lic(x, k)
-        discrepancy = None
     else:
-        result = fit_both(x, k)
-        model = result.lic
-        discrepancy = result.discrepancy
+        _, model, discrepancy = fit_both(x, k)
     report = render_fit_report(
         model,
         n=x.shape[1],

@@ -47,10 +47,7 @@ class MultiplyCount:
         return sum(count for _, count in self.items)
 
     def __getitem__(self, label: str) -> float:
-        for name, count in self.items:
-            if name == label:
-                return count
-        raise KeyError(label)
+        return dict(self.items)[label]
 
 
 def _validate(m: int, k: int, n: int) -> tuple[int, int, int]:

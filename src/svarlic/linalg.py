@@ -99,9 +99,7 @@ def _as_float_matrix(a: ArrayLike, name: str) -> NDArray:
     arr = np.asarray(a)
     if arr.dtype.kind not in "iubfc":
         raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
-    dtype = np.complex128 if arr.dtype.kind == "c" else np.float64
-    if arr.dtype != dtype:
-        arr = arr.astype(dtype)
+    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:

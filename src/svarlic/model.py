@@ -12,10 +12,11 @@ Two model forms appear throughout:
 * the reduced form ``x(n) = c + sum_i A_i x(n-i) + v(n)`` with correlated
   innovations `v`.
 
-The two estimation routes in :mod:`svarlic.estimators` use one row layout:
-a row of ones, then K lag blocks of M rows, lag 1 first
-(`build_regressor_s`); the direct route's `build_regressor_t` appends the
-current samples as one more block. So every coefficient block the routes
+The two estimation routes in :mod:`svarlic.estimators` use one stack, T,
+the direct route's regressor (`build_regressor_t`, `_stack_regressor`): a
+row of ones, then K lag blocks of M rows, lag 1 first, then the current
+samples as one more block. The least-squares regressor S is its top
+M*K+1 rows (`build_regressor_s`). So every coefficient block the routes
 read, ``[c | A_1 .. A_K]`` or ``-[t | R_1 .. R_K]``, has the same columns,
 and `_unstack_coefficients` is the one place that splits it into lags.
 
@@ -39,12 +40,11 @@ T into one reused buffer (`_stack_regressor`) for one product with the
 coefficient block ``[-c | -A_1 .. -A_K | I]``, or
 ``[-t | -R_1 .. -R_K | L]``; a window the rule leaves uncut is taken in
 blocks of at most `linalg._CHUNK_SAMPLES` samples, one product per lag.
-So no fit or residual routine stacks S or the whole of T, and the
-working memory beside the result is one chunk's: S is stacked only by
-`build_regressor_s`, and T only by `build_regressor_t` and the Gram
-where it fits in that buffer. The structured Gram stacks T's layout
-over two snippets of 2K samples at the ends of the signal, for its edge
-terms.
+So no fit or residual routine stacks the whole of T, and the working
+memory beside the result is one chunk's: T is stacked whole only by
+`build_regressor_t`, `build_regressor_s` and the Gram where it fits in
+that buffer. The structured Gram stacks T over two snippets of 2K
+samples at the ends of the signal, for its edge terms.
 """
 
 from __future__ import annotations
@@ -227,26 +227,22 @@ def _check_signal(x: ArrayLike, k: int, branches: int | None = None) -> tuple[ND
     return x, k
 
 
-def _stack_regressor(x: NDArray, k: int, direct: bool, out: NDArray | None = None) -> NDArray:
-    """Stack a regressor matrix from a checked signal `x` and order `k`
-    into a new array of `x`'s type, or into `out`, a buffer whose row of
-    ones is in place: the residuals' chunk buffer, or a half of the
-    regressor Gram's edge stacks.
+def _stack_regressor(x: NDArray, k: int, out: NDArray | None = None) -> NDArray:
+    """Stack T from a checked signal `x` and order `k` into a new array of
+    `x`'s type, or into `out`, a buffer whose row of ones is in place: the
+    residuals' chunk buffer, or a half of the regressor Gram's edge stacks.
 
-    The stack is a row of ones over K blocks of M rows, lag 1 first, with
-    `direct` over one more block, the current samples. This is the
-    package's only row layout.
+    T is a row of ones over K+1 blocks of M rows: lags 1 .. K, then lag
+    0, the current samples. Its top M*K+1 rows are S. This is the
+    package's only stack and its only row layout.
     """
     m, n = x.shape
-    lags = [*range(1, k + 1), 0] if direct else range(1, k + 1)
     if out is None:
-        stack = np.empty((m * len(lags) + 1, n - k), dtype=x.dtype)
-        stack[0] = 1
-    else:
-        stack = out
-    for j, d in enumerate(lags):
-        stack[1 + j * m:1 + (j + 1) * m] = x[:, k - d:n - d]
-    return stack
+        out = np.empty((m * (k + 1) + 1, n - k), dtype=x.dtype)
+        out[0] = 1
+    for j, d in enumerate([*range(1, k + 1), 0]):
+        out[1 + j * m:1 + (j + 1) * m] = x[:, k - d:n - d]
+    return out
 
 
 def _regressor_gram(x: NDArray, k: int) -> NDArray:
@@ -295,7 +291,7 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
     q = m * (k + 1) + 1
     with np.errstate(over="ignore", invalid="ignore"):
         if q * (n - k) <= m * _chunk_width(m):
-            (g,), _ = _window_products(_stack_regressor(x, k, direct=True), 0)
+            (g,), _ = _window_products(_stack_regressor(x, k), 0)
             return _finish_gram(g, x, "signal")
         products, sums = _window_products(x, k, sums=True)
         g = np.empty((q, q), dtype=x.dtype)
@@ -313,7 +309,7 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
             snippet = np.zeros((m, 2 * k), dtype=x.dtype)
             for half, ends in enumerate((x[:, :k], x[:, n - k:])):
                 snippet[:, :k] = ends
-                _stack_regressor(snippet, k, True, edges[:, half * k:(half + 1) * k])
+                _stack_regressor(snippet, k, edges[:, half * k:(half + 1) * k])
             g += (edges * np.repeat([1.0, -1.0], k)) @ edges.conj().T
     return _finish_gram(g, x, "signal")
 
@@ -332,9 +328,12 @@ def build_regressor_s(x: ArrayLike, k: int) -> NDArray:
     """Stack the least-squares regressor matrix of shape (M*K+1) x (N-K).
 
     Row 1 is all ones; below it sit K blocks of M rows, lag 1 first: block
-    j holds the samples ``x(K+1-j) .. x(N-j)``.
+    j holds the samples ``x(K+1-j) .. x(N-j)``. S is the top M*K+1 rows of
+    T (`build_regressor_t`), so this stacks T, M rows more than S, and
+    returns a view of its top rows.
     """
-    return _stack_regressor(*_check_signal(as_signal(x), k), direct=False)
+    x, k = _check_signal(as_signal(x), k)
+    return _stack_regressor(x, k)[:x.shape[0] * k + 1]
 
 
 def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
@@ -344,7 +343,7 @@ def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
     below them sits one more block of M rows, the current samples
     ``x(K+1) .. x(N)``.
     """
-    return _stack_regressor(*_check_signal(as_signal(x), k), direct=True)
+    return _stack_regressor(*_check_signal(as_signal(x), k))
 
 
 def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
@@ -392,7 +391,7 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     for a, b in pairwise(bounds):
         v = r[:, :b - a] if gram else r[:, a - k:b - k]
         if stacked:
-            np.matmul(block, _stack_regressor(x[:, a - k:b], k, True, stack[:, :b - a]), out=v)
+            np.matmul(block, _stack_regressor(x[:, a - k:b], k, stack[:, :b - a]), out=v)
         else:
             product = scratch[:, :b - a]
             if mixing is None:

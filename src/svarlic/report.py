@@ -102,14 +102,11 @@ def render_count_table(m: int, k: int, n: int) -> str:
     lic = lic_multiply_count(m, k, n)
     ratio = savings_ratio(m, k, n)
     width = max(len(label) for label, _ in ls.items + lic.items + (("total", 0.0),))
-    lines = [f"multiply-count model: M={m} K={k} N={n}", "least-squares route:"]
-    for label, count in ls.items:
-        lines.append(f"  {label:<{width}}  {format_number(count)}")
-    lines.append(f"  {'total':<{width}}  {format_number(ls.total)}")
-    lines.append("large-inverse-cholesky route:")
-    for label, count in lic.items:
-        lines.append(f"  {label:<{width}}  {format_number(count)}")
-    lines.append(f"  {'total':<{width}}  {format_number(lic.total)}")
+    lines = [f"multiply-count model: M={m} K={k} N={n}"]
+    for title, route in (("least-squares", ls), ("large-inverse-cholesky", lic)):
+        lines.append(f"{title} route:")
+        for label, count in route.items + (("total", route.total),):
+            lines.append(f"  {label:<{width}}  {format_number(count)}")
     lines.append(f"savings_ratio: {format_number(ratio)}")
     if ratio < 0:
         lines.append("note: LIC not beneficial at this size")

@@ -8,6 +8,10 @@ import pytest
 
 from svarlic import cli
 from svarlic.cli import main
+from svarlic.estimators import fit_both
+from svarlic.model import whitening_error
+from svarlic.report import render_fit_report
+from svarlic.synthetic import random_stable_svar, simulate_series
 
 
 def run(capsys, *argv):
@@ -164,6 +168,19 @@ class TestSimulate:
         code, out, _ = run(capsys, "fit", "-i", str(path), "-k", "2")
         assert code == 0
         assert "svarlic fit report" in out
+
+    def test_fit_reproduces_the_library_fit_digit_for_digit(self, tmp_path, capsys):
+        # The CSV holds the series exactly (%.17g), and a window the chunk
+        # rule cuts takes the fit down the paths where a column-major copy
+        # of it would round differently.
+        path = simulate(tmp_path, capsys, m=4, k=2, n=20000, seed=7)
+        code, out, err = run(capsys, "fit", "-i", str(path), "-k", "2")
+        assert code == 0, err
+        x = simulate_series(random_stable_svar(4, 2, 7, 0.8), 20000, seed=8)
+        fit = fit_both(x, 2)
+        assert out == render_fit_report(
+            fit.lic, n=20000, method="both", source=str(path),
+            whitening=whitening_error(fit.lic, x), discrepancy=fit.discrepancy)
 
     def test_sidecar_reports_generating_model(self, tmp_path, capsys):
         simulate(tmp_path, capsys, m=2, k=1, n=64, seed=9)

@@ -982,6 +982,38 @@ class TestPerLagBlocks:
         assert min(seen) <= 4 and max(seen) >= 100
 
 
+class TestRowStridedWindows:
+    """A window of a longer series, ``big[:, s:s + n]``, a view whose rows
+    are strided, as the rolling fits of a panel take them, fits to the
+    bytes of a contiguous copy of that window, on every route and for
+    either residual form: at a window of one chunk that stacks T whole, a
+    window the chunks cut, a complex window of many lags and an M > 22
+    window the chunks never cut."""
+
+    @staticmethod
+    def arrays(x, k, svar, rvar):
+        lic = fit_svar_lic(x, k)
+        ls = rvar_to_svar(fit_rvar_ls(x, k))
+        both = fit_both(x, k)
+        fits = (lic, ls, both.ls, both.lic)
+        return [*(a for fit in fits for a in (fit.L, fit.t, *fit.R)),
+                np.float64(both.discrepancy),
+                model.svar_residuals(svar, x), rvar_residuals(rvar, x)]
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("m,k,n", [(3, 2, 256), (4, 2, 8192), (8, 8, 4096), (24, 1, 6200)])
+    def test_view_fits_to_the_bytes_of_its_copy(self, m, k, n, complex_field):
+        big = stable_series(m, k, n + 128, seed=41, complex_field=complex_field)
+        view = big[:, 64:64 + n]
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        svar, rvar = fit_svar_lic(copy, k), fit_rvar_ls(copy, k)
+        for a, b in zip(self.arrays(view, k, svar, rvar), self.arrays(copy, k, svar, rvar),
+                        strict=True):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("m,k", [(1, 0), (1, 2), (2, 1), (2, 2), (3, 1), (4, 3)])
     def test_grid(self, m, k):

@@ -188,11 +188,20 @@ class TestBuildRegressorT:
         x = np.random.default_rng(0).standard_normal((m, n))
         assert build_regressor_t(x, k).shape == (m * (k + 1) + 1, n - k)
 
-    @pytest.mark.parametrize("m,k,n", [(1, 2, 9), (2, 1, 8), (3, 3, 20)])
-    def test_top_rows_are_s(self, m, k, n):
-        # One row layout: T is S with the current samples appended.
-        x = np.random.default_rng(2).standard_normal((m, n))
-        assert np.array_equal(build_regressor_t(x, k)[:m * k + 1], build_regressor_s(x, k))
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("m,k,n", [(1, 2, 9), (2, 1, 8), (3, 3, 20), (3, 0, 6)])
+    def test_top_rows_are_s(self, m, k, n, complex_field):
+        # One row layout: T is S with the current samples appended; at
+        # K = 0, S is the row of ones alone.
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((m, n))
+        if complex_field:
+            x = x + 1j * rng.standard_normal((m, n))
+        s = build_regressor_s(x, k)
+        assert s.dtype == x.dtype
+        assert np.array_equal(build_regressor_t(x, k)[:m * k + 1], s)
+        if k == 0:
+            assert np.array_equal(s, np.ones((1, n)))
 
 
 def stack_spy(patch):
@@ -201,8 +210,8 @@ def stack_spy(patch):
     seen = []
     original = model._stack_regressor
 
-    def spy(a, k, direct, out=None):
-        stack = original(a, k, direct, out)
+    def spy(a, k, out=None):
+        stack = original(a, k, out)
         seen.append((a, stack.shape))
         return stack
 
