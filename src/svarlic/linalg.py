@@ -44,18 +44,18 @@ solve and inverse, the residual routines and the rescaling of a reduced
 form all raise through it, so no public routine returns a silent inf or
 NaN or leaks a numpy warning.
 
-Every pass over the samples is cut by one rule, `_chunk_bounds`, and
-walked by one of two chunk loops. `_window_products` sums the Gram
-products of the signal: the K+1 lag products of the structured regressor
-Gram, and with K = 0 the plain ``a a^H`` of `gram_hermitian` and of the
-regressor Gram where T is stacked whole. `model._residuals` forms the
-residuals and sums `fit_both`'s ``V V^H``, in chunks as much narrower as
-their stacked rows are more than the Gram's M. A window the rule leaves
-uncut the residuals walk in blocks of at most `_CHUNK_SAMPLES` samples
-(`_even_bounds`), so their working memory is bounded on every window.
-The Gram products walk such a window in the same blocks where it is
-complex and wider than one block, so no product conjugates a whole
-window; a real one they take in one product per lag that copies nothing.
+Every pass over the samples is cut by one rule, `_chunk_bounds`, which
+returns the pass's blocks and whether it cut them, and is walked by one
+of two chunk loops. `_window_products` sums the Gram products of the
+signal: the K+1 lag products of the structured regressor Gram, and with
+K = 0 the plain ``a a^H`` of `gram_hermitian` and of the regressor Gram
+where T is stacked whole. `model._residuals` forms the residuals and sums
+`fit_both`'s ``V V^H``, in chunks as much narrower as their stacked rows
+are more than the Gram's M. A window the rule does not cut comes back in
+blocks of at most `_CHUNK_SAMPLES` samples, so every pass's working
+memory is bounded on every window. A cut chunk is copied into a buffer,
+and so is a block of a complex window of several blocks, so no product
+conjugates more than one block; everything else is read in place.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -72,8 +72,8 @@ from .exceptions import DimensionMismatch, NotPositiveDefinite, NumericalOverflo
 #: Relative tolerance for the Hermitian-symmetry check in `cholesky_lower`.
 HERMITIAN_RTOL = 1e-10
 
-#: A Cholesky pivot below PIVOT_RTOL times the largest diagonal entry of the
-#: input is treated as zero and raises `NotPositiveDefinite`.
+#: A Cholesky pivot at or below PIVOT_RTOL times the largest diagonal entry
+#: of the input is treated as zero and raises `NotPositiveDefinite`.
 PIVOT_RTOL = 1e-12
 
 #: Order at or below which a triangular division is one LU solve. Above it
@@ -118,14 +118,13 @@ def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray:
 def gram_hermitian(a: ArrayLike) -> NDArray:
     """Return the Gram matrix ``a @ a^H`` of shape (rows, rows).
 
-    The product is `_window_products` at K = 0: summed over chunks of
-    columns where `a` is long enough to be cut, and where a complex `a`
-    the chunk rule leaves uncut has more than `_CHUNK_SAMPLES` columns,
-    over blocks of at most that many, so a complex `a` is conjugated one
-    chunk or block at a time. The result is Hermitian exactly, entry
-    for entry: the product is averaged with its conjugate transpose,
-    halved first so that nothing that fits overflows, which also makes
-    the diagonal real.
+    The product is `_window_products` at K = 0: summed over the chunks
+    of columns `_chunk_bounds` cuts, and over its blocks of at most
+    `_CHUNK_SAMPLES` columns where it leaves a complex `a` of more than
+    that uncut, so a complex `a` is conjugated one chunk or block at a
+    time. The result is Hermitian exactly, entry for entry: the product
+    is averaged with its conjugate transpose, halved first so that
+    nothing that fits overflows, which also makes the diagonal real.
 
     The input is not scanned for finiteness up front: a non-finite entry
     of `a` makes a diagonal entry of the product non-finite, so the input
@@ -159,20 +158,19 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
 #: (CHANGES.md has the sweep). A window is not cut where a chunk would hold
 #: fewer than `_MIN_CHUNK` samples (M > 22): products that wide gain
 #: nothing from that kernel and lose to per-call cost in narrow chunks.
-#: The residuals' per-lag pass still cuts such a window into blocks of at
-#: most `_CHUNK_SAMPLES` samples (`_even_bounds`), and so do the Gram
-#: products where it is complex, so that their buffers do not grow with N.
+#: The rule still returns such a window in blocks of at most
+#: `_CHUNK_SAMPLES` samples, which the residuals' per-lag pass walks, and
+#: the Gram products where it is complex, so that no buffer grows with N.
 #: The M-row buffer of the widest chunk (`_chunk_width`) also decides where
 #: the regressor Gram stacks T whole (`model._regressor_gram` states the
-#: rule). The residuals stack
-#: q = M(K+1)+1 rows per sample, so the rule cuts their window into
-#: narrower chunks, whose stack and M x q coefficient block fit in the
-#: M-row buffer of the Gram's widest chunk: one product
-#: per chunk, of inner dimension q, in the memory that K products of inner
-#: dimension M per Gram-sized chunk took. Against those (medians of
-#: paired interleaved calls, one thread, 2-core Xeon) the residuals ran
-#: 17% faster at (8,8,32768) complex (60 pairs) and as fast at
-#: (4,2,65536) (ratios 1.002 and 0.991 over 400 and 600 pairs), where
+#: rule). The residuals stack q = M(K+1)+1 rows per sample, so the rule
+#: cuts their window into narrower chunks, whose stack and M x q
+#: coefficient block fit in the M-row buffer of the Gram's widest chunk:
+#: one product per chunk, of inner dimension q, in the memory that K
+#: products of inner dimension M per Gram-sized chunk took. Against those
+#: (medians of paired interleaved calls, one thread, 2-core Xeon) the
+#: residuals ran 17% faster at (8,8,32768) complex (60 pairs) and as fast
+#: at (4,2,65536) (ratios 1.002 and 0.991 over 400 and 600 pairs), where
 #: copying q = 13 rows per sample costs about what the products save.
 _CHUNK_WORK = 10 ** 6
 _CHUNK_SAMPLES = 6144
@@ -186,39 +184,33 @@ def _chunk_width(m: int) -> int:
     return min(_CHUNK_WORK // (m * m), _CHUNK_SAMPLES)
 
 
-def _chunk_bounds(m: int, n: int, k: int, rows: int | None = None) -> list[int]:
+def _chunk_bounds(m: int, n: int, k: int, rows: int | None = None) -> tuple[list[int], bool]:
     """The bounds ``[K, .., N]`` of the chunks of the window of samples
-    K .. N-1 of an M-branch signal with N > K: the package's one rule for
-    cutting a pass over the samples. The chunks are near-equal, the last
-    one the widest, and the window is one chunk where it fits in one or
-    where M > 22.
+    K .. N-1 of an M-branch signal with N > K, and whether the rule cut
+    the window: the package's one rule for cutting a pass over the
+    samples. The chunks are near-equal, the last one the widest, and none
+    holds more than `_CHUNK_SAMPLES` samples.
 
-    The chunks fit a pass whose buffer holds M rows per sample, as the
-    Gram products' does. With `rows`, they fit a pass that fills `rows`
-    rows per sample and multiplies them by an M x `rows` block: a window
-    that is cut is cut into the fewest near-equal chunks for which that
-    buffer and block fit in the elements of the M-row buffer of the
-    widest chunk, each at least one sample wide."""
+    The rule cuts a window wider than `_chunk_width` where that width is
+    at least `_MIN_CHUNK` (M <= 22), into the fewest chunks of at most
+    that width: they fit a pass whose buffer holds M rows per sample, as
+    the Gram products' does. With `rows`, they fit a pass that fills
+    `rows` rows per sample and multiplies them by an M x `rows` block:
+    the fewest near-equal chunks for which that buffer and block fit in
+    the elements of the M-row buffer of the widest chunk, each at least
+    one sample wide. A window the rule does not cut comes back in the
+    fewest near-equal blocks of at most `_CHUNK_SAMPLES` samples, one if
+    it fits in one."""
     width = _chunk_width(m)
-    if width < _MIN_CHUNK or n - k <= width:
-        return [k, n]
-    if rows is not None:
+    if n - k <= width or width < _MIN_CHUNK and n - k <= _CHUNK_SAMPLES:
+        return [k, n], False
+    cut = width >= _MIN_CHUNK
+    if cut and rows is not None:
         chunks = -(-(n - k) // width)
         budget = m * -(-(n - k) // chunks)  # the M-row buffer's elements
         width = max(budget // rows - m, 1)
-    return _even_bounds(k, n, width)
-
-
-def _even_bounds(k: int, n: int, width: int) -> list[int]:
-    """The bounds ``[K, .., N]`` of the fewest near-equal chunks of at most
-    `width` samples that cover the window of samples K .. N-1; the last
-    one is the widest. `_chunk_bounds` cuts by it, and with `width` at
-    `_CHUNK_SAMPLES`, at any M, it gives the blocks in which the
-    residuals' per-lag pass (`model._residuals`) walks a window that
-    `_chunk_bounds` leaves uncut, and `_window_products` such a window
-    if it is complex."""
-    chunks = -(-(n - k) // width)
-    return [k + i * (n - k) // chunks for i in range(chunks + 1)]
+    chunks = -(-(n - k) // (width if cut else _CHUNK_SAMPLES))
+    return [k + i * (n - k) // chunks for i in range(chunks + 1)], cut
 
 
 def _window_products(x: NDArray, k: int,
@@ -228,26 +220,24 @@ def _window_products(x: NDArray, k: int,
     d = 0 .. K, and with `sums` the window's row sums (else None). With
     K = 0 it is the Gram ``x x^H``.
 
-    The package's one chunk loop for Gram products. A real window of one
-    chunk, or a complex one of at most `_CHUNK_SAMPLES` samples, takes one
-    product per lag and no buffer. A complex window that `_chunk_bounds`
-    leaves uncut and that is wider than that is walked in near-equal
-    blocks of at most `_CHUNK_SAMPLES` samples (`_even_bounds`), the
-    residuals' blocks, so it is never conjugated whole. Each chunk of a
-    cut window, and each such block, is copied, conjugated if complex,
-    into one reused buffer that every product reads while it is in cache. The copy
-    is a second operand, so numpy sends ``P_0`` to gemm, which OpenBLAS
-    runs in its small-matrix kernel, and not to syrk, which has none.
+    The package's one chunk loop for Gram products, over the bounds of
+    `_chunk_bounds`. A window of one chunk, or a real one the rule leaves
+    uncut, takes one product per lag and no buffer. Each chunk of a cut
+    window, and each block of a complex window of several blocks, is
+    copied, conjugated if complex, into one reused buffer that every
+    product reads while it is in cache, so no complex window of more than
+    `_CHUNK_SAMPLES` samples is conjugated whole. The copy is a second
+    operand, so numpy sends ``P_0`` to gemm, which OpenBLAS runs in its
+    small-matrix kernel, and not to syrk, which has none.
     With `sums`, a row of ones under the copy gives ``P_0`` one more
     column, the chunk's row sums. Each chunk's products go through
     preallocated arrays, so the working memory is the buffer. Run it with
     overflow and invalid operations ignored: the caller checks the result.
     """
     m, n = x.shape
-    bounds = _chunk_bounds(m, n, k)
-    if len(bounds) == 2 and n - k > _CHUNK_SAMPLES and x.dtype.kind == "c":
-        bounds = _even_bounds(k, n, _CHUNK_SAMPLES)  # never conjugated whole
-    if len(bounds) == 2:  # no copy: the buffer took 9.4 against 4.9 us at (3,2,256)
+    bounds, cut = _chunk_bounds(m, n, k)
+    # No copy: the buffer took 9.4 against 4.9 us at (3,2,256).
+    if len(bounds) == 2 or not cut and x.dtype.kind != "c":
         window = x[:, k:]
         window_h = window.conj().T
         products = [window @ window_h]
@@ -381,7 +371,7 @@ def cholesky_lower(h: ArrayLike) -> NDArray:
         with np.errstate(over="ignore", invalid="ignore"):  # the pivot is only reported
             j, pivot = _first_failing_pivot(h, threshold)
         raise NotPositiveDefinite(
-            f"pivot {pivot:.3e} at index {j} is below threshold "
+            f"pivot {pivot:.3e} at index {j} is at or below threshold "
             f"{threshold:.3e}; matrix is not positive definite"
         )
     return c

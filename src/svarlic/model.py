@@ -34,12 +34,12 @@ finiteness off that Gram rather than scanning the signal
 
 Residuals of either form, the least-squares fit's `V` and `fit_both`'s
 ``V V^H`` included, are one expression and one loop, `_residuals`, over
-chunks of the sample window (`linalg._chunk_bounds`, the one rule for
-every pass over the samples). A chunk of a cut window stacks its rows of
-T into one reused buffer (`_stack_regressor`) for one product with the
-coefficient block ``[-c | -A_1 .. -A_K | I]``, or
-``[-t | -R_1 .. -R_K | L]``; a window the rule leaves uncut is taken in
-blocks of at most `linalg._CHUNK_SAMPLES` samples, one product per lag.
+the blocks of the sample window that `linalg._chunk_bounds`, the one rule
+for every pass over the samples, returns with whether it cut them. A
+chunk of a cut window stacks its rows of T into one reused buffer
+(`_stack_regressor`) for one product with the coefficient block
+``[-c | -A_1 .. -A_K | I]``, or ``[-t | -R_1 .. -R_K | L]``; a block of
+a window the rule does not cut takes one product per lag.
 So no fit or residual routine stacks the whole of T, and the working
 memory beside the result is one chunk's: T is stacked whole only by
 `build_regressor_t`, `build_regressor_s` and the Gram where it fits in
@@ -55,14 +55,12 @@ from itertools import pairwise
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from . import linalg
 from .exceptions import DimensionMismatch, OrderTooLarge
 from .linalg import (
     _as_float_matrix,
     _check_lower_factor,
     _chunk_bounds,
     _chunk_width,
-    _even_bounds,
     _finish_gram,
     _finite,
     _inverse_bottom_rows,
@@ -267,10 +265,9 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
     at the end. So only the K+1 products ``P_0 .. P_K`` pass over the
     samples (about ``M^2 (K+1) N`` multiplies, against ``q^2 N`` for the
     dense product). They and the intercept row's window sums are summed
-    over chunks of samples (`_window_products`), so the working memory is
-    one chunk-sized buffer where the window is cut, and one buffer of at
-    most `linalg._CHUNK_SAMPLES` samples, a conjugated block, where it is
-    complex and not cut, never T's ``M (K+1) N`` values.
+    over the blocks of `linalg._chunk_bounds` (`_window_products`), so
+    the working memory is one chunk-sized buffer where the window is cut,
+    or complex and of several blocks, never T's ``M (K+1) N`` values.
 
     The edge terms are two stacks in T's own layout (`_stack_regressor`),
     written side by side into one q x 2K array, of two snippets of 2K
@@ -355,30 +352,26 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     complex lag give complex residuals. With `gram`, the M x M Gram of
     that array instead, not yet made Hermitian (`linalg._finish_gram`).
 
-    One loop over chunks of the sample window, cut by
-    `linalg._chunk_bounds` for a pass that stacks T's q rows per sample.
+    One loop over the blocks that `linalg._chunk_bounds` returns for a
+    pass that stacks T's q rows per sample; nothing cuts them again.
     Where that rule cuts the window, each chunk's rows of T are stacked
     into one reused buffer (`_stack_regressor`) and multiplied by the
-    coefficient block ``[-intercept | -lags | mixing]``. Where it leaves
-    the window uncut, the chunks are near-equal blocks of at most
-    `linalg._CHUNK_SAMPLES` samples (`linalg._even_bounds`), one if the
-    window fits in one, and each takes one product per lag through one
-    reused scratch buffer. Each chunk's residuals go into that chunk of
-    the result or, with `gram`, into one reused chunk buffer whose Gram
-    is summed. So with `gram` the result is never held whole where the
-    window is more than one chunk, S is never stacked, nor T whole, and
-    the working memory beside the result is one chunk's.
+    coefficient block ``[-intercept | -lags | mixing]``. Where it does
+    not, each of its blocks, one if the window fits in one, takes one
+    product per lag through one reused scratch buffer. Each chunk's
+    residuals go into that chunk of the result or, with `gram`, into one
+    reused chunk buffer whose Gram is summed. So with `gram` the result is
+    never held whole where the window is more than one chunk, S is never
+    stacked, nor T whole, and the working memory beside the result is one
+    chunk's.
     """
     m, n = x.shape
     operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
     dtype = np.result_type(*operands)
     q = m * (k + 1) + 1
-    bounds = _chunk_bounds(m, n, k, rows=q)
     # Per-lag everywhere ran 1.07x (ls) and 1.12x (both) at (8,8,32768)
     # complex; stacked everywhere 1.13x/1.15x at (64,8,8192), 1.07x at (3,2,256).
-    stacked = len(bounds) > 2
-    if not stacked and n - k > linalg._CHUNK_SAMPLES:
-        bounds = _even_bounds(k, n, linalg._CHUNK_SAMPLES)
+    bounds, stacked = _chunk_bounds(m, n, k, rows=q)
     width = bounds[-1] - bounds[-2]
     r = np.empty((m, width if gram else n - k), dtype=dtype)
     if stacked:

@@ -11,13 +11,14 @@ from svarlic import linalg
 
 @pytest.fixture(scope="session")
 def chunks():
-    """A context manager, ``with chunks(samples):``, inside which every
-    pass over the samples, the Gram products and the residuals alike
-    (`linalg._chunk_bounds`), cuts its window into near-equal chunks of at
-    most `samples` samples, however few. That shrinks the chunk buffer that
-    decides where `model._regressor_gram` stacks T whole, so every window
-    longer than `samples` forms the structured Gram, whose lag products
-    those chunks feed; ``chunks(None)`` changes nothing. It holds no state,
+    """A context manager, ``with chunks(samples):``, inside which the one
+    rule for every pass over the samples, the Gram products and the
+    residuals alike (`linalg._chunk_bounds`), cuts every window wider than
+    `samples` into near-equal chunks of at most that many, however few.
+    That shrinks the chunk buffer that decides where
+    `model._regressor_gram` stacks T whole, so every window longer than
+    `samples` forms the structured Gram, whose lag products those chunks
+    feed; ``chunks(None)`` changes nothing. It holds no state,
     so hypothesis tests enter it once per example."""
 
     @contextlib.contextmanager
@@ -55,8 +56,8 @@ class ResidualStacks:
         widest = []
         for m, n, k, width in self.examples:
             with self.chunks(width):
-                bounds = linalg._chunk_bounds(m, n, k, m * (k + 1) + 1)
-            if len(bounds) > 2:
+                bounds, cut = linalg._chunk_bounds(m, n, k, m * (k + 1) + 1)
+            if cut:
                 widest.append(np.diff(bounds).max())
         assert widest and min(widest) == 1
         assert sum(w >= 2 for w in widest) >= len(widest) / 4

@@ -529,7 +529,7 @@ class TestGramWork:
         # products, below the M x (N-K) array of V.
         m, k, n = 24, 1, 18433
         x = np.random.default_rng(40).standard_normal((m, n))
-        assert linalg._chunk_bounds(m, n, k) == [k, n]
+        assert not linalg._chunk_bounds(m, n, k)[1]
         tracemalloc.start()
         try:
             fit_both(x, k)
@@ -627,7 +627,7 @@ class TestRegressorStacks:
         assert all(rows == q for rows, _ in stacks)
         # Four passes over the window: V, fit_both's V V^H, and the two
         # residual routines, each in chunks narrower than the Gram's.
-        bounds = linalg._chunk_bounds(m, n, k)
+        bounds, _ = linalg._chunk_bounds(m, n, k)
         assert sum(chunk_widths) == 4 * (n - k)
         assert len(chunk_widths) > 4 * (len(bounds) - 1)
         # A chunk's stack beside the M x q coefficient block fits in the
@@ -805,7 +805,7 @@ class TestRankDeficientMessages:
         message = str(info.value)
         assert re.fullmatch(
             rf"{re.escape(gram)} is singular \(pivot {self.NUMBER} at index {index} "
-            rf"is below threshold {self.NUMBER}; matrix is not positive definite\); "
+            rf"is at or below threshold {self.NUMBER}; matrix is not positive definite\); "
             rf"{re.escape(cause)}", message), message
         assert type(info.value.__cause__) is NotPositiveDefinite
         assert message == f"{gram} is singular ({info.value.__cause__}); {cause}"
@@ -888,7 +888,7 @@ class TestFitBothLeastSquaresHalf:
         # (3, 2, 256) stacks T whole; (24, 1, 1000) forms the structured
         # Gram, whose window M > 22 never cuts, and (24, 1, 6145) too, on
         # the widest window the residuals take as one block.
-        assert linalg._chunk_bounds(m, n, k) == [k, n]
+        assert linalg._chunk_bounds(m, n, k) == ([k, n], False)
         assert n - k <= linalg._CHUNK_SAMPLES
         assert stacks_t_whole(m, k, n) == (m == 3)
         x = stable_series(m, k, n, seed=37, complex_field=complex_field)
@@ -900,7 +900,7 @@ class TestFitBothLeastSquaresHalf:
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_cut_windows_agree_to_rounding(self, complex_field):
         m, k, n = 4, 2, 8192
-        assert len(linalg._chunk_bounds(m, n, k)) > 2
+        assert linalg._chunk_bounds(m, n, k)[1]
         both, ls = self.halves(stable_series(m, k, n, seed=38, complex_field=complex_field), k)
         assert coefficient_discrepancy(ls, both) <= 1e-13
 
@@ -926,10 +926,11 @@ class TestFitBothLeastSquaresHalf:
 
 
 class TestPerLagBlocks:
-    """Where no chunk cuts the window, as at M > 22, the residuals'
-    one-product-per-lag pass walks it in near-equal blocks of at most
-    `linalg._CHUNK_SAMPLES` samples, here patched to 1 .. 48, and nothing
-    else: the Gram products stay uncut. The residuals with a mixing
+    """Where no chunk cuts the window, as at M > 22, the chunk rule returns
+    it in near-equal blocks of at most `linalg._CHUNK_SAMPLES` samples,
+    here patched to 1 .. 48. The residuals' one-product-per-lag pass walks
+    them, and so do the Gram products where the window is complex; a real
+    window's Gram products read it whole. The residuals with a mixing
     matrix, and their Gram, take the same blocks."""
 
     def test_blocked_windows_agree(self):

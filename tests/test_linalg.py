@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 
 from svarlic.exceptions import DimensionMismatch, NotPositiveDefinite, NumericalOverflow
 from svarlic.linalg import (
+    _CHUNK_SAMPLES,
+    _MIN_CHUNK,
     _SOLVE_BLOCK,
     HERMITIAN_RTOL,
     PIVOT_RTOL,
     _chunk_bounds,
+    _chunk_width,
     _divide_lower,
     _inverse_bottom_rows,
     as_matrix,
@@ -150,6 +153,25 @@ NON_FINITE = [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf
 
 class TestChunkBounds:
     @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 40), k=st.integers(0, 16), window=st.integers(1, 300000),
+           stacked=st.booleans())
+    def test_every_pass_gets_near_equal_chunks_of_bounded_width(self, m, k, window, stacked):
+        # The rule's contract for every pass, the M-row one and the one
+        # that stacks T's q = M(K+1)+1 rows: it cuts exactly the windows
+        # wider than an M-row chunk of at least _MIN_CHUNK samples, and
+        # walks every other window in blocks of at most _CHUNK_SAMPLES.
+        n = k + window
+        bounds, cut = _chunk_bounds(m, n, k, m * (k + 1) + 1 if stacked else None)
+        widths = np.diff(bounds)
+        assert (bounds[0], bounds[-1]) == (k, n)
+        assert 1 <= widths.min() and widths.max() - widths.min() <= 1
+        assert widths[-1] == widths.max()
+        assert widths.max() <= _CHUNK_SAMPLES
+        assert cut == (_MIN_CHUNK <= _chunk_width(m) < window)
+        if not cut:
+            assert (len(widths) == 1) == (window <= _CHUNK_SAMPLES)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(m=st.integers(1, 24), k=st.integers(0, 16), window=st.integers(1, 300000))
     def test_stacked_chunks_fit_the_m_row_buffer(self, m, k, window):
         # A pass that stacks q = M(K+1)+1 rows per sample cuts the same
@@ -157,9 +179,9 @@ class TestChunkBounds:
         # chunks as keep the stack and an M x q block within the M-row
         # buffer of the widest chunk, each at least one sample wide.
         n, q = k + window, m * (k + 1) + 1
-        plain, stacked = _chunk_bounds(m, n, k), _chunk_bounds(m, n, k, q)
-        if len(plain) == 2:
-            assert stacked == plain
+        (plain, cut), (stacked, stacked_cut) = _chunk_bounds(m, n, k), _chunk_bounds(m, n, k, q)
+        if not cut:
+            assert (stacked, stacked_cut) == (plain, cut)
             return
         widths = np.diff(stacked)
         assert (stacked[0], stacked[-1]) == (k, n)
@@ -251,6 +273,13 @@ class TestCholeskyLower:
     def test_pivot_just_above_threshold_factors(self):
         c = cholesky_lower(np.diag([1.0, 1.01 * PIVOT_RTOL]))
         assert c[1, 1] ** 2 > PIVOT_RTOL
+
+    def test_pivot_at_the_threshold_raises_and_says_so(self):
+        # A pivot passes only above the threshold, so equality fails it.
+        with pytest.raises(NotPositiveDefinite) as info:
+            cholesky_lower(np.diag([1.0, PIVOT_RTOL]))
+        assert str(info.value) == ("pivot 1.000e-12 at index 1 is at or below threshold "
+                                   "1.000e-12; matrix is not positive definite")
 
     def test_pivot_just_below_threshold_raises(self):
         with pytest.raises(NotPositiveDefinite, match="at index 1 "):

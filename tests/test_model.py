@@ -327,7 +327,7 @@ class TestChunkedGram:
             patch.setattr(linalg, "_CHUNK_SAMPLES", 500)
             if m <= 22:  # lets the chunk rule cut the window
                 patch.setattr(linalg, "_MIN_CHUNK", 1)
-            assert (len(linalg._chunk_bounds(m, n, k)) > 2) == (m <= 22)
+            assert linalg._chunk_bounds(m, n, k)[1] == (m <= 22)
             tracemalloc.start()
             try:
                 _regressor_gram(x, k)
@@ -507,21 +507,31 @@ class TestChunkedResiduals:
         # One rule cuts every pass over the samples, asked once per pass:
         # for the structured Gram's window with the Gram's M-row buffer,
         # then for V's (or, in fit_both, V V^H's) with the q rows of T's
-        # chunk stack.
-        seen = []
+        # chunk stack. Each pass walks the bounds it gets: at M = 24 the
+        # rule leaves the complex window uncut and returns it in three
+        # blocks of 6144 samples, which no pass cuts again.
+        seen, returned = [], []
         original = linalg._chunk_bounds
 
         def spy(m, n, k, rows=None):
             seen.append((m, n, k, rows))
-            return original(m, n, k, rows)
+            returned.append(original(m, n, k, rows))
+            return returned[-1]
 
         monkeypatch.setattr(linalg, "_chunk_bounds", spy)
         monkeypatch.setattr(model, "_chunk_bounds", spy)
-        x = np.random.default_rng(8).standard_normal((4, 8192))
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((4, 8192))
+        wide = rng.standard_normal((24, 18433)) + 1j * rng.standard_normal((24, 18433))
         for fit in (fit_rvar_ls, fit_both):
             seen.clear()
             fit(x, 2)
             assert seen == [(4, 8192, 2, None), (4, 8192, 2, 13)]
+            seen.clear()
+            returned.clear()
+            fit(wide, 1)
+            assert seen == [(24, 18433, 1, None), (24, 18433, 1, 49)]
+            assert returned == [([1, 6145, 12289, 18433], False)] * 2
 
 
 class TestSvarResiduals:

@@ -161,3 +161,18 @@ def test_bench_pairs_rejects_zero_pairs(capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
         "--pairs must be at least 1")
+
+
+def test_bench_pairs_runs_for_the_benchmarks_run_seconds(monkeypatch, capsys):
+    bench_pairs = load_tool("bench_pairs")
+    seconds = []
+
+    def run(tree, workload, seed, run_seconds):
+        seconds.append(run_seconds)
+        return summary_line({"w.lic_fit_p50_s": 1.0})
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    assert bench_pairs.main([str(ROOT), str(ROOT), "--workload", "all", "--pairs", "1"]) == 0
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert seconds == [float(run_seconds)] * 2
+    assert "w.lic_fit_p50_s" in capsys.readouterr().out

@@ -1,12 +1,13 @@
 """Run the benchmark on two trees in alternating pairs and compare them.
 
-    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N --seconds S
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --pairs N
 
 Pair i (i = 1 .. N) runs ``python3 perfbench/run.py --workload W --seed i
---seconds S --trace 0`` once in each tree, the parent first in odd pairs
-and the change first in even ones. Each run's last line, its JSON summary,
-is kept. Prints one row per end-to-end metric named in this repository's
-``BENCHMARK.json`` (with ``--workload all``, one per workload and metric):
+--seconds S --trace 0`` once in each tree, with S the ``run_seconds`` of
+this repository's ``BENCHMARK.json``, the parent first in odd pairs and
+the change first in even ones. Each run's last line, its JSON summary, is
+kept. Prints one row per end-to-end metric named in that file (with
+``--workload all``, one per workload and metric):
 the parent's and the change's medians, the change in %, the pairs the
 change won by the metric's ``better`` direction (ties count for neither),
 and the interquartile range of the parent's runs. Then the attempted and
@@ -25,9 +26,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
-def end_to_end_directions(benchmark: Path = ROOT / "BENCHMARK.json") -> dict[str, str]:
+def end_to_end_directions(benchmark: Path = BENCHMARK) -> dict[str, str]:
     """``better`` ("lower" or "higher") of each end-to-end metric."""
     return {m["name"]: m["better"] for m in json.loads(benchmark.read_text())["end_to_end"]}
 
@@ -76,16 +78,16 @@ def main(argv: list[str]) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    seconds = float(json.loads(BENCHMARK.read_text())["run_seconds"])
     lines = {"parent": [], "change": []}
     for seed in range(1, args.pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             try:
-                lines[side].append(run(getattr(args, side), args.workload, seed, args.seconds))
+                lines[side].append(run(getattr(args, side), args.workload, seed, seconds))
             except subprocess.CalledProcessError as exc:
                 print(f"{side} run with seed {seed} exited {exc.returncode}:\n{exc.stderr}",
                       file=sys.stderr)
