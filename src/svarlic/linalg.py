@@ -57,12 +57,25 @@ memory is bounded on every window. A cut chunk is copied into a buffer,
 and so is a block of a complex window of several blocks, so no product
 conjugates more than one block; everything else is read in place.
 
+Both loops fork once more on a cut complex window of order K >= 3 with
+M >= 2 and (K+1)M >= 12 (`_phased`): each chunk and its K leading
+samples are copied once, time-major, and read as K+1 phases
+(`_phase_windows`), whose rows are the windows ``[x(n-K) .. x(n)]`` of
+every (K+1)-th sample. One product per phase gives all K+1 lag products
+(`_phase_products`), or the phase's residuals (`model._phase_residuals`),
+so each pass keeps K+1 products per chunk, each with (K+1)M output rows
+or inner dimension instead of M. Those chunks fit a pass of 2M rows per
+sample: the copy and a conjugated copy, or the copy and the chunk's
+residuals.
+
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
 differences.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -213,22 +226,60 @@ def _chunk_bounds(m: int, n: int, k: int, rows: int | None = None) -> tuple[list
     return [k + i * (n - k) // chunks for i in range(chunks + 1)], cut
 
 
+def _phased(m: int, k: int, dtype: np.dtype) -> bool:
+    """Whether a pass of order `k` over an `m`-branch window of field
+    `dtype` takes the phase form (`_phase_windows`) where `_chunk_bounds`
+    cuts the window: complex, with K >= 3 and M >= 2 and at least 12 rows
+    in a phase window, (K+1)M. Its chunks fit a pass of 2M rows per sample.
+
+    Measured against the stacked or per-lag forms (in-process paired
+    calls, one thread, 2-core Xeon): the routes inside the rule ran
+    0.78-0.81x at (8,8,32768), LIC 0.73x at (3,3,65536), `fit_both` 0.90x
+    at (2,5,65536) and LS 0.97x at (22,3,20000). Outside it, `fit_both`
+    ran 1.04-1.05x at (2,4,65536) and LIC 1.5-1.8x at M = 1, where a
+    phase's products are matrix-vector ones; at K = 2, (4,2,65536), LS and
+    `fit_both` read 0.98-0.99x, no gain to resolve. On a real window the
+    Gram alone ran 1.4x at (8,8,65536) and 2.7-3.1x at (2,3,300000), where
+    the lag products of x read in place run in OpenBLAS's small-matrix
+    kernel."""
+    return k >= 3 and m >= 2 and (k + 1) * m >= 12 and dtype.kind == "c"
+
+
+def _phase_windows(window: NDArray, k: int, samples: int) -> Iterator[tuple[int, NDArray]]:
+    """The phases j = 0 .. min(K, `samples` - 1) of a time-major chunk:
+    `window` holds the chunk's K leading samples and then its `samples`
+    samples, one row each, and phase j is ``(j, Y_j)``, the view from
+    sample j reshaped, without a copy, to an r x (K+1)M matrix whose rows
+    are the windows ``[x(n-K) .. x(n)]`` of the chunk's samples n = j,
+    j + K+1, .. (counted from the chunk's first). A product of ``Y_j``
+    has (K+1)M rows or columns where a lag product has M, a taller shape
+    that OpenBLAS runs faster: at complex (8,8) one phase's Gram product
+    over 606 windows took 40 us, one lag product over the 5460 samples
+    they span, the same multiply-adds, 66 us (one thread, 2-core Xeon)."""
+    m = window.shape[1]
+    flat = window.reshape(-1)
+    for j in range(min(k + 1, samples)):
+        rows = -(-(samples - j) // (k + 1))
+        yield j, flat[j * m:(j + rows * (k + 1)) * m].reshape(rows, (k + 1) * m)
+
+
 def _window_products(x: NDArray, k: int,
-                     sums: bool = False) -> tuple[list[NDArray], NDArray | None]:
+                     sums: bool = False) -> tuple[Sequence[NDArray], NDArray | None]:
     """The window products ``P_d = sum_{n=K}^{N-1} x(n-d) x(n)^H`` of a
-    2-D float array `x` with more than `k` columns, as a list over
+    2-D float array `x` with more than `k` columns, as a sequence over
     d = 0 .. K, and with `sums` the window's row sums (else None). With
     K = 0 it is the Gram ``x x^H``.
 
     The package's one chunk loop for Gram products, over the bounds of
     `_chunk_bounds`. A window of one chunk, or a real one the rule leaves
-    uncut, takes one product per lag and no buffer. Each chunk of a cut
-    window, and each block of a complex window of several blocks, is
-    copied, conjugated if complex, into one reused buffer that every
-    product reads while it is in cache, so no complex window of more than
-    `_CHUNK_SAMPLES` samples is conjugated whole. The copy is a second
-    operand, so numpy sends ``P_0`` to gemm, which OpenBLAS runs in its
-    small-matrix kernel, and not to syrk, which has none.
+    uncut, takes one product per lag and no buffer. A cut window in the
+    phase form (`_phased`) goes to `_phase_products`. Each chunk of any
+    other cut window, and each block of a complex window of several
+    blocks, is copied, conjugated if complex, into one reused buffer that
+    every product reads while it is in cache, so no complex window of more
+    than `_CHUNK_SAMPLES` samples is conjugated whole. The copy is a
+    second operand, so numpy sends ``P_0`` to gemm, which OpenBLAS runs in
+    its small-matrix kernel, and not to syrk, which has none.
     With `sums`, a row of ones under the copy gives ``P_0`` one more
     column, the chunk's row sums. Each chunk's products go through
     preallocated arrays, so the working memory is the buffer. Run it with
@@ -236,6 +287,8 @@ def _window_products(x: NDArray, k: int,
     """
     m, n = x.shape
     bounds, cut = _chunk_bounds(m, n, k)
+    if cut and _phased(m, k, x.dtype):
+        return _phase_products(x, k, _chunk_bounds(m, n, k, 2 * m)[0], sums)
     # No copy: the buffer took 9.4 against 4.9 us at (3,2,256).
     if len(bounds) == 2 or not cut and x.dtype.kind != "c":
         window = x[:, k:]
@@ -261,6 +314,42 @@ def _window_products(x: NDArray, k: int,
             np.matmul(x[:, a - d:b - d], chunk[:m].T, out=lag_terms[d - 1])
         lags += lag_terms
     return [lead[:, :m], *lags], lead[:, m] if sums else None
+
+
+def _phase_products(x: NDArray, k: int, bounds: list[int],
+                    sums: bool) -> tuple[NDArray, NDArray | None]:
+    """`_window_products` in the phase form, over the chunks `bounds` of a
+    cut window of a complex `x`.
+
+    Each chunk and its K leading samples are copied once into a reused
+    time-major buffer, and the chunk's samples once more, conjugated, into
+    a second one: 2M rows per sample. Each phase ``Y_j`` of the chunk
+    (`_phase_windows`) then gives every lag at once, ``Y_j^T conj(Y_j)``'s
+    last M columns, read as a strided view of the conjugated copy: a
+    (K+1)M x M product whose block of rows d holds the phase's terms of
+    ``P_{K-d}``, so the products are that sum's blocks in reverse, one
+    K+1 x M x M view. With `sums`, the row sums come from one
+    matrix-vector product of ones per chunk: at complex (8,8) a ones
+    column beside the conjugated copy ran each phase's product 1.4x
+    slower (38.5 against 27.0 us), nine times per chunk, where the
+    matrix-vector product takes 12 us once."""
+    m = x.shape[0]
+    width = bounds[-1] - bounds[-2]
+    window = np.empty((width + k, m), dtype=x.dtype)
+    current = np.empty((width, m), dtype=x.dtype)
+    ones = np.ones(width, dtype=x.dtype)
+    total = np.zeros(((k + 1) * m, m), dtype=x.dtype)
+    term = np.empty_like(total)
+    row_sums = np.zeros(m, dtype=x.dtype)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        window[:b - a + k] = x[:, a - k:b].T
+        np.conjugate(window[k:b - a + k], out=current[:b - a])
+        for j, y in _phase_windows(window, k, b - a):
+            np.matmul(y.T, current[j:b - a:k + 1], out=term)
+            total += term
+        if sums:
+            row_sums += ones[:b - a] @ window[k:b - a + k]
+    return total.reshape(k + 1, m, m)[::-1], row_sums if sums else None
 
 
 def _finite(values: NDArray, what: str, source: NDArray | None = None,

@@ -39,7 +39,13 @@ for every pass over the samples, returns with whether it cut them. A
 chunk of a cut window stacks its rows of T into one reused buffer
 (`_stack_regressor`) for one product with the coefficient block
 ``[-c | -A_1 .. -A_K | I]``, or ``[-t | -R_1 .. -R_K | L]``; a block of
-a window the rule does not cut takes one product per lag.
+a window the rule does not cut takes one product per lag. Where the
+residuals are complex and the phase form's rule holds (`linalg._phased`:
+K >= 3, M >= 2 and (K+1)M >= 12), a cut window's chunk is instead copied
+once, time-major, and each of its K+1 phases, the windows
+``[x(n-K) .. x(n)]`` of every (K+1)-th sample, writes its residuals with
+one product by the transposed block in window order
+(`_phase_residuals`): no stack of q rows per sample.
 So no fit or residual routine stacks the whole of T, and the working
 memory beside the result is one chunk's: T is stacked whole only by
 `build_regressor_t`, `build_regressor_s` and the Gram where it fits in
@@ -64,6 +70,8 @@ from .linalg import (
     _finish_gram,
     _finite,
     _inverse_bottom_rows,
+    _phase_windows,
+    _phased,
     _window_products,
     as_matrix,
     gram_hermitian,
@@ -363,7 +371,8 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     reused chunk buffer whose Gram is summed. So with `gram` the result is
     never held whole where the window is more than one chunk, S is never
     stacked, nor T whole, and the working memory beside the result is one
-    chunk's.
+    chunk's. A cut window in the phase form (`linalg._phased`), in chunks
+    for 2M rows per sample, goes to `_phase_residuals` instead.
     """
     m, n = x.shape
     operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
@@ -372,6 +381,9 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     # Per-lag everywhere ran 1.07x (ls) and 1.12x (both) at (8,8,32768)
     # complex; stacked everywhere 1.13x/1.15x at (64,8,8192), 1.07x at (3,2,256).
     bounds, stacked = _chunk_bounds(m, n, k, rows=q)
+    if stacked and _phased(m, k, dtype):
+        return _phase_residuals(x, k, _chunk_bounds(m, n, k, rows=2 * m)[0], dtype,
+                                mixing, intercept, lags, gram)
     width = bounds[-1] - bounds[-2]
     r = np.empty((m, width if gram else n - k), dtype=dtype)
     if stacked:
@@ -412,6 +424,52 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
             else:
                 g += v @ w.T
     return g if gram else r
+
+
+def _phase_residuals(x: NDArray, k: int, bounds: list[int], dtype: np.dtype,
+                     mixing: NDArray | None, intercept: NDArray,
+                     lags: tuple[NDArray, ...], gram: bool) -> NDArray:
+    """`_residuals` in the phase form (`linalg._phased`), over the chunks
+    `bounds` of a cut window whose residuals are complex, of type `dtype`.
+
+    Each chunk and its K leading samples are copied once, time-major, into
+    one reused buffer of the residuals' type, and each of its phases
+    ``Y_j`` (`linalg._phase_windows`) times the transposed block
+    ``[-lags[K-1] .. -lags[0] | mixing]``, the window's order, writes rows
+    j, j + K+1, .. of a time-major chunk of residuals: K+1 products of
+    inner dimension (K+1)M per chunk, and no stack of q rows per sample.
+    The chunk goes into the result transposed, and the intercept comes
+    off the whole result once. With `gram`, it comes off the chunk in
+    place, and the chunk's Gram is summed through its conjugate, written
+    into the copy's buffer, which the chunk's products no longer read."""
+    m, n = x.shape
+    width = bounds[-1] - bounds[-2]
+    window = np.empty((width + k, m), dtype=dtype)
+    chunk = np.empty((width, m), dtype=dtype)
+    block = np.concatenate((*(-lag for lag in reversed(lags)),
+                            np.eye(m) if mixing is None else mixing), axis=1, dtype=dtype).T
+    if not gram:
+        r = np.empty((m, n - k), dtype=dtype)
+    for a, b in pairwise(bounds):
+        window[:b - a + k] = x[:, a - k:b].T
+        v = chunk[:b - a]
+        for j, y in _phase_windows(window, k, b - a):
+            np.matmul(y, block, out=v[j::k + 1])
+        if not gram:
+            r[:, a - k:b - k] = v.T
+            continue
+        v -= intercept
+        w = np.conjugate(v, out=window[:b - a])
+        if a == k:  # the first chunk's term is the accumulator
+            g = v.T @ w
+        else:
+            g += v.T @ w
+    if gram:
+        return g
+    # Once over the result: per chunk, numpy buffered the broadcast
+    # intercept below 2048 samples, 0.3 MiB at (8,3,8200), and ran 1.2x.
+    r -= intercept[:, None]
+    return r
 
 
 def _caller_residuals(model: SvarCoefficients | RvarCoefficients, x: ArrayLike,

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svarlic import linalg
 from svarlic.estimators import fit_both, fit_rvar_ls, fit_svar_lic
 from svarlic.synthetic import random_stable_svar, simulate_series
 
@@ -177,3 +178,16 @@ class TestExactReference:
         x = simulate_series(random_stable_svar(3, 1, 1), 400, 2)
         noise = np.random.default_rng(3).standard_normal(400)
         check_against_exact(np.vstack([x, x[0] + eps * noise]), 1)
+
+    @pytest.mark.parametrize("m, k", [(3, 3), (2, 5)])
+    @pytest.mark.parametrize("width", [4, 40])
+    def test_phase_form_is_within_cond_u(self, chunks, m, k, width):
+        # Complex windows that chunks of `width` samples cut, so that the
+        # Grams and residuals take the phase form (linalg._phased): in
+        # chunks of one sample, most phases empty, and of several.
+        model = random_stable_svar(m, k, 5, complex_field=True)
+        x = simulate_series(model, k + 4 * (m * (k + 1) + 1), 6)
+        assert linalg._phased(m, k, x.dtype)
+        with chunks(width):
+            assert linalg._chunk_bounds(m, x.shape[1], k)[1]
+            check_against_exact(x, k)

@@ -534,6 +534,164 @@ class TestChunkedResiduals:
             assert returned == [([1, 6145, 12289, 18433], False)] * 2
 
 
+class PhaseChunks:
+    """Shapes inside the phase form's rule (`linalg._phased`) and window
+    lengths for a property run under ``chunks(width)``, and a check, once
+    it has run, that the form's chunks came both shorter than K+1 samples,
+    so that some phases have no window, and at least K+1 samples wide."""
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+        self.examples = []
+
+    def draw(self, data, width, lead):
+        """M, K and N drawn with `data`: M = 2 .. 4 with the least K >= 3
+        the rule takes up to 6, and N - K = `lead` times T's q rows plus
+        1 .. 4 chunks of `width` samples, so that the rule cuts it."""
+        m = data.draw(st.integers(2, 4))
+        k = data.draw(st.integers(5 if m == 2 else 3, 6))
+        n = k + lead * (m * (k + 1) + 1) + data.draw(st.integers(width, 4 * width))
+        assert linalg._phased(m, k, np.dtype(complex))
+        with self.chunks(width):
+            bounds, cut = linalg._chunk_bounds(m, n, k, 2 * m)
+        assert cut
+        self.examples.append((k, np.diff(bounds)))
+        return m, k, n
+
+    def check(self):
+        assert any((widths < k + 1).any() for k, widths in self.examples)
+        assert any((widths >= k + 1).any() for k, widths in self.examples)
+
+
+class TestPhaseForm:
+    """Cut complex windows of order K >= 3 (`linalg._phased`) are copied
+    once per chunk, time-major, and read as K+1 phases, one product each,
+    for the lag products and the residuals alike. Under ``chunks(width)``,
+    width 1 .. 64, the form's chunks are 1 to about width/2 samples wide,
+    so many are shorter than K+1 samples."""
+
+    @pytest.fixture
+    def phase_chunks(self, chunks):
+        return PhaseChunks(chunks)
+
+    def test_gram_matches_the_dense_gram(self, chunks, phase_chunks):
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(width=st.integers(1, 64), seed=st.integers(0, 2**31), data=st.data())
+        def check(width, seed, data):
+            m, k, n = phase_chunks.draw(data, width, lead=2)
+            x = draw_signal(np.random.default_rng(seed), m, n, True)
+            with chunks(width):
+                g = _regressor_gram(x, k)
+            expected = linalg.gram_hermitian(build_regressor_t(x, k))
+            assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
+
+        check()
+        phase_chunks.check()
+
+    def test_residuals_match_the_stacked_definition(self, chunks, phase_chunks):
+        # [-c | -A_1 .. -A_K | mixing] times T, with and without a mixing
+        # matrix, and their Gram.
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(mixed=st.booleans(), width=st.integers(1, 64), seed=st.integers(0, 2**31),
+               data=st.data())
+        def check(mixed, width, seed, data):
+            m, k, n = phase_chunks.draw(data, width, lead=1)
+            rng = np.random.default_rng(seed)
+            x = draw_signal(rng, m, n, True)
+            lags = tuple(draw_signal(rng, m, m, True) for _ in range(k))
+            mixing = draw_signal(rng, m, m, True) if mixed else None
+            intercept = draw_signal(rng, 1, m, True)[0]
+            block = np.concatenate((-intercept[:, None], *(-lag for lag in lags),
+                                    np.eye(m) if mixing is None else mixing), axis=1)
+            expected = block @ build_regressor_t(x, k)
+            with chunks(width):
+                r = model._residuals(x, k, mixing, intercept, lags)
+                g = model._residuals(x, k, mixing, intercept, lags, gram=True)
+            assert r.shape == expected.shape and r.flags.c_contiguous
+            np.testing.assert_allclose(r, expected, rtol=0,
+                                       atol=1e-13 * np.abs(expected).max())
+            expected = expected @ expected.conj().T
+            np.testing.assert_allclose(g, expected, rtol=0,
+                                       atol=1e-13 * np.abs(expected).max())
+
+        check()
+        phase_chunks.check()
+
+    def test_real_signal_with_complex_coefficients(self, chunks, phase_chunks):
+        # The residuals are complex, so the window takes the phase form in
+        # the result's type, from a real signal.
+
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(width=st.integers(1, 64), seed=st.integers(0, 2**31), data=st.data())
+        def check(width, seed, data):
+            m, k, n = phase_chunks.draw(data, width, lead=1)
+            rng = np.random.default_rng(seed)
+            x = draw_signal(rng, m, n, False)
+            structural = SvarCoefficients(
+                L=np.tril(draw_signal(rng, m, m, True), -1) + 2 * np.eye(m),
+                R=tuple(draw_signal(rng, m, m, True) for _ in range(k)),
+                t=draw_signal(rng, 1, m, True)[0])
+            block = np.concatenate((-structural.t[:, None], *(-r for r in structural.R),
+                                    structural.L), axis=1)
+            expected = block @ build_regressor_t(x, k)
+            with chunks(width):
+                w = svar_residuals(structural, x)
+            assert w.dtype == np.complex128
+            np.testing.assert_allclose(w, expected, rtol=0,
+                                       atol=1e-13 * np.abs(expected).max())
+
+        check()
+        phase_chunks.check()
+
+    def test_fit_both_routes_agree(self, chunks, phase_chunks):
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(width=st.integers(1, 64), seed=st.integers(0, 2**31), data=st.data())
+        def check(width, seed, data):
+            m, k, n = phase_chunks.draw(data, width, lead=3)
+            x = draw_signal(np.random.default_rng(seed), m, n, True)
+            with chunks(width):
+                assert fit_both(x, k).discrepancy < 1e-12
+
+        check()
+        phase_chunks.check()
+
+    @pytest.mark.parametrize("m, k, n, complex_field, phased", [
+        (3, 3, 8192, True, True),
+        (4, 3, 8192, False, False),  # real
+        (4, 2, 8192, True, False),  # K <= 2
+        (2, 4, 8192, True, False),  # (K+1)M = 10
+        (1, 11, 8192, True, False),  # M = 1
+        (3, 3, 3000, True, False),  # one chunk
+        (24, 3, 6300, True, False),  # M > 22: blocks, never cut
+    ])
+    def test_only_the_rule_enters_the_phase_form(self, monkeypatch, m, k, n, complex_field,
+                                                 phased):
+        # Everything the rule leaves runs the other forms' code: the
+        # lag products, the stacked or per-lag residuals and their Gram.
+        entered = []
+        original = linalg._phase_windows
+
+        def spy(window, k, samples):
+            entered.append(samples)
+            return original(window, k, samples)
+
+        monkeypatch.setattr(linalg, "_phase_windows", spy)
+        monkeypatch.setattr(model, "_phase_windows", spy)
+        rng = np.random.default_rng(m + n)
+        x = draw_signal(rng, m, n, complex_field)
+        assert linalg._chunk_bounds(m, n, k)[1] == (n - k > 6144 and m <= 22)
+        fit = fit_rvar_ls(x, k)
+        both = fit_both(x, k)
+        svar_residuals(both.lic, x)
+        assert fit.V.flags.c_contiguous
+        # Three passes of fit_both's and fit_rvar_ls's Grams and residuals,
+        # and the structural residuals.
+        assert (len(entered) > 0) == phased
+        if phased:
+            assert sum(entered) == 5 * (n - k)
+
+
 class TestSvarResiduals:
     def test_identity_model_returns_current_samples(self):
         x = np.random.default_rng(3).standard_normal((2, 8))

@@ -145,13 +145,31 @@ def test_bench_pairs_summarizes_each_end_to_end_metric():
     rows, correct = bench_pairs.summarize(parent, change, better)
     assert [row.split() for row in rows[1:]] == [
         # Medians 2.5 and 1.5; the parent's quartiles are 1.25 and 3.75.
-        ["w.lic_fit_p50_s", "2.5", "1.5", "-40.0", "2/4", "2.5"],
-        ["w.success_ratio", "1", "1", "+0.0", "0/4", "0"],
+        ["w.lic_fit_p50_s", "2.5", "1.5", "-40.0", "2/4", "2.5", "unresolved"],
+        ["w.success_ratio", "1", "1", "+0.0", "0/4", "0", "unresolved"],
         ["attempted", "parent", "400", "change", "400"],
         ["failed", "parent", "0", "change", "2"],
     ]
     assert not correct
     assert bench_pairs.summarize(parent, parent, better)[1]
+
+
+@pytest.mark.parametrize("shifts, verdict", [
+    ([-0.2] * 10, "gain"),  # every pair won, medians 0.2 apart
+    ([-0.05] * 10, "unresolved"),  # every pair won, within the parent's spread
+    ([0.2] * 10, "worse"),  # every pair lost, beyond the spread
+    ([-0.2] * 8 + [0.01] * 2, "unresolved"),  # beyond the spread, 8/10 pairs won
+])
+def test_bench_pairs_verdict_needs_nine_tenths_and_the_parents_spread(shifts, verdict):
+    bench_pairs = load_tool("bench_pairs")
+    # Parent runs 1.00, 1.01, .. 1.09: statistics.quantiles puts their
+    # quartiles at 1.0175 and 1.0725, an IQR of 0.055.
+    old = [1.0 + 0.01 * i for i in range(10)]
+    parent = [summary_line({"w.lic_fit_p50_s": a}) for a in old]
+    change = [summary_line({"w.lic_fit_p50_s": a + d}) for a, d in zip(old, shifts)]
+    rows, _ = bench_pairs.summarize(parent, change, bench_pairs.end_to_end_directions())
+    assert rows[0].split()[-1] == "verdict"
+    assert rows[1].split()[-2:] == ["0.055", verdict]
 
 
 def test_bench_pairs_rejects_zero_pairs(capsys):

@@ -10,8 +10,11 @@ kept. Prints one row per end-to-end metric named in that file (with
 ``--workload all``, one per workload and metric):
 the parent's and the change's medians, the change in %, the pairs the
 change won by the metric's ``better`` direction (ties count for neither),
-and the interquartile range of the parent's runs. Then the attempted and
-failed fits of each side, summed over its runs.
+the interquartile range of the parent's runs, and a verdict: ``gain``
+where the change won at least nine tenths of the pairs and its median is
+better than the parent's by more than that range, ``worse`` where it lost
+as many and its median is worse by as much, else ``unresolved``. Then the
+attempted and failed fits of each side, summed over its runs.
 
 Exits 1 if a run exits non-zero or reports ``correct: false``.
 """
@@ -51,7 +54,7 @@ def summarize(parent: list[str], change: list[str],
     sides = {"parent": [json.loads(line) for line in parent],
              "change": [json.loads(line) for line in change]}
     rows = [f"{'metric':<36} {'parent_p50':>12} {'change_p50':>12} {'change%':>8} "
-            f"{'won':>6} {'parent_iqr':>12}"]
+            f"{'won':>6} {'parent_iqr':>12} verdict"]
     for name in sides["parent"][0]["metrics"]:
         direction = better.get(name.rsplit(".", 1)[-1])
         if direction is None:
@@ -60,11 +63,16 @@ def summarize(parent: list[str], change: list[str],
                     for side in ("parent", "change"))
         sign = 1 if direction == "higher" else -1
         won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        lost = sum(sign * (b - a) < 0 for a, b in zip(old, new))
         quartiles = statistics.quantiles(old, n=4) if len(old) > 1 else [old[0]] * 3
+        iqr = quartiles[2] - quartiles[0]
         base, median = statistics.median(old), statistics.median(new)
+        gap = sign * (median - base)  # positive where the change is better
+        verdict = ("gain" if won >= 0.9 * len(old) and gap > iqr else
+                   "worse" if lost >= 0.9 * len(old) and -gap > iqr else "unresolved")
         percent = f"{100 * (median - base) / base:+.1f}" if base else "n/a"
         rows.append(f"{name:<36} {base:>12.6g} {median:>12.6g} {percent:>8} "
-                    f"{won:>3}/{len(old):<2} {quartiles[2] - quartiles[0]:>12.3g}")
+                    f"{won:>3}/{len(old):<2} {iqr:>12.3g} {verdict}")
     for key in ("attempted", "failed"):
         rows.append(f"{key:<9} " + " ".join(
             f"{side} {sum(result[key] for result in results)}"
