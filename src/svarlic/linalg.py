@@ -49,13 +49,15 @@ returns the pass's blocks and whether it cut them, and is walked by one
 of two chunk loops. `_window_products` sums the Gram products of the
 signal: the K+1 lag products of the structured regressor Gram, and with
 K = 0 the plain ``a a^H`` of `gram_hermitian` and of the regressor Gram
-where T is stacked whole. `model._residuals` forms the residuals and sums
-`fit_both`'s ``V V^H``, in chunks as much narrower as their stacked rows
-are more than the Gram's M. A window the rule does not cut comes back in
-blocks of at most `_CHUNK_SAMPLES` samples, so every pass's working
-memory is bounded on every window. A cut chunk is copied into a buffer,
-and so is a block of a complex window of several blocks, so no product
-conjugates more than one block; everything else is read in place.
+where T is stacked whole. `model._residuals` forms the residuals, one
+product per lag, in the Gram's chunks, and sums `fit_both`'s ``V V^H``
+in chunks cut for 2M rows per sample, a chunk of residuals beside its
+product buffer. A window the rule does not cut comes back in blocks of
+at most `_CHUNK_SAMPLES` samples, so every pass's working memory is
+bounded on every window. A Gram pass copies a cut chunk into a buffer,
+and so a block of a complex window of several blocks, so no product
+conjugates more than one block; everything else, the residuals' lag
+products included, reads the signal in place.
 
 Both loops fork once more on a cut complex window of order K >= 3 with
 M >= 2 and (K+1)M >= 12 (`_phased`): each chunk and its K leading
@@ -176,15 +178,13 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
 #: the Gram products where it is complex, so that no buffer grows with N.
 #: The M-row buffer of the widest chunk (`_chunk_width`) also decides where
 #: the regressor Gram stacks T whole (`model._regressor_gram` states the
-#: rule). The residuals stack q = M(K+1)+1 rows per sample, so the rule
-#: cuts their window into narrower chunks, whose stack and M x q
-#: coefficient block fit in the M-row buffer of the Gram's widest chunk:
-#: one product per chunk, of inner dimension q, in the memory that K
-#: products of inner dimension M per Gram-sized chunk took. Against those
-#: (medians of paired interleaved calls, one thread, 2-core Xeon) the
-#: residuals ran 17% faster at (8,8,32768) complex (60 pairs) and as fast
-#: at (4,2,65536) (ratios 1.002 and 0.991 over 400 and 600 pairs), where
-#: copying q = 13 rows per sample costs about what the products save.
+#: rule). The residuals' K lag products per chunk write M rows per sample
+#: in the Gram's chunks; `fit_both`'s ``V V^H`` keeps a chunk of residuals
+#: beside them, 2M rows, so the rule cuts its window for 2M rows. Against
+#: one product per chunk with a stack of T's q = M(K+1)+1 rows in chunks
+#: cut for q rows, that ran LS 0.99x and `fit_both` 0.97x at (4,2,65536)
+#: with `fit_both`'s peak 0.30 -> 0.23 MiB, but 1.09x/1.28x at real
+#: (16,4,65536) (paired interleaved calls, one thread, 2-core Xeon).
 _CHUNK_WORK = 10 ** 6
 _CHUNK_SAMPLES = 6144
 _MIN_CHUNK = 2048
@@ -273,11 +273,13 @@ def _window_products(x: NDArray, k: int,
     The package's one chunk loop for Gram products, over the bounds of
     `_chunk_bounds`. A window of one chunk, or a real one the rule leaves
     uncut, takes one product per lag and no buffer. A cut window in the
-    phase form (`_phased`) goes to `_phase_products`. Each chunk of any
-    other cut window, and each block of a complex window of several
-    blocks, is copied, conjugated if complex, into one reused buffer that
-    every product reads while it is in cache, so no complex window of more
-    than `_CHUNK_SAMPLES` samples is conjugated whole. The copy is a
+    phase form (`_phased`), in chunks cut for 2M rows per sample, goes to
+    `_phase_products`, which only the structured Gram reaches (K >= 3,
+    with `sums`). Each chunk of any other cut window, and each block of a
+    complex window of several blocks, is copied, conjugated if complex,
+    into one reused buffer that every product reads while it is in cache,
+    so no complex window of more than `_CHUNK_SAMPLES` samples is
+    conjugated whole. The copy is a
     second operand, so numpy sends ``P_0`` to gemm, which OpenBLAS runs in
     its small-matrix kernel, and not to syrk, which has none.
     With `sums`, a row of ones under the copy gives ``P_0`` one more
@@ -286,9 +288,10 @@ def _window_products(x: NDArray, k: int,
     overflow and invalid operations ignored: the caller checks the result.
     """
     m, n = x.shape
-    bounds, cut = _chunk_bounds(m, n, k)
-    if cut and _phased(m, k, x.dtype):
-        return _phase_products(x, k, _chunk_bounds(m, n, k, 2 * m)[0], sums)
+    phased = _phased(m, k, x.dtype)
+    bounds, cut = _chunk_bounds(m, n, k, 2 * m if phased else None)
+    if cut and phased:
+        return _phase_products(x, k, bounds)
     # No copy: the buffer took 9.4 against 4.9 us at (3,2,256).
     if len(bounds) == 2 or not cut and x.dtype.kind != "c":
         window = x[:, k:]
@@ -316,8 +319,7 @@ def _window_products(x: NDArray, k: int,
     return [lead[:, :m], *lags], lead[:, m] if sums else None
 
 
-def _phase_products(x: NDArray, k: int, bounds: list[int],
-                    sums: bool) -> tuple[NDArray, NDArray | None]:
+def _phase_products(x: NDArray, k: int, bounds: list[int]) -> tuple[NDArray, NDArray]:
     """`_window_products` in the phase form, over the chunks `bounds` of a
     cut window of a complex `x`.
 
@@ -328,11 +330,11 @@ def _phase_products(x: NDArray, k: int, bounds: list[int],
     last M columns, read as a strided view of the conjugated copy: a
     (K+1)M x M product whose block of rows d holds the phase's terms of
     ``P_{K-d}``, so the products are that sum's blocks in reverse, one
-    K+1 x M x M view. With `sums`, the row sums come from one
-    matrix-vector product of ones per chunk: at complex (8,8) a ones
-    column beside the conjugated copy ran each phase's product 1.4x
-    slower (38.5 against 27.0 us), nine times per chunk, where the
-    matrix-vector product takes 12 us once."""
+    K+1 x M x M view. The row sums come from one matrix-vector product
+    of ones per chunk: at complex (8,8) a ones column beside the
+    conjugated copy ran each phase's product 1.4x slower (38.5 against
+    27.0 us), nine times per chunk, where the matrix-vector product takes
+    12 us once."""
     m = x.shape[0]
     width = bounds[-1] - bounds[-2]
     window = np.empty((width + k, m), dtype=x.dtype)
@@ -347,9 +349,8 @@ def _phase_products(x: NDArray, k: int, bounds: list[int],
         for j, y in _phase_windows(window, k, b - a):
             np.matmul(y.T, current[j:b - a:k + 1], out=term)
             total += term
-        if sums:
-            row_sums += ones[:b - a] @ window[k:b - a + k]
-    return total.reshape(k + 1, m, m)[::-1], row_sums if sums else None
+        row_sums += ones[:b - a] @ window[k:b - a + k]
+    return total.reshape(k + 1, m, m)[::-1], row_sums
 
 
 def _finite(values: NDArray, what: str, source: NDArray | None = None,

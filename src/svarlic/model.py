@@ -35,19 +35,17 @@ finiteness off that Gram rather than scanning the signal
 Residuals of either form, the least-squares fit's `V` and `fit_both`'s
 ``V V^H`` included, are one expression and one loop, `_residuals`, over
 the blocks of the sample window that `linalg._chunk_bounds`, the one rule
-for every pass over the samples, returns with whether it cut them. A
-chunk of a cut window stacks its rows of T into one reused buffer
-(`_stack_regressor`) for one product with the coefficient block
-``[-c | -A_1 .. -A_K | I]``, or ``[-t | -R_1 .. -R_K | L]``; a block of
-a window the rule does not cut takes one product per lag. Where the
+for every pass over the samples, returns with whether it cut them. Each
+chunk or block takes one product per lag on slices of the signal, with
+the mixing matrix L, where there is one, as one more. Where the
 residuals are complex and the phase form's rule holds (`linalg._phased`:
 K >= 3, M >= 2 and (K+1)M >= 12), a cut window's chunk is instead copied
 once, time-major, and each of its K+1 phases, the windows
 ``[x(n-K) .. x(n)]`` of every (K+1)-th sample, writes its residuals with
-one product by the transposed block in window order
-(`_phase_residuals`): no stack of q rows per sample.
-So no fit or residual routine stacks the whole of T, and the working
-memory beside the result is one chunk's: T is stacked whole only by
+one product by the coefficient block ``[-A_K .. -A_1 | I]``, or
+``[-R_K .. -R_1 | L]``, transposed (`_phase_residuals`).
+So no fit or residual routine stacks T, and the working memory beside
+the result is one chunk's: T is stacked whole only by
 `build_regressor_t`, `build_regressor_s` and the Gram where it fits in
 that buffer. The structured Gram stacks T over two snippets of 2K
 samples at the ends of the signal, for its edge terms.
@@ -235,8 +233,8 @@ def _check_signal(x: ArrayLike, k: int, branches: int | None = None) -> tuple[ND
 
 def _stack_regressor(x: NDArray, k: int, out: NDArray | None = None) -> NDArray:
     """Stack T from a checked signal `x` and order `k` into a new array of
-    `x`'s type, or into `out`, a buffer whose row of ones is in place: the
-    residuals' chunk buffer, or a half of the regressor Gram's edge stacks.
+    `x`'s type, or into `out`, a buffer whose row of ones is in place: a
+    half of the regressor Gram's edge stacks.
 
     T is a row of ones over K+1 blocks of M rows: lags 1 .. K, then lag
     0, the current samples. Its top M*K+1 rows are S. This is the
@@ -261,7 +259,7 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
     One rule picks the form: T is stacked whole exactly where its
     ``q (N-K)`` entries fit in the M-row buffer of the widest chunk of an
     M-branch pass (``M * linalg._chunk_width(M)`` elements, the buffer
-    whose elements also bound the residuals' chunk stacks). There the Gram
+    whose elements also bound every other pass's chunks). There the Gram
     is T's one product, which takes the fewest numpy calls. Elsewhere T is
     never stacked, and the Gram comes from K+1 lag products.
 
@@ -360,62 +358,56 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     complex lag give complex residuals. With `gram`, the M x M Gram of
     that array instead, not yet made Hermitian (`linalg._finish_gram`).
 
-    One loop over the blocks that `linalg._chunk_bounds` returns for a
-    pass that stacks T's q rows per sample; nothing cuts them again.
-    Where that rule cuts the window, each chunk's rows of T are stacked
-    into one reused buffer (`_stack_regressor`) and multiplied by the
-    coefficient block ``[-intercept | -lags | mixing]``. Where it does
-    not, each of its blocks, one if the window fits in one, takes one
-    product per lag through one reused scratch buffer. Each chunk's
-    residuals go into that chunk of the result or, with `gram`, into one
-    reused chunk buffer whose Gram is summed. So with `gram` the result is
-    never held whole where the window is more than one chunk, S is never
-    stacked, nor T whole, and the working memory beside the result is one
-    chunk's. A cut window in the phase form (`linalg._phased`), in chunks
-    for 2M rows per sample, goes to `_phase_residuals` instead.
+    One loop over the blocks that `linalg._chunk_bounds` returns, asked
+    once: for an M-row pass, or with `gram` or in the phase form
+    (`linalg._phased`) for 2M rows per sample; nothing cuts them again.
+    A cut window in the phase form goes to `_phase_residuals`. Every
+    other chunk or block takes one product per lag, on slices of `x`,
+    through one reused scratch buffer, after the chunk's `mixing`
+    product or copy of `x` less the intercept. Each chunk's residuals go
+    into that chunk of the result or, with `gram`, into one reused chunk
+    buffer whose Gram is summed: with the scratch buffer, 2M rows per
+    sample. So with `gram` the result is never held whole where the
+    window is more than one chunk, neither S nor T is stacked, and the
+    working memory beside the result is one chunk's.
     """
     m, n = x.shape
     operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
     dtype = np.result_type(*operands)
-    q = m * (k + 1) + 1
-    # Per-lag everywhere ran 1.07x (ls) and 1.12x (both) at (8,8,32768)
-    # complex; stacked everywhere 1.13x/1.15x at (64,8,8192), 1.07x at (3,2,256).
-    bounds, stacked = _chunk_bounds(m, n, k, rows=q)
-    if stacked and _phased(m, k, dtype):
-        return _phase_residuals(x, k, _chunk_bounds(m, n, k, rows=2 * m)[0], dtype,
-                                mixing, intercept, lags, gram)
+    phased = _phased(m, k, dtype)
+    # fit_both's V V^H holds a chunk of residuals beside its product
+    # buffer, 2M rows per sample. At (4,2,65536) Gram-width chunks ran it
+    # 10% faster but peaked at 0.37 MiB against 0.23, and chunks cut for
+    # T's q rows ran it 1.5x slower.
+    bounds, cut = _chunk_bounds(m, n, k, rows=2 * m if gram or phased else None)
+    if cut and phased:
+        return _phase_residuals(x, k, bounds, dtype, mixing, intercept, lags, gram)
     width = bounds[-1] - bounds[-2]
     r = np.empty((m, width if gram else n - k), dtype=dtype)
-    if stacked:
-        block = np.concatenate((-intercept[:, None], *(-lag for lag in lags),
-                                np.eye(m) if mixing is None else mixing), axis=1, dtype=dtype)
-        stack = np.empty((q, width), dtype=dtype)
-        stack[0] = 1  # the stacks' row of ones, written once
-    if gram or not stacked:
-        scratch = np.empty((m, width), dtype=dtype)  # lag products, or v's copy
+    scratch = np.empty((m, width), dtype=dtype)  # lag products, then v's copy
     for a, b in pairwise(bounds):
         v = r[:, :b - a] if gram else r[:, a - k:b - k]
-        if stacked:
-            np.matmul(block, _stack_regressor(x[:, a - k:b], k, stack[:, :b - a]), out=v)
-        else:
-            product = scratch[:, :b - a]
-            if mixing is None:
-                v[...] = x[:, a:b]
-            else:
-                np.matmul(mixing, x[:, a:b], out=v)
+        product = scratch[:, :b - a]
+        if mixing is not None:
+            np.matmul(mixing, x[:, a:b], out=v)
             v -= intercept[:, None]
-            for i, lag in enumerate(lags, 1):
-                np.matmul(lag, x[:, a - i:b - i], out=product)
-                v -= product
+        elif cut:  # a copy, then the subtraction, ran fit_both 6% slower
+            np.subtract(x[:, a:b], intercept[:, None], out=v)
+        else:  # fused, numpy buffered the intercept: (3,2,256) peaks +20-26%
+            v[...] = x[:, a:b]
+            v -= intercept[:, None]
+        for i, lag in enumerate(lags, 1):
+            np.matmul(lag, x[:, a - i:b - i], out=product)
+            v -= product
         if gram:
-            # A stacked chunk's copy sends v @ w.T to gemm: syrk ran both
-            # 1.21x at (4,2,65536). Assigned, it took 1.9 us against 3.5
-            # for np.conjugate(out=). A real per-lag chunk's stays syrk,
+            # A cut chunk's copy sends v @ w.T to gemm: syrk ran both
+            # 1.17x at (4,2,65536). Assigned, it took 1.9 us against 3.5
+            # for np.conjugate(out=). An uncut real block's stays syrk,
             # as `gram_hermitian` forms it.
             w = scratch[:, :b - a]
             if dtype.kind == "c":
                 np.conjugate(v, out=w)
-            elif stacked:
+            elif cut:
                 w[...] = v
             else:
                 w = v
@@ -437,7 +429,7 @@ def _phase_residuals(x: NDArray, k: int, bounds: list[int], dtype: np.dtype,
     ``Y_j`` (`linalg._phase_windows`) times the transposed block
     ``[-lags[K-1] .. -lags[0] | mixing]``, the window's order, writes rows
     j, j + K+1, .. of a time-major chunk of residuals: K+1 products of
-    inner dimension (K+1)M per chunk, and no stack of q rows per sample.
+    inner dimension (K+1)M per chunk, where the per-lag loop's have M.
     The chunk goes into the result transposed, and the intercept comes
     off the whole result once. With `gram`, it comes off the chunk in
     place, and the chunk's Gram is summed through its conjugate, written

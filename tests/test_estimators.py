@@ -495,16 +495,21 @@ class TestGramWork:
 
     def test_fit_both_never_allocates_v(self):
         # The least-squares half sums V V^H chunk by chunk: its peak stays
-        # below the M x (N-K) array of V.
+        # below the M x (N-K) array of V, and within the direct route's,
+        # whose Gram pass fit_both also makes: a chunk of residuals and
+        # its product buffer take no more than the Gram's chunk buffer.
         m, k, n = 4, 2, 65536
         x = stable_series(m, k, n, seed=36)
-        tracemalloc.start()
-        try:
-            fit_both(x, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < m * (n - k) * 8
+        peaks = []
+        for fit in (fit_both, fit_svar_lic):
+            tracemalloc.start()
+            try:
+                fit(x, k)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < m * (n - k) * 8
+        assert peaks[0] <= peaks[1]
 
     def test_wide_ls_holds_neither_the_gram_nor_a_second_v(self):
         # The Gram is freed before V is formed, and the per-lag residual
@@ -595,9 +600,9 @@ class TestGramWork:
 
 class TestRegressorStacks:
     """Only the Grams stack a whole regressor: the dense Gram stacks T, the
-    structured Gram two K-column stacks for its edge terms. Where the
-    window is cut, fits and residuals stack T one chunk at a time, within
-    the elements of the Gram pass's chunk buffer; they never stack S."""
+    structured Gram two K-column stacks for its edge terms. No fit or
+    residual pass stacks T or S, not even one chunk at a time: the
+    residuals take one product per lag."""
 
     @pytest.fixture
     def stacks(self, monkeypatch):
@@ -616,23 +621,15 @@ class TestRegressorStacks:
     def test_no_stack_above_the_dense_cut(self, stacks, complex_field):
         m, k, n = 4, 2, 8192
         x = structured_series(m, k, n, seed=27, complex_field=complex_field)
+        assert linalg._chunk_bounds(m, n, k)[1]
         fit = fit_rvar_ls(x, k)
         svar = fit_both(x, k).ls
         rvar_residuals(fit, x)
         model.svar_residuals(svar, x)
-        q = m * (k + 1) + 1
-        # Head and tail edge stacks for each of the two Grams formed.
-        assert stacks.count((q, k)) == 4
-        chunk_widths = [width for rows, width in stacks if (rows, width) != (q, k)]
-        assert all(rows == q for rows, _ in stacks)
-        # Four passes over the window: V, fit_both's V V^H, and the two
-        # residual routines, each in chunks narrower than the Gram's.
-        bounds, _ = linalg._chunk_bounds(m, n, k)
-        assert sum(chunk_widths) == 4 * (n - k)
-        assert len(chunk_widths) > 4 * (len(bounds) - 1)
-        # A chunk's stack beside the M x q coefficient block fits in the
-        # Gram pass's M-row buffer of its widest chunk.
-        assert q * (max(chunk_widths) + m) <= m * (bounds[-1] - bounds[-2])
+        # Head and tail edge stacks for each of the two Grams formed, and
+        # none in the four residual passes: V, fit_both's V V^H and the
+        # two residual routines.
+        assert stacks == [(m * (k + 1) + 1, k)] * 4
 
     def test_dense_fit_both_stacks_t_once(self, stacks):
         m, k, n = 3, 2, 256

@@ -416,8 +416,7 @@ class TestChunkedResiduals:
     def test_rvar_residuals_reproduce_the_fitted_v(self, chunks, residual_stacks):
         # Windows with at least one residual degree of freedom (an exact fit
         # flushes V to zero), cut into chunks of 1..48 samples whose width
-        # need not divide N-K; the stacked residual chunks are one sample
-        # wide at the narrowest and from about q (M+2)/M samples several.
+        # need not divide N-K.
 
         @settings(max_examples=60, deadline=None, derandomize=True)
         @given(m=st.integers(1, 3), k=st.integers(0, 4), complex_field=st.booleans(),
@@ -506,8 +505,10 @@ class TestChunkedResiduals:
     def test_residuals_cut_where_the_gram_does(self, monkeypatch):
         # One rule cuts every pass over the samples, asked once per pass:
         # for the structured Gram's window with the Gram's M-row buffer,
-        # then for V's (or, in fit_both, V V^H's) with the q rows of T's
-        # chunk stack. Each pass walks the bounds it gets: at M = 24 the
+        # then for V's with the same buffer or, in fit_both, for V V^H's
+        # with 2M rows per sample, a chunk of residuals and its product
+        # buffer. A complex window in the phase form asks for 2M rows in
+        # both passes. Each pass walks the bounds it gets: at M = 24 the
         # rule leaves the complex window uncut and returns it in three
         # blocks of 6144 samples, which no pass cuts again.
         seen, returned = [], []
@@ -523,15 +524,19 @@ class TestChunkedResiduals:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 8192))
         wide = rng.standard_normal((24, 18433)) + 1j * rng.standard_normal((24, 18433))
-        for fit in (fit_rvar_ls, fit_both):
+        phased = draw_signal(rng, 3, 8192, True)
+        for fit, rows, wide_rows in [(fit_rvar_ls, None, None), (fit_both, 8, 48)]:
             seen.clear()
             fit(x, 2)
-            assert seen == [(4, 8192, 2, None), (4, 8192, 2, 13)]
+            assert seen == [(4, 8192, 2, None), (4, 8192, 2, rows)]
             seen.clear()
             returned.clear()
             fit(wide, 1)
-            assert seen == [(24, 18433, 1, None), (24, 18433, 1, 49)]
+            assert seen == [(24, 18433, 1, None), (24, 18433, 1, wide_rows)]
             assert returned == [([1, 6145, 12289, 18433], False)] * 2
+            seen.clear()
+            fit(phased, 3)
+            assert seen == [(3, 8192, 3, 6)] * 2
 
 
 class PhaseChunks:
@@ -668,7 +673,7 @@ class TestPhaseForm:
     def test_only_the_rule_enters_the_phase_form(self, monkeypatch, m, k, n, complex_field,
                                                  phased):
         # Everything the rule leaves runs the other forms' code: the
-        # lag products, the stacked or per-lag residuals and their Gram.
+        # lag products, the per-lag residuals and their Gram.
         entered = []
         original = linalg._phase_windows
 
