@@ -45,11 +45,12 @@ form all raise through it, so no public routine returns a silent inf or
 NaN or leaks a numpy warning.
 
 Every pass over the samples is cut by one rule, `_chunk_bounds`, which
-returns the pass's blocks and whether it cut them, and is walked by one
-of two chunk loops. `_window_products` sums the Gram products of the
-signal: the K+1 lag products of the structured regressor Gram, and with
-K = 0 the plain ``a a^H`` of `gram_hermitian` and of the regressor Gram
-where T is stacked whole. `model._residuals` forms the residuals, one
+returns the pass's blocks, whether it cut them and whether the pass takes
+the phase form, and is walked by one of two chunk loops.
+`_window_products` sums the Gram products of the signal: the K+1 lag
+products of the structured regressor Gram, and with K = 0 the plain
+``a a^H`` of `gram_hermitian` and of the regressor Gram where T is
+stacked whole. `model._residuals` forms the residuals, one
 product per lag, in the Gram's chunks, and sums `fit_both`'s ``V V^H``
 in chunks cut for 2M rows per sample, a chunk of residuals beside its
 product buffer. A window the rule does not cut comes back in blocks of
@@ -59,16 +60,16 @@ and so a block of a complex window of several blocks, so no product
 conjugates more than one block; everything else, the residuals' lag
 products included, reads the signal in place.
 
-Both loops fork once more on a cut complex window of order K >= 3 with
-M >= 2 and (K+1)M >= 12 (`_phased`): each chunk and its K leading
+Both loops fork once more where the rule returns the phase form, on a
+cut complex window of order K >= 3 with M >= 2 and (K+1)M >= 12, in
+chunks it cuts for 2M rows per sample: each chunk and its K leading
 samples are copied once, time-major, and read as K+1 phases
 (`_phase_windows`), whose rows are the windows ``[x(n-K) .. x(n)]`` of
 every (K+1)-th sample. One product per phase gives all K+1 lag products
 (`_phase_products`), or the phase's residuals (`model._phase_residuals`),
 so each pass keeps K+1 products per chunk, each with (K+1)M output rows
-or inner dimension instead of M. Those chunks fit a pass of 2M rows per
-sample: the copy and a conjugated copy, or the copy and the chunk's
-residuals.
+or inner dimension instead of M. The 2M rows per sample are the copy
+and a conjugated copy, or the copy and the chunk's residuals.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -197,52 +198,50 @@ def _chunk_width(m: int) -> int:
     return min(_CHUNK_WORK // (m * m), _CHUNK_SAMPLES)
 
 
-def _chunk_bounds(m: int, n: int, k: int, rows: int | None = None) -> tuple[list[int], bool]:
+def _chunk_bounds(m: int, n: int, k: int, dtype: np.dtype,
+                  paired: bool = False) -> tuple[list[int], bool, bool]:
     """The bounds ``[K, .., N]`` of the chunks of the window of samples
-    K .. N-1 of an M-branch signal with N > K, and whether the rule cut
-    the window: the package's one rule for cutting a pass over the
-    samples. The chunks are near-equal, the last one the widest, and none
-    holds more than `_CHUNK_SAMPLES` samples.
+    K .. N-1 of an M-branch signal with N > K, whether the rule cut the
+    window, and whether the pass takes the phase form (`_phase_windows`):
+    the package's one rule for a pass over the samples. The chunks are
+    near-equal, the last one the widest, and none holds more than
+    `_CHUNK_SAMPLES` samples.
 
     The rule cuts a window wider than `_chunk_width` where that width is
     at least `_MIN_CHUNK` (M <= 22), into the fewest chunks of at most
     that width: they fit a pass whose buffer holds M rows per sample, as
-    the Gram products' does. With `rows`, they fit a pass that fills
-    `rows` rows per sample and multiplies them by an M x `rows` block:
-    the fewest near-equal chunks for which that buffer and block fit in
+    the Gram products' does. A window the rule does not cut comes back in
+    the fewest near-equal blocks of at most `_CHUNK_SAMPLES` samples, one
+    if it fits in one.
+
+    A cut window of field `dtype` takes the phase form where it is
+    complex, with K >= 3 and M >= 2 and at least 12 rows in a phase
+    window, (K+1)M. That pass, and a `paired` one, `fit_both`'s ``V V^H``,
+    fill 2M rows per sample, so their window is cut for 2M rows: into the
+    fewest near-equal chunks whose 2M rows of width + M samples fit in
     the elements of the M-row buffer of the widest chunk, each at least
-    one sample wide. A window the rule does not cut comes back in the
-    fewest near-equal blocks of at most `_CHUNK_SAMPLES` samples, one if
-    it fits in one."""
+    one sample wide.
+
+    The phase form, measured against the stacked or per-lag forms
+    (in-process paired calls, one thread, 2-core Xeon): the routes inside
+    the rule ran 0.78-0.81x at (8,8,32768), LIC 0.73x at (3,3,65536),
+    `fit_both` 0.90x at (2,5,65536) and LS 0.97x at (22,3,20000). Outside
+    it, `fit_both` ran 1.04-1.05x at (2,4,65536) and LIC 1.5-1.8x at
+    M = 1, where a phase's products are matrix-vector ones; at K = 2,
+    (4,2,65536), LS and `fit_both` read 0.98-0.99x, no gain to resolve. On
+    a real window the Gram alone ran 1.4x at (8,8,65536) and 2.7-3.1x at
+    (2,3,300000), where the lag products of x read in place run in
+    OpenBLAS's small-matrix kernel."""
     width = _chunk_width(m)
     if n - k <= width or width < _MIN_CHUNK and n - k <= _CHUNK_SAMPLES:
-        return [k, n], False
+        return [k, n], False, False
     cut = width >= _MIN_CHUNK
-    if cut and rows is not None:
+    phased = cut and dtype.kind == "c" and k >= 3 and m >= 2 and (k + 1) * m >= 12
+    if phased or cut and paired:
         chunks = -(-(n - k) // width)
-        budget = m * -(-(n - k) // chunks)  # the M-row buffer's elements
-        width = max(budget // rows - m, 1)
+        width = max(-(-(n - k) // chunks) // 2 - m, 1)
     chunks = -(-(n - k) // (width if cut else _CHUNK_SAMPLES))
-    return [k + i * (n - k) // chunks for i in range(chunks + 1)], cut
-
-
-def _phased(m: int, k: int, dtype: np.dtype) -> bool:
-    """Whether a pass of order `k` over an `m`-branch window of field
-    `dtype` takes the phase form (`_phase_windows`) where `_chunk_bounds`
-    cuts the window: complex, with K >= 3 and M >= 2 and at least 12 rows
-    in a phase window, (K+1)M. Its chunks fit a pass of 2M rows per sample.
-
-    Measured against the stacked or per-lag forms (in-process paired
-    calls, one thread, 2-core Xeon): the routes inside the rule ran
-    0.78-0.81x at (8,8,32768), LIC 0.73x at (3,3,65536), `fit_both` 0.90x
-    at (2,5,65536) and LS 0.97x at (22,3,20000). Outside it, `fit_both`
-    ran 1.04-1.05x at (2,4,65536) and LIC 1.5-1.8x at M = 1, where a
-    phase's products are matrix-vector ones; at K = 2, (4,2,65536), LS and
-    `fit_both` read 0.98-0.99x, no gain to resolve. On a real window the
-    Gram alone ran 1.4x at (8,8,65536) and 2.7-3.1x at (2,3,300000), where
-    the lag products of x read in place run in OpenBLAS's small-matrix
-    kernel."""
-    return k >= 3 and m >= 2 and (k + 1) * m >= 12 and dtype.kind == "c"
+    return [k + i * (n - k) // chunks for i in range(chunks + 1)], cut, phased
 
 
 def _phase_windows(window: NDArray, k: int, samples: int) -> Iterator[tuple[int, NDArray]]:
@@ -272,14 +271,13 @@ def _window_products(x: NDArray, k: int,
 
     The package's one chunk loop for Gram products, over the bounds of
     `_chunk_bounds`. A window of one chunk, or a real one the rule leaves
-    uncut, takes one product per lag and no buffer. A cut window in the
-    phase form (`_phased`), in chunks cut for 2M rows per sample, goes to
-    `_phase_products`, which only the structured Gram reaches (K >= 3,
-    with `sums`). Each chunk of any other cut window, and each block of a
-    complex window of several blocks, is copied, conjugated if complex,
-    into one reused buffer that every product reads while it is in cache,
-    so no complex window of more than `_CHUNK_SAMPLES` samples is
-    conjugated whole. The copy is a
+    uncut, takes one product per lag and no buffer. A window the rule
+    returns in the phase form goes to `_phase_products`, which only the
+    structured Gram reaches (K >= 3, with `sums`). Each chunk of any
+    other cut window, and each block of a complex window of several
+    blocks, is copied, conjugated if complex, into one reused buffer that
+    every product reads while it is in cache, so no complex window of
+    more than `_CHUNK_SAMPLES` samples is conjugated whole. The copy is a
     second operand, so numpy sends ``P_0`` to gemm, which OpenBLAS runs in
     its small-matrix kernel, and not to syrk, which has none.
     With `sums`, a row of ones under the copy gives ``P_0`` one more
@@ -288,9 +286,8 @@ def _window_products(x: NDArray, k: int,
     overflow and invalid operations ignored: the caller checks the result.
     """
     m, n = x.shape
-    phased = _phased(m, k, x.dtype)
-    bounds, cut = _chunk_bounds(m, n, k, 2 * m if phased else None)
-    if cut and phased:
+    bounds, cut, phased = _chunk_bounds(m, n, k, x.dtype)
+    if phased:
         return _phase_products(x, k, bounds)
     # No copy: the buffer took 9.4 against 4.9 us at (3,2,256).
     if len(bounds) == 2 or not cut and x.dtype.kind != "c":

@@ -35,20 +35,22 @@ finiteness off that Gram rather than scanning the signal
 Residuals of either form, the least-squares fit's `V` and `fit_both`'s
 ``V V^H`` included, are one expression and one loop, `_residuals`, over
 the blocks of the sample window that `linalg._chunk_bounds`, the one rule
-for every pass over the samples, returns with whether it cut them. Each
-chunk or block takes one product per lag on slices of the signal, with
-the mixing matrix L, where there is one, as one more. Where the
-residuals are complex and the phase form's rule holds (`linalg._phased`:
-K >= 3, M >= 2 and (K+1)M >= 12), a cut window's chunk is instead copied
-once, time-major, and each of its K+1 phases, the windows
-``[x(n-K) .. x(n)]`` of every (K+1)-th sample, writes its residuals with
-one product by the coefficient block ``[-A_K .. -A_1 | I]``, or
-``[-R_K .. -R_1 | L]``, transposed (`_phase_residuals`).
+for every pass over the samples, returns with whether it cut them and
+whether the pass takes the phase form. Each chunk or block takes one
+product per lag on slices of the signal, with the mixing matrix L, where
+there is one, as one more. Where the rule returns the phase form (a cut
+window of complex residuals, K >= 3, M >= 2 and (K+1)M >= 12), each
+chunk is instead copied once, time-major, and each of its K+1 phases,
+the windows ``[x(n-K) .. x(n)]`` of every (K+1)-th sample, writes its
+residuals with one product by the coefficient block
+``[-A_K .. -A_1 | I]``, or ``[-R_K .. -R_1 | L]``, transposed
+(`_phase_residuals`).
 So no fit or residual routine stacks T, and the working memory beside
 the result is one chunk's: T is stacked whole only by
 `build_regressor_t`, `build_regressor_s` and the Gram where it fits in
-that buffer. The structured Gram stacks T over two snippets of 2K
-samples at the ends of the signal, for its edge terms.
+that buffer. The structured Gram stacks T over one snippet of 4K
+samples, the ends of the signal each followed by K zeros, for its edge
+terms.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .linalg import (
     _finite,
     _inverse_bottom_rows,
     _phase_windows,
-    _phased,
     _window_products,
     as_matrix,
     gram_hermitian,
@@ -231,22 +232,21 @@ def _check_signal(x: ArrayLike, k: int, branches: int | None = None) -> tuple[ND
     return x, k
 
 
-def _stack_regressor(x: NDArray, k: int, out: NDArray | None = None) -> NDArray:
+def _stack_regressor(x: NDArray, k: int) -> NDArray:
     """Stack T from a checked signal `x` and order `k` into a new array of
-    `x`'s type, or into `out`, a buffer whose row of ones is in place: a
-    half of the regressor Gram's edge stacks.
+    `x`'s type: the regressors, the dense Gram's operand and, over a
+    snippet of the signal's ends, the structured Gram's edge terms.
 
     T is a row of ones over K+1 blocks of M rows: lags 1 .. K, then lag
     0, the current samples. Its top M*K+1 rows are S. This is the
     package's only stack and its only row layout.
     """
     m, n = x.shape
-    if out is None:
-        out = np.empty((m * (k + 1) + 1, n - k), dtype=x.dtype)
-        out[0] = 1
+    t = np.empty((m * (k + 1) + 1, n - k), dtype=x.dtype)
+    t[0] = 1
     for j, d in enumerate([*range(1, k + 1), 0]):
-        out[1 + j * m:1 + (j + 1) * m] = x[:, k - d:n - d]
-    return out
+        t[1 + j * m:1 + (j + 1) * m] = x[:, k - d:n - d]
+    return t
 
 
 def _regressor_gram(x: NDArray, k: int) -> NDArray:
@@ -275,20 +275,26 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
     the working memory is one chunk-sized buffer where the window is cut,
     or complex and of several blocks, never T's ``M (K+1) N`` values.
 
-    The edge terms are two stacks in T's own layout (`_stack_regressor`),
-    written side by side into one q x 2K array, of two snippets of 2K
-    samples: the first K samples followed by K zeros (the head) and the
-    last K followed by K zeros (the tail). In the s-th column (s = 1 .. K)
-    of a stack, the block of lag d holds ``x(K-d+s)`` at the head and
+    The edge terms come from one stack in T's own layout
+    (`_stack_regressor`) of a snippet of 4K samples: the first K samples
+    and K zeros (the head), then the last K and K zeros (the tail). Of its
+    3K columns, the first K stack the head and columns 2K+1 .. 3K the
+    tail; only those 2K are kept. In the s-th column (s = 1 .. K) of a
+    half, the block of lag d holds ``x(K-d+s)`` at the head and
     ``x(N-d+s)`` at the tail when s <= d, and zero otherwise, and the ones
     row holds ones. So one signed product, head columns added and tail
     columns subtracted, corrects every block, the intercept row's lag sums
     included. At K = 0 no shift adds or drops a sample, and the product
     is skipped.
 
-    Each block of the Gram is written in place from the lag products, so
-    the Gram-sized arrays beside it are the edge terms' product and the
-    copy `_finish_gram` makes, one at a time.
+    Each block row of the Gram is written in place by one call from one
+    list of its pieces: the window sums, then ``P_K^H .. P_1^H``, each
+    conjugated once, and ``P_0 .. P_K``. Counting the sums as piece 0,
+    the block at the rows of lags i and j is piece K + 1 + i - j, so the
+    block row of lag i is the sums, pieces K + i down to i + 1, and piece
+    K + 1 + i, lag 0's. The list goes with the lag products before the
+    edge product, so the Gram-sized arrays beside the Gram are the edge
+    terms' product and the copy `_finish_gram` makes, one at a time.
     """
     m, n = x.shape
     q = m * (k + 1) + 1
@@ -297,22 +303,18 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
             (g,), _ = _window_products(_stack_regressor(x, k), 0)
             return _finish_gram(g, x, "signal")
         products, sums = _window_products(x, k, sums=True)
+        pieces = [sums[:, None], *(p.conj().T for p in products[:0:-1]), *products]
         g = np.empty((q, q), dtype=x.dtype)
         g[0, 0] = n - k
-        blocks = [(slice(1 + b * m, 1 + (b + 1) * m), d)
-                  for b, d in enumerate([*range(1, k + 1), 0])]
-        for rows, i in blocks:
-            g[rows, 0] = sums
-            for columns, j in blocks:  # the window block of lags (i, j)
-                g[rows, columns] = products[i - j] if i >= j else products[j - i].conj().T
+        for b, i in enumerate([*range(1, k + 1), 0]):
+            np.concatenate((pieces[0], *pieces[i + k:i:-1], pieces[i + k + 1]), axis=1,
+                           out=g[1 + b * m:1 + (b + 1) * m])
         g[0, 1:] = g[1:, 0].conj()
-        del products  # freed before the edge terms' product
+        del products, pieces  # freed before the edge terms' product
         if k:  # at K = 0 the window is the whole signal: no edge terms
-            edges = np.ones((q, 2 * k), dtype=x.dtype)
-            snippet = np.zeros((m, 2 * k), dtype=x.dtype)
-            for half, ends in enumerate((x[:, :k], x[:, n - k:])):
-                snippet[:, :k] = ends
-                _stack_regressor(snippet, k, edges[:, half * k:(half + 1) * k])
+            snippet = np.zeros((m, 4 * k), dtype=x.dtype)
+            snippet[:, :k], snippet[:, 2 * k:3 * k] = x[:, :k], x[:, n - k:]
+            edges = _stack_regressor(snippet, k)[:, [*range(k), *range(2 * k, 3 * k)]]
             g += (edges * np.repeat([1.0, -1.0], k)) @ edges.conj().T
     return _finish_gram(g, x, "signal")
 
@@ -359,10 +361,9 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     that array instead, not yet made Hermitian (`linalg._finish_gram`).
 
     One loop over the blocks that `linalg._chunk_bounds` returns, asked
-    once: for an M-row pass, or with `gram` or in the phase form
-    (`linalg._phased`) for 2M rows per sample; nothing cuts them again.
-    A cut window in the phase form goes to `_phase_residuals`. Every
-    other chunk or block takes one product per lag, on slices of `x`,
+    once, `gram` paired with 2M rows per sample; nothing cuts them again.
+    A window it returns in the phase form goes to `_phase_residuals`.
+    Every other chunk or block takes one product per lag, on slices of `x`,
     through one reused scratch buffer, after the chunk's `mixing`
     product or copy of `x` less the intercept. Each chunk's residuals go
     into that chunk of the result or, with `gram`, into one reused chunk
@@ -374,13 +375,12 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     m, n = x.shape
     operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
     dtype = np.result_type(*operands)
-    phased = _phased(m, k, dtype)
     # fit_both's V V^H holds a chunk of residuals beside its product
     # buffer, 2M rows per sample. At (4,2,65536) Gram-width chunks ran it
     # 10% faster but peaked at 0.37 MiB against 0.23, and chunks cut for
     # T's q rows ran it 1.5x slower.
-    bounds, cut = _chunk_bounds(m, n, k, rows=2 * m if gram or phased else None)
-    if cut and phased:
+    bounds, cut, phased = _chunk_bounds(m, n, k, dtype, paired=gram)
+    if phased:
         return _phase_residuals(x, k, bounds, dtype, mixing, intercept, lags, gram)
     width = bounds[-1] - bounds[-2]
     r = np.empty((m, width if gram else n - k), dtype=dtype)
@@ -421,8 +421,9 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
 def _phase_residuals(x: NDArray, k: int, bounds: list[int], dtype: np.dtype,
                      mixing: NDArray | None, intercept: NDArray,
                      lags: tuple[NDArray, ...], gram: bool) -> NDArray:
-    """`_residuals` in the phase form (`linalg._phased`), over the chunks
-    `bounds` of a cut window whose residuals are complex, of type `dtype`.
+    """`_residuals` in the phase form, over the chunks `bounds` that
+    `linalg._chunk_bounds` cut for it, of a window whose residuals are
+    complex, of type `dtype`.
 
     Each chunk and its K leading samples are copied once, time-major, into
     one reused buffer of the residuals' type, and each of its phases

@@ -534,7 +534,7 @@ class TestGramWork:
         # products, below the M x (N-K) array of V.
         m, k, n = 24, 1, 18433
         x = np.random.default_rng(40).standard_normal((m, n))
-        assert not linalg._chunk_bounds(m, n, k)[1]
+        assert not linalg._chunk_bounds(m, n, k, x.dtype)[1]
         tracemalloc.start()
         try:
             fit_both(x, k)
@@ -600,7 +600,7 @@ class TestGramWork:
 
 class TestRegressorStacks:
     """Only the Grams stack a whole regressor: the dense Gram stacks T, the
-    structured Gram two K-column stacks for its edge terms. No fit or
+    structured Gram one 3K-column stack for its edge terms. No fit or
     residual pass stacks T or S, not even one chunk at a time: the
     residuals take one product per lag."""
 
@@ -621,15 +621,15 @@ class TestRegressorStacks:
     def test_no_stack_above_the_dense_cut(self, stacks, complex_field):
         m, k, n = 4, 2, 8192
         x = structured_series(m, k, n, seed=27, complex_field=complex_field)
-        assert linalg._chunk_bounds(m, n, k)[1]
+        assert linalg._chunk_bounds(m, n, k, x.dtype)[1]
         fit = fit_rvar_ls(x, k)
         svar = fit_both(x, k).ls
         rvar_residuals(fit, x)
         model.svar_residuals(svar, x)
-        # Head and tail edge stacks for each of the two Grams formed, and
-        # none in the four residual passes: V, fit_both's V V^H and the
-        # two residual routines.
-        assert stacks == [(m * (k + 1) + 1, k)] * 4
+        # One edge stack for each of the two Grams formed, and none in
+        # the four residual passes: V, fit_both's V V^H and the two
+        # residual routines.
+        assert stacks == [(m * (k + 1) + 1, 3 * k)] * 2
 
     def test_dense_fit_both_stacks_t_once(self, stacks):
         m, k, n = 3, 2, 256
@@ -885,7 +885,7 @@ class TestFitBothLeastSquaresHalf:
         # (3, 2, 256) stacks T whole; (24, 1, 1000) forms the structured
         # Gram, whose window M > 22 never cuts, and (24, 1, 6145) too, on
         # the widest window the residuals take as one block.
-        assert linalg._chunk_bounds(m, n, k) == ([k, n], False)
+        assert linalg._chunk_bounds(m, n, k, np.dtype(float)) == ([k, n], False, False)
         assert n - k <= linalg._CHUNK_SAMPLES
         assert stacks_t_whole(m, k, n) == (m == 3)
         x = stable_series(m, k, n, seed=37, complex_field=complex_field)
@@ -897,7 +897,7 @@ class TestFitBothLeastSquaresHalf:
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_cut_windows_agree_to_rounding(self, complex_field):
         m, k, n = 4, 2, 8192
-        assert linalg._chunk_bounds(m, n, k)[1]
+        assert linalg._chunk_bounds(m, n, k, np.dtype(float))[1]
         both, ls = self.halves(stable_series(m, k, n, seed=38, complex_field=complex_field), k)
         assert coefficient_discrepancy(ls, both) <= 1e-13
 

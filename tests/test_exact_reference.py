@@ -183,11 +183,10 @@ class TestExactReference:
     @pytest.mark.parametrize("width", [4, 40])
     def test_phase_form_is_within_cond_u(self, chunks, m, k, width):
         # Complex windows that chunks of `width` samples cut, so that the
-        # Grams and residuals take the phase form (linalg._phased): in
-        # chunks of one sample, most phases empty, and of several.
+        # Grams and residuals take the phase form (linalg._chunk_bounds):
+        # in chunks of one sample, most phases empty, and of several.
         model = random_stable_svar(m, k, 5, complex_field=True)
         x = simulate_series(model, k + 4 * (m * (k + 1) + 1), 6)
-        assert linalg._phased(m, k, x.dtype)
         with chunks(width):
-            assert linalg._chunk_bounds(m, x.shape[1], k)[1]
+            assert linalg._chunk_bounds(m, x.shape[1], k, x.dtype)[2]
             check_against_exact(x, k)

@@ -154,43 +154,52 @@ NON_FINITE = [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf
 class TestChunkBounds:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(m=st.integers(1, 40), k=st.integers(0, 16), window=st.integers(1, 300000),
-           stacked=st.booleans())
-    def test_every_pass_gets_near_equal_chunks_of_bounded_width(self, m, k, window, stacked):
-        # The rule's contract for every pass, the M-row one and the one
-        # that stacks T's q = M(K+1)+1 rows: it cuts exactly the windows
-        # wider than an M-row chunk of at least _MIN_CHUNK samples, and
-        # walks every other window in blocks of at most _CHUNK_SAMPLES.
+           complex_field=st.booleans(), paired=st.booleans())
+    def test_every_pass_gets_near_equal_chunks_of_bounded_width(self, m, k, window,
+                                                                complex_field, paired):
+        # The rule's contract for every pass, the M-row one, the paired
+        # one of 2M rows per sample and the phase form: it cuts exactly
+        # the windows wider than an M-row chunk of at least _MIN_CHUNK
+        # samples, walks every other window in blocks of at most
+        # _CHUNK_SAMPLES, and takes the phase form on exactly the cut
+        # complex windows with K >= 3, M >= 2 and (K+1)M >= 12.
         n = k + window
-        bounds, cut = _chunk_bounds(m, n, k, m * (k + 1) + 1 if stacked else None)
+        bounds, cut, phased = _chunk_bounds(m, n, k, np.dtype(complex if complex_field
+                                                              else float), paired)
         widths = np.diff(bounds)
         assert (bounds[0], bounds[-1]) == (k, n)
         assert 1 <= widths.min() and widths.max() - widths.min() <= 1
         assert widths[-1] == widths.max()
         assert widths.max() <= _CHUNK_SAMPLES
         assert cut == (_MIN_CHUNK <= _chunk_width(m) < window)
+        assert phased == (cut and complex_field and k >= 3 and m >= 2 and (k + 1) * m >= 12)
         if not cut:
             assert (len(widths) == 1) == (window <= _CHUNK_SAMPLES)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(m=st.integers(1, 24), k=st.integers(0, 16), window=st.integers(1, 300000))
     def test_stacked_chunks_fit_the_m_row_buffer(self, m, k, window):
-        # A pass that stacks q = M(K+1)+1 rows per sample cuts the same
-        # window where the M-row pass cuts it, into as few near-equal
-        # chunks as keep the stack and an M x q block within the M-row
-        # buffer of the widest chunk, each at least one sample wide.
-        n, q = k + window, m * (k + 1) + 1
-        (plain, cut), (stacked, stacked_cut) = _chunk_bounds(m, n, k), _chunk_bounds(m, n, k, q)
+        # A pass that stacks 2M rows per sample, paired or in the phase
+        # form, cuts the same window where the M-row pass cuts it, into as
+        # few near-equal chunks as keep its 2M rows of width + M samples
+        # within the M-row buffer of the widest chunk, each at least one
+        # sample wide.
+        n, real = k + window, np.dtype(float)
+        plain, cut, _ = _chunk_bounds(m, n, k, real)
+        paired, paired_cut, _ = _chunk_bounds(m, n, k, real, paired=True)
+        complex_bounds, _, in_phase_form = _chunk_bounds(m, n, k, np.dtype(complex))
+        assert complex_bounds == (paired if in_phase_form else plain)
         if not cut:
-            assert (stacked, stacked_cut) == (plain, cut)
+            assert (paired, paired_cut) == (plain, cut)
             return
-        widths = np.diff(stacked)
-        assert (stacked[0], stacked[-1]) == (k, n)
+        widths = np.diff(paired)
+        assert (paired[0], paired[-1]) == (k, n)
         assert 1 <= widths.min() and widths.max() - widths.min() <= 1
         assert widths[-1] == widths.max()
         budget = m * (plain[-1] - plain[-2])
-        assert q * (widths.max() + m) <= budget or widths.max() == 1
+        assert 2 * m * (widths.max() + m) <= budget or widths.max() == 1
         fewer = len(widths) - 1
-        assert fewer == 0 or q * (-(-window // fewer) + m) > budget
+        assert fewer == 0 or 2 * m * (-(-window // fewer) + m) > budget
 
 
 class TestNonFiniteInput:

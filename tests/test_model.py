@@ -210,8 +210,8 @@ def stack_spy(patch):
     seen = []
     original = model._stack_regressor
 
-    def spy(a, k, out=None):
-        stack = original(a, k, out)
+    def spy(a, k):
+        stack = original(a, k)
         seen.append((a, stack.shape))
         return stack
 
@@ -258,6 +258,33 @@ class TestLagCovarianceGram:
             x = x + 1j * rng.standard_normal((m, n))
         with chunks(n - k):
             self.check(x, k)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("m,k,n", [(2, 30, 200), (1, 200, 500)])
+    def test_matches_dense_product_at_high_order(self, chunks, m, k, n, complex_field):
+        # Orders far above the property's, where a block row holds K+1
+        # lag blocks and the edge stack 3K columns.
+        x = draw_signal(np.random.default_rng(k), m, n, complex_field)
+        with chunks(n - k):
+            self.check(x, k)
+
+    def test_one_write_per_block_row(self, chunks, monkeypatch):
+        # Each of T's K+1 block rows is written by one np.concatenate into
+        # the Gram, so the structured Gram's numpy calls grow with K, not
+        # with its (K+1)^2 blocks.
+        m, k, n = 2, 40, 300
+        x = draw_signal(np.random.default_rng(9), m, n, False)
+        writes = []
+        original = np.concatenate
+
+        def spy(*args, **kwargs):
+            writes.append(kwargs.get("out") is not None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", spy)
+        with chunks(n - k):
+            _regressor_gram(x, k)
+        assert writes == [True] * (k + 1)
 
     def test_overflow_raises_without_warnings(self, chunks):
         x = np.random.default_rng(3).standard_normal((2, 40)) * 1e160
@@ -327,7 +354,7 @@ class TestChunkedGram:
             patch.setattr(linalg, "_CHUNK_SAMPLES", 500)
             if m <= 22:  # lets the chunk rule cut the window
                 patch.setattr(linalg, "_MIN_CHUNK", 1)
-            assert linalg._chunk_bounds(m, n, k)[1] == (m <= 22)
+            assert linalg._chunk_bounds(m, n, k, x.dtype)[1] == (m <= 22)
             tracemalloc.start()
             try:
                 _regressor_gram(x, k)
@@ -337,10 +364,10 @@ class TestChunkedGram:
         assert peak < m * (n - k) * 16
 
     def test_wide_gram_holds_one_gram_sized_temporary_at_a_time(self):
-        # The lag blocks are written into g one by one, so beside g only
-        # the edge product, then the copy that makes g exactly Hermitian, is
-        # Gram-sized. Gathering the blocks into a Gram-sized array and
-        # reshaping it held 3.3 Grams (8.83 MB) here.
+        # The lag blocks are written into g one block row at a time, so
+        # beside g only the edge product, then the copy that makes g
+        # exactly Hermitian, is Gram-sized. Gathering the blocks into a
+        # Gram-sized array and reshaping it held 3.3 Grams (8.83 MB) here.
         m, k, n = 64, 8, 8192
         x = np.random.default_rng(6).standard_normal((m, n))
         gram_bytes = (m * (k + 1) + 1) ** 2 * 8
@@ -357,7 +384,7 @@ class TestGramRule:
     """`_regressor_gram` stacks T whole exactly where its ``q (N-K)``
     entries fit in the M-row buffer of the widest chunk of an M-branch
     pass, ``M * linalg._chunk_width(M)`` elements, and elsewhere forms the
-    structured Gram, whose only stacks are its two K-column edge stacks."""
+    structured Gram, whose only stack is its 3K-column edge stack."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(m=st.integers(1, 5), k=st.integers(0, 4), complex_field=st.booleans(),
@@ -384,7 +411,7 @@ class TestGramRule:
         if q * (n - k) <= m * width:
             assert [(a is x, shape) for a, shape in seen] == [(True, (q, n - k))]
         else:
-            assert [(a is x, shape) for a, shape in seen] == [(False, (q, k))] * 2 * (k > 0)
+            assert [(a is x, shape) for a, shape in seen] == [(False, (q, 3 * k))] * (k > 0)
 
     @pytest.mark.parametrize("m, k, n, complex_field, whole", [
         (3, 2, 256, False, True),  # rolling_panel's windows
@@ -395,14 +422,14 @@ class TestGramRule:
     def test_benchmark_shapes_keep_their_branch(self, monkeypatch, m, k, n, complex_field,
                                                 whole):
         # The shapes of the benchmark's workloads: only rolling_panel's
-        # windows stack T; the others stack no more than K columns a call.
+        # windows stack T; the others stack one edge stack of 3K columns.
         x = draw_signal(np.random.default_rng(n), m, n, complex_field)
         seen = stack_spy(monkeypatch)
         _regressor_gram(x, k)
         if whole:
             assert [(a is x, shape) for a, shape in seen] == [(True, (m * (k + 1) + 1, n - k))]
         else:
-            assert [shape[1] for _, shape in seen] == [k, k]
+            assert [shape[1] for _, shape in seen] == [3 * k]
 
 
 def draw_signal(rng, m, n, complex_field):
@@ -503,20 +530,21 @@ class TestChunkedResiduals:
         assert peak < m * (n - k) * 8 + 2 * chunk_bytes
 
     def test_residuals_cut_where_the_gram_does(self, monkeypatch):
-        # One rule cuts every pass over the samples, asked once per pass:
-        # for the structured Gram's window with the Gram's M-row buffer,
-        # then for V's with the same buffer or, in fit_both, for V V^H's
-        # with 2M rows per sample, a chunk of residuals and its product
-        # buffer. A complex window in the phase form asks for 2M rows in
-        # both passes. Each pass walks the bounds it gets: at M = 24 the
-        # rule leaves the complex window uncut and returns it in three
-        # blocks of 6144 samples, which no pass cuts again.
+        # One rule cuts every pass over the samples and picks its form,
+        # asked once per pass: for the structured Gram's window with the
+        # Gram's M-row buffer, then for V's with the same buffer or, in
+        # fit_both, for V V^H's paired with 2M rows per sample, a chunk of
+        # residuals and its product buffer. A complex window in the phase
+        # form gets chunks cut for 2M rows in both passes. Each pass walks
+        # the bounds it gets: at M = 24 the rule leaves the complex window
+        # uncut and returns it in three blocks of 6144 samples, which no
+        # pass cuts again.
         seen, returned = [], []
         original = linalg._chunk_bounds
 
-        def spy(m, n, k, rows=None):
-            seen.append((m, n, k, rows))
-            returned.append(original(m, n, k, rows))
+        def spy(m, n, k, dtype, paired=False):
+            seen.append((m, n, k, dtype.kind, paired))
+            returned.append(original(m, n, k, dtype, paired))
             return returned[-1]
 
         monkeypatch.setattr(linalg, "_chunk_bounds", spy)
@@ -525,22 +553,24 @@ class TestChunkedResiduals:
         x = rng.standard_normal((4, 8192))
         wide = rng.standard_normal((24, 18433)) + 1j * rng.standard_normal((24, 18433))
         phased = draw_signal(rng, 3, 8192, True)
-        for fit, rows, wide_rows in [(fit_rvar_ls, None, None), (fit_both, 8, 48)]:
+        for fit, paired in [(fit_rvar_ls, False), (fit_both, True)]:
             seen.clear()
             fit(x, 2)
-            assert seen == [(4, 8192, 2, None), (4, 8192, 2, rows)]
+            assert seen == [(4, 8192, 2, "f", False), (4, 8192, 2, "f", paired)]
             seen.clear()
             returned.clear()
             fit(wide, 1)
-            assert seen == [(24, 18433, 1, None), (24, 18433, 1, wide_rows)]
-            assert returned == [([1, 6145, 12289, 18433], False)] * 2
+            assert seen == [(24, 18433, 1, "c", False), (24, 18433, 1, "c", paired)]
+            assert returned == [([1, 6145, 12289, 18433], False, False)] * 2
             seen.clear()
+            returned.clear()
             fit(phased, 3)
-            assert seen == [(3, 8192, 3, 6)] * 2
+            assert seen == [(3, 8192, 3, "c", False), (3, 8192, 3, "c", paired)]
+            assert returned[0] == returned[1] and returned[0][1:] == (True, True)
 
 
 class PhaseChunks:
-    """Shapes inside the phase form's rule (`linalg._phased`) and window
+    """Shapes inside the phase form's rule (`linalg._chunk_bounds`) and window
     lengths for a property run under ``chunks(width)``, and a check, once
     it has run, that the form's chunks came both shorter than K+1 samples,
     so that some phases have no window, and at least K+1 samples wide."""
@@ -556,10 +586,9 @@ class PhaseChunks:
         m = data.draw(st.integers(2, 4))
         k = data.draw(st.integers(5 if m == 2 else 3, 6))
         n = k + lead * (m * (k + 1) + 1) + data.draw(st.integers(width, 4 * width))
-        assert linalg._phased(m, k, np.dtype(complex))
         with self.chunks(width):
-            bounds, cut = linalg._chunk_bounds(m, n, k, 2 * m)
-        assert cut
+            bounds, _, phased = linalg._chunk_bounds(m, n, k, np.dtype(complex))
+        assert phased
         self.examples.append((k, np.diff(bounds)))
         return m, k, n
 
@@ -569,7 +598,7 @@ class PhaseChunks:
 
 
 class TestPhaseForm:
-    """Cut complex windows of order K >= 3 (`linalg._phased`) are copied
+    """Cut complex windows of order K >= 3 (`linalg._chunk_bounds`) are copied
     once per chunk, time-major, and read as K+1 phases, one product each,
     for the lag products and the residuals alike. Under ``chunks(width)``,
     width 1 .. 64, the form's chunks are 1 to about width/2 samples wide,
@@ -685,7 +714,8 @@ class TestPhaseForm:
         monkeypatch.setattr(model, "_phase_windows", spy)
         rng = np.random.default_rng(m + n)
         x = draw_signal(rng, m, n, complex_field)
-        assert linalg._chunk_bounds(m, n, k)[1] == (n - k > 6144 and m <= 22)
+        _, cut, in_phase_form = linalg._chunk_bounds(m, n, k, x.dtype)
+        assert (cut, in_phase_form) == (n - k > 6144 and m <= 22, phased)
         fit = fit_rvar_ls(x, k)
         both = fit_both(x, k)
         svar_residuals(both.lic, x)
