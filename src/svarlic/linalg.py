@@ -60,16 +60,22 @@ and so a block of a complex window of several blocks, so no product
 conjugates more than one block; everything else, the residuals' lag
 products included, reads the signal in place.
 
-Both loops fork once more where the rule returns the phase form, on a
-cut complex window of order K >= 3 with M >= 2 and (K+1)M >= 12, in
-chunks it cuts for 2M rows per sample: each chunk and its K leading
-samples are copied once, time-major, and read as K+1 phases
-(`_phase_windows`), whose rows are the windows ``[x(n-K) .. x(n)]`` of
-every (K+1)-th sample. One product per phase gives all K+1 lag products
-(`_phase_products`), or the phase's residuals (`model._phase_residuals`),
-so each pass keeps K+1 products per chunk, each with (K+1)M output rows
-or inner dimension instead of M. The 2M rows per sample are the copy
-and a conjugated copy, or the copy and the chunk's residuals.
+Both loops fork once more where the rule returns the phase form: each
+chunk and its K leading samples are copied once, time-major, into a
+buffer that starts on a 64-byte boundary (`_aligned`), and read as K+1
+phases (`_phase_windows`), whose rows are the windows ``[x(n-K) .. x(n)]``
+of every (K+1)-th sample. One product per phase gives all K+1 lag
+products (`_phase_products`), or the phase's residuals
+(`model._phase_residuals`), so each pass keeps K+1 products per chunk,
+each with (K+1)M output rows or columns or inner dimension instead of M.
+The rule gives the form to every pass over a cut complex window with
+K >= 3, M >= 2 and (K+1)M >= 12, and to the Gram pass alone of a real
+window of several chunks or blocks with K >= 4 and 8 <= M <= 68: real
+residuals, V and ``V V^H``, keep their per-lag products. A complex
+window is cut for 2M rows per sample, the copy and a conjugated copy, or
+the copy and the chunk's residuals; a real Gram reads its copy alone, in
+the window's M-row chunks or, uncut, in blocks of at most
+`_PHASE_BLOCK` samples.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -190,6 +196,13 @@ _CHUNK_WORK = 10 ** 6
 _CHUNK_SAMPLES = 6144
 _MIN_CHUNK = 2048
 
+#: The widest block of a real window that the rule leaves uncut and the
+#: Gram walks in the phase form. Its time-major copy is the pass's buffer:
+#: in blocks of 6144 samples LIC's traced peak at (32,6,16384) rose from
+#: 0.86 to 1.49 MiB, while 1024-sample blocks ran LIC 0.99x as long at
+#: (64,8,8192) and 1.03x at (32,6,16384) (interleaved calls, one thread).
+_PHASE_BLOCK = 1024
+
 
 def _chunk_width(m: int) -> int:
     """The widest chunk, in samples, that `_chunk_bounds` allows a pass
@@ -199,13 +212,15 @@ def _chunk_width(m: int) -> int:
 
 
 def _chunk_bounds(m: int, n: int, k: int, dtype: np.dtype,
-                  paired: bool = False) -> tuple[list[int], bool, bool]:
+                  kind: str = "gram") -> tuple[list[int], bool, bool]:
     """The bounds ``[K, .., N]`` of the chunks of the window of samples
     K .. N-1 of an M-branch signal with N > K, whether the rule cut the
     window, and whether the pass takes the phase form (`_phase_windows`):
-    the package's one rule for a pass over the samples. The chunks are
-    near-equal, the last one the widest, and none holds more than
-    `_CHUNK_SAMPLES` samples.
+    the package's one rule for a pass over the samples. `kind` names the
+    pass: ``"gram"``, the lag products of `_window_products`;
+    ``"residuals"``, the residuals of `model._residuals`; or ``"paired"``,
+    `fit_both`'s ``V V^H``. The chunks are near-equal, the last one the
+    widest, and none holds more than `_CHUNK_SAMPLES` samples.
 
     The rule cuts a window wider than `_chunk_width` where that width is
     at least `_MIN_CHUNK` (M <= 22), into the fewest chunks of at most
@@ -214,33 +229,65 @@ def _chunk_bounds(m: int, n: int, k: int, dtype: np.dtype,
     the fewest near-equal blocks of at most `_CHUNK_SAMPLES` samples, one
     if it fits in one.
 
-    A cut window of field `dtype` takes the phase form where it is
-    complex, with K >= 3 and M >= 2 and at least 12 rows in a phase
-    window, (K+1)M. That pass, and a `paired` one, `fit_both`'s ``V V^H``,
-    fill 2M rows per sample, so their window is cut for 2M rows: into the
-    fewest near-equal chunks whose 2M rows of width + M samples fit in
-    the elements of the M-row buffer of the widest chunk, each at least
-    one sample wide.
+    Every pass over a cut complex window takes the phase form with K >= 3,
+    M >= 2 and at least 12 rows in a phase window, (K+1)M. Those passes,
+    and a ``"paired"`` one, fill 2M rows per sample, so their window is
+    cut for 2M rows: into the fewest near-equal chunks whose 2M rows of
+    width + M samples fit in the elements of the M-row buffer of the
+    widest chunk, each at least one sample wide. The Gram pass of a real
+    window of more than one chunk or block takes the form with K >= 4 and
+    8 <= M <= 68, in the window's M-row chunks or, uncut, in the fewest
+    near-equal blocks of at most `_PHASE_BLOCK` samples; real residuals
+    never take it.
 
-    The phase form, measured against the stacked or per-lag forms
+    The complex form, measured against the stacked or per-lag forms
     (in-process paired calls, one thread, 2-core Xeon): the routes inside
     the rule ran 0.78-0.81x at (8,8,32768), LIC 0.73x at (3,3,65536),
-    `fit_both` 0.90x at (2,5,65536) and LS 0.97x at (22,3,20000). Outside
-    it, `fit_both` ran 1.04-1.05x at (2,4,65536) and LIC 1.5-1.8x at
-    M = 1, where a phase's products are matrix-vector ones; at K = 2,
-    (4,2,65536), LS and `fit_both` read 0.98-0.99x, no gain to resolve. On
-    a real window the Gram alone ran 1.4x at (8,8,65536) and 2.7-3.1x at
-    (2,3,300000), where the lag products of x read in place run in
-    OpenBLAS's small-matrix kernel."""
+    `fit_both` 0.90x at (2,5,65536) and LS 0.97x at (22,3,20000). At
+    K = 2 the Gram alone gains, but not always by 5%: LIC 0.93-1.00x in
+    four runs at (4,2,65536), 0.88-0.89x at (8,2,32768); the residuals
+    there ran LS 1.06x. Outside it, `fit_both` ran 1.04-1.05x at
+    (2,4,65536) and LIC 1.5-1.8x at M = 1, where a phase's products are
+    matrix-vector ones. Real residuals in the form ran LS 1.02-1.29x at
+    M = 8 .. 16. The real Gram's region is the rectangle in which every
+    shape of this sweep of LIC, the real form against the per-lag
+    products (`tools/ab_inprocess.py`, geometric mean of both tree
+    orders, one thread, 2-core Xeon), reads below 1, N being 65536 up to
+    M = 16, 20000 at M = 24, 16384 at 32, 12000 at 48 and 8192 above::
+
+        M \\ K   2     3     4     6     8     12    16
+        4      .     .     .     .     1.43  .     1.29
+        6      .     .     1.39  .     1.12  .     0.92
+        8      1.06  0.99  0.98  0.91  0.84  0.80  0.75
+        12     0.87  .     0.82  0.75  0.71  0.69  0.65
+        16     0.63  .     0.63  0.59  0.60  0.60  0.62
+        24     0.76  .     0.68  0.65  0.66  0.66  0.69
+        32     1.07  0.93  0.92  0.79  0.80  0.79  0.77
+        48     .     .     0.98  .     .     .     .
+        64     1.10  1.01  0.98  0.93  0.91  0.93  0.96
+        68     .     .     0.97  .     .     .     0.97
+        72     .     .     1.08  0.96  0.94  .     1.00
+        80     .     .     1.09  1.02  0.98  .     1.02
+        100    1.29  .     1.06  1.01  0.99  1.00  1.02
+        128    1.32  .     1.12  1.06  1.04  1.07  1.05
+
+    Inside the region LS and `fit_both` read at most 1.002. The bounds sit
+    where the rows and columns cross: M = 6 loses below K = 16, K = 3 ties
+    at M = 8 and loses at M = 64, and M = 72 loses at K = 4 and 16."""
     width = _chunk_width(m)
     if n - k <= width or width < _MIN_CHUNK and n - k <= _CHUNK_SAMPLES:
         return [k, n], False, False
     cut = width >= _MIN_CHUNK
-    phased = cut and dtype.kind == "c" and k >= 3 and m >= 2 and (k + 1) * m >= 12
-    if phased or cut and paired:
+    if dtype.kind == "c":
+        phased = cut and k >= 3 and m >= 2 and (k + 1) * m >= 12
+    else:
+        phased = kind == "gram" and k >= 4 and 8 <= m <= 68
+    if cut and (kind == "paired" or phased and dtype.kind == "c"):
         chunks = -(-(n - k) // width)
         width = max(-(-(n - k) // chunks) // 2 - m, 1)
-    chunks = -(-(n - k) // (width if cut else _CHUNK_SAMPLES))
+    elif not cut:
+        width = _PHASE_BLOCK if phased else _CHUNK_SAMPLES
+    chunks = -(-(n - k) // width)
     return [k + i * (n - k) // chunks for i in range(chunks + 1)], cut, phased
 
 
@@ -270,11 +317,11 @@ def _window_products(x: NDArray, k: int,
     K = 0 it is the Gram ``x x^H``.
 
     The package's one chunk loop for Gram products, over the bounds of
-    `_chunk_bounds`. A window of one chunk, or a real one the rule leaves
-    uncut, takes one product per lag and no buffer. A window the rule
-    returns in the phase form goes to `_phase_products`, which only the
-    structured Gram reaches (K >= 3, with `sums`). Each chunk of any
-    other cut window, and each block of a complex window of several
+    `_chunk_bounds`. A window the rule returns in the phase form goes to
+    `_phase_products`, which only the structured Gram reaches (K >= 3,
+    with `sums`). Any other window of one chunk, or real one the rule
+    leaves uncut, takes one product per lag and no buffer. Each chunk of
+    any other cut window, and each block of a complex window of several
     blocks, is copied, conjugated if complex, into one reused buffer that
     every product reads while it is in cache, so no complex window of
     more than `_CHUNK_SAMPLES` samples is conjugated whole. The copy is a
@@ -286,7 +333,7 @@ def _window_products(x: NDArray, k: int,
     overflow and invalid operations ignored: the caller checks the result.
     """
     m, n = x.shape
-    bounds, cut, phased = _chunk_bounds(m, n, k, x.dtype)
+    bounds, cut, phased = _chunk_bounds(m, n, k, x.dtype, "gram")
     if phased:
         return _phase_products(x, k, bounds)
     # No copy: the buffer took 9.4 against 4.9 us at (3,2,256).
@@ -316,37 +363,63 @@ def _window_products(x: NDArray, k: int,
     return [lead[:, :m], *lags], lead[:, m] if sums else None
 
 
+def _aligned(shape: tuple[int, ...], dtype: np.dtype) -> NDArray:
+    """An uninitialised array of `shape` and `dtype` whose data starts on a
+    64-byte boundary: 64 bytes more are allocated, and the array is the
+    slice of them that starts there. The phase forms' time-major buffers
+    take it, so their offset no longer moves with the heap's history: at
+    the offsets it gave them, 16 or 48 bytes mod 64, the complex (8,8)
+    Gram pass ran 6.5-8% slower and the real (16,8) one 27-30% (one
+    thread, 2-core Xeon)."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype).reshape(shape)
+
+
 def _phase_products(x: NDArray, k: int, bounds: list[int]) -> tuple[NDArray, NDArray]:
-    """`_window_products` in the phase form, over the chunks `bounds` of a
-    cut window of a complex `x`.
+    """`_window_products` in the phase form, over the chunks or blocks
+    `bounds` of `x`'s window.
 
     Each chunk and its K leading samples are copied once into a reused
-    time-major buffer, and the chunk's samples once more, conjugated, into
-    a second one: 2M rows per sample. Each phase ``Y_j`` of the chunk
-    (`_phase_windows`) then gives every lag at once, ``Y_j^T conj(Y_j)``'s
-    last M columns, read as a strided view of the conjugated copy: a
-    (K+1)M x M product whose block of rows d holds the phase's terms of
-    ``P_{K-d}``, so the products are that sum's blocks in reverse, one
-    K+1 x M x M view. The row sums come from one matrix-vector product
-    of ones per chunk: at complex (8,8) a ones column beside the
-    conjugated copy ran each phase's product 1.4x slower (38.5 against
-    27.0 us), nine times per chunk, where the matrix-vector product takes
-    12 us once."""
+    time-major buffer, and each phase ``Y_j`` of the chunk
+    (`_phase_windows`) gives every lag at once. A real window needs no
+    second buffer: its phase product is the chunk's samples of that phase,
+    read in the copy as an r x M view, transposed, times ``Y_j``, an
+    M x (K+1)M product whose column block c holds the phase's terms of
+    ``P_{K-c}^T``. Summed over the phases and chunks, its K+1 blocks are
+    transposed once at the end, in reverse, as one K+1 x M x M view. A
+    complex window copies the chunk's samples once more, conjugated, into
+    a second buffer, 2M rows per sample, and takes ``Y_j^T conj(Y_j)``'s
+    last M columns, read as a strided view of that copy: a (K+1)M x M
+    product whose block of rows d holds the phase's terms of ``P_{K-d}``,
+    so the products are that sum's blocks in reverse. The row sums come
+    from one matrix-vector product of ones per chunk: at complex (8,8) a
+    ones column beside the conjugated copy ran each phase's product 1.4x
+    slower (38.5 against 27.0 us), nine times per chunk, where the
+    matrix-vector product takes 12 us once."""
     m = x.shape[0]
     width = bounds[-1] - bounds[-2]
-    window = np.empty((width + k, m), dtype=x.dtype)
-    current = np.empty((width, m), dtype=x.dtype)
+    real = x.dtype.kind != "c"
+    window = _aligned((width + k, m), x.dtype)
+    current = window[k:] if real else _aligned((width, m), x.dtype)
     ones = np.ones(width, dtype=x.dtype)
-    total = np.zeros(((k + 1) * m, m), dtype=x.dtype)
+    total = np.zeros((m, (k + 1) * m) if real else ((k + 1) * m, m), dtype=x.dtype)
     term = np.empty_like(total)
     row_sums = np.zeros(m, dtype=x.dtype)
     for a, b in zip(bounds[:-1], bounds[1:]):
         window[:b - a + k] = x[:, a - k:b].T
-        np.conjugate(window[k:b - a + k], out=current[:b - a])
+        if not real:
+            np.conjugate(window[k:b - a + k], out=current[:b - a])
         for j, y in _phase_windows(window, k, b - a):
-            np.matmul(y.T, current[j:b - a:k + 1], out=term)
+            if real:
+                np.matmul(current[j:b - a:k + 1].T, y, out=term)
+            else:
+                np.matmul(y.T, current[j:b - a:k + 1], out=term)
             total += term
         row_sums += ones[:b - a] @ window[k:b - a + k]
+    if real:
+        return total.reshape(m, k + 1, m).transpose(1, 2, 0)[::-1], row_sums
     return total.reshape(k + 1, m, m)[::-1], row_sums
 
 

@@ -63,6 +63,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .exceptions import DimensionMismatch, OrderTooLarge
 from .linalg import (
+    _aligned,
     _as_float_matrix,
     _check_lower_factor,
     _chunk_bounds,
@@ -273,7 +274,8 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
     dense product). They and the intercept row's window sums are summed
     over the blocks of `linalg._chunk_bounds` (`_window_products`), so
     the working memory is one chunk-sized buffer where the window is cut,
-    or complex and of several blocks, never T's ``M (K+1) N`` values.
+    or of several blocks and complex or in the phase form, never T's
+    ``M (K+1) N`` values.
 
     The edge terms come from one stack in T's own layout
     (`_stack_regressor`) of a snippet of 4K samples: the first K samples
@@ -379,7 +381,7 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
     # buffer, 2M rows per sample. At (4,2,65536) Gram-width chunks ran it
     # 10% faster but peaked at 0.37 MiB against 0.23, and chunks cut for
     # T's q rows ran it 1.5x slower.
-    bounds, cut, phased = _chunk_bounds(m, n, k, dtype, paired=gram)
+    bounds, cut, phased = _chunk_bounds(m, n, k, dtype, "paired" if gram else "residuals")
     if phased:
         return _phase_residuals(x, k, bounds, dtype, mixing, intercept, lags, gram)
     width = bounds[-1] - bounds[-2]
@@ -391,7 +393,9 @@ def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
         if mixing is not None:
             np.matmul(mixing, x[:, a:b], out=v)
             v -= intercept[:, None]
-        elif cut:  # a copy, then the subtraction, ran fit_both 6% slower
+        elif len(bounds) > 2:
+            # A copy, then the subtraction, ran fit_both 6% slower on cut
+            # chunks and took 348 against 178 us on a (64, 4092) block.
             np.subtract(x[:, a:b], intercept[:, None], out=v)
         else:  # fused, numpy buffered the intercept: (3,2,256) peaks +20-26%
             v[...] = x[:, a:b]
@@ -437,8 +441,8 @@ def _phase_residuals(x: NDArray, k: int, bounds: list[int], dtype: np.dtype,
     into the copy's buffer, which the chunk's products no longer read."""
     m, n = x.shape
     width = bounds[-1] - bounds[-2]
-    window = np.empty((width + k, m), dtype=dtype)
-    chunk = np.empty((width, m), dtype=dtype)
+    window = _aligned((width + k, m), dtype)
+    chunk = _aligned((width, m), dtype)
     block = np.concatenate((*(-lag for lag in reversed(lags)),
                             np.eye(m) if mixing is None else mixing), axis=1, dtype=dtype).T
     if not gram:

@@ -35,7 +35,7 @@ def chunks():
 class ResidualStacks:
     """Window lengths for a property run under ``chunks(width)``, and a
     check, once the property has run, that a residual pass of 2M rows per
-    sample (`linalg._chunk_bounds` with `paired`), `fit_both`'s
+    sample (`linalg._chunk_bounds` for a ``"paired"`` pass), `fit_both`'s
     ``V V^H``, cut the windows into chunks one sample wide and, in at
     least a quarter of the windows it cut, several samples wide."""
 
@@ -56,7 +56,7 @@ class ResidualStacks:
         widest = []
         for m, n, k, width in self.examples:
             with self.chunks(width):
-                bounds, cut, _ = linalg._chunk_bounds(m, n, k, np.dtype(float), paired=True)
+                bounds, cut, _ = linalg._chunk_bounds(m, n, k, np.dtype(float), "paired")
             if cut:
                 widest.append(np.diff(bounds).max())
         assert widest and min(widest) == 1

@@ -179,13 +179,16 @@ class TestExactReference:
         noise = np.random.default_rng(3).standard_normal(400)
         check_against_exact(np.vstack([x, x[0] + eps * noise]), 1)
 
-    @pytest.mark.parametrize("m, k", [(3, 3), (2, 5)])
-    @pytest.mark.parametrize("width", [4, 40])
-    def test_phase_form_is_within_cond_u(self, chunks, m, k, width):
-        # Complex windows that chunks of `width` samples cut, so that the
-        # Grams and residuals take the phase form (linalg._chunk_bounds):
-        # in chunks of one sample, most phases empty, and of several.
-        model = random_stable_svar(m, k, 5, complex_field=True)
+    @pytest.mark.parametrize("m, k, complex_field, width", [
+        (3, 3, True, 4), (3, 3, True, 40), (2, 5, True, 4), (2, 5, True, 40),
+        (8, 4, False, 4),  # q = 41: its exact fit takes 4.6 s
+    ])
+    def test_phase_form_is_within_cond_u(self, chunks, m, k, complex_field, width):
+        # Windows that chunks of `width` samples cut, so that the Grams
+        # take the phase form (linalg._chunk_bounds), and the complex
+        # window's residuals too: in chunks of one sample, or of four,
+        # most phases empty, and of several.
+        model = random_stable_svar(m, k, 5, complex_field=complex_field)
         x = simulate_series(model, k + 4 * (m * (k + 1) + 1), 6)
         with chunks(width):
             assert linalg._chunk_bounds(m, x.shape[1], k, x.dtype)[2]

@@ -16,6 +16,7 @@ from svarlic.exceptions import DimensionMismatch, NotPositiveDefinite, Numerical
 from svarlic.linalg import (
     _CHUNK_SAMPLES,
     _MIN_CHUNK,
+    _PHASE_BLOCK,
     _SOLVE_BLOCK,
     HERMITIAN_RTOL,
     PIVOT_RTOL,
@@ -151,47 +152,94 @@ class TestGramHermitian:
 NON_FINITE = [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf)]
 
 
+PASS_KINDS = ["gram", "residuals", "paired"]
+
+
+def phase_rule(m, k, window, complex_field, kind):
+    """The phase rule of `_chunk_bounds`, restated: every pass over a cut
+    complex window with K >= 3, M >= 2 and (K+1)M >= 12, and the Gram of
+    a real window of more than one chunk or block with K >= 4 and
+    8 <= M <= 68."""
+    cut = _MIN_CHUNK <= _chunk_width(m) < window
+    if complex_field:
+        return cut and k >= 3 and m >= 2 and (k + 1) * m >= 12
+    several = cut or window > _CHUNK_SAMPLES
+    return several and kind == "gram" and k >= 4 and 8 <= m <= 68
+
+
 class TestChunkBounds:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(m=st.integers(1, 40), k=st.integers(0, 16), window=st.integers(1, 300000),
-           complex_field=st.booleans(), paired=st.booleans())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 100), k=st.integers(0, 16), window=st.integers(1, 300000),
+           complex_field=st.booleans(), kind=st.sampled_from(PASS_KINDS))
     def test_every_pass_gets_near_equal_chunks_of_bounded_width(self, m, k, window,
-                                                                complex_field, paired):
-        # The rule's contract for every pass, the M-row one, the paired
-        # one of 2M rows per sample and the phase form: it cuts exactly
-        # the windows wider than an M-row chunk of at least _MIN_CHUNK
-        # samples, walks every other window in blocks of at most
-        # _CHUNK_SAMPLES, and takes the phase form on exactly the cut
-        # complex windows with K >= 3, M >= 2 and (K+1)M >= 12.
+                                                                complex_field, kind):
+        # The rule's contract for every pass, the Gram's, the residuals'
+        # and the paired one of 2M rows per sample, in either form: it cuts
+        # exactly the windows wider than an M-row chunk of at least
+        # _MIN_CHUNK samples, walks every other window in blocks of at
+        # most _CHUNK_SAMPLES, or _PHASE_BLOCK in the phase form, and
+        # takes the phase form exactly where `phase_rule` says.
         n = k + window
         bounds, cut, phased = _chunk_bounds(m, n, k, np.dtype(complex if complex_field
-                                                              else float), paired)
+                                                              else float), kind)
         widths = np.diff(bounds)
         assert (bounds[0], bounds[-1]) == (k, n)
         assert 1 <= widths.min() and widths.max() - widths.min() <= 1
         assert widths[-1] == widths.max()
         assert widths.max() <= _CHUNK_SAMPLES
         assert cut == (_MIN_CHUNK <= _chunk_width(m) < window)
-        assert phased == (cut and complex_field and k >= 3 and m >= 2 and (k + 1) * m >= 12)
+        assert phased == phase_rule(m, k, window, complex_field, kind)
         if not cut:
-            assert (len(widths) == 1) == (window <= _CHUNK_SAMPLES)
+            block = _PHASE_BLOCK if phased else _CHUNK_SAMPLES
+            assert len(widths) == (1 if window <= _CHUNK_SAMPLES else -(-window // block))
+            assert widths.max() <= block
+
+    @pytest.mark.parametrize("m, k, n, complex_field, kind, phased", [
+        (8, 4, 65536, False, "gram", True),
+        (7, 4, 65536, False, "gram", False),  # M < 8
+        (8, 3, 65536, False, "gram", False),  # K < 4
+        (68, 4, 8192, False, "gram", True),  # uncut, in blocks
+        (69, 4, 8192, False, "gram", False),  # M > 68
+        (68, 4, 4 + 6144, False, "gram", False),  # one block
+        (68, 4, 4 + 6145, False, "gram", True),
+        (8, 4, 4 + 6144, False, "gram", False),  # one chunk
+        (8, 4, 65536, False, "residuals", False),  # real residuals never
+        (8, 4, 65536, False, "paired", False),
+        (4, 3, 65536, True, "gram", True),
+        (4, 2, 65536, True, "gram", False),  # K < 3
+        (4, 2, 65536, True, "residuals", False),
+        (4, 2, 65536, True, "paired", False),
+        (4, 3, 65536, True, "residuals", True),
+        (3, 3, 65536, True, "paired", True),  # (K+1)M = 12
+        (2, 4, 65536, True, "gram", False),  # (K+1)M = 10
+        (1, 11, 65536, True, "gram", False),  # M = 1
+        (4, 3, 3 + 6144, True, "gram", False),  # one chunk
+        (24, 3, 65536, True, "gram", False),  # M > 22: blocks, never cut
+    ])
+    def test_phase_rule_on_both_sides_of_every_bound(self, m, k, n, complex_field, kind,
+                                                     phased):
+        dtype = np.dtype(complex if complex_field else float)
+        assert _chunk_bounds(m, n, k, dtype, kind)[2] == phased
+        assert phase_rule(m, k, n - k, complex_field, kind) == phased
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(m=st.integers(1, 24), k=st.integers(0, 16), window=st.integers(1, 300000))
     def test_stacked_chunks_fit_the_m_row_buffer(self, m, k, window):
-        # A pass that stacks 2M rows per sample, paired or in the phase
-        # form, cuts the same window where the M-row pass cuts it, into as
-        # few near-equal chunks as keep its 2M rows of width + M samples
-        # within the M-row buffer of the widest chunk, each at least one
-        # sample wide.
+        # A pass that stacks 2M rows per sample, paired or in the complex
+        # phase form, cuts the same window where the M-row pass cuts it,
+        # into as few near-equal chunks as keep its 2M rows of width + M
+        # samples within the M-row buffer of the widest chunk, each at
+        # least one sample wide. A real Gram walks a cut window in the
+        # M-row chunks in either form, as the residuals do.
         n, real = k + window, np.dtype(float)
-        plain, cut, _ = _chunk_bounds(m, n, k, real)
-        paired, paired_cut, _ = _chunk_bounds(m, n, k, real, paired=True)
+        plain, cut, _ = _chunk_bounds(m, n, k, real, "residuals")
+        paired, paired_cut, _ = _chunk_bounds(m, n, k, real, "paired")
         complex_bounds, _, in_phase_form = _chunk_bounds(m, n, k, np.dtype(complex))
         assert complex_bounds == (paired if in_phase_form else plain)
         if not cut:
             assert (paired, paired_cut) == (plain, cut)
             return
+        assert _chunk_bounds(m, n, k, real)[:2] == (plain, cut)
         widths = np.diff(paired)
         assert (paired[0], paired[-1]) == (k, n)
         assert 1 <= widths.min() and widths.max() - widths.min() <= 1

@@ -531,20 +531,20 @@ class TestChunkedResiduals:
 
     def test_residuals_cut_where_the_gram_does(self, monkeypatch):
         # One rule cuts every pass over the samples and picks its form,
-        # asked once per pass: for the structured Gram's window with the
-        # Gram's M-row buffer, then for V's with the same buffer or, in
-        # fit_both, for V V^H's paired with 2M rows per sample, a chunk of
-        # residuals and its product buffer. A complex window in the phase
-        # form gets chunks cut for 2M rows in both passes. Each pass walks
-        # the bounds it gets: at M = 24 the rule leaves the complex window
-        # uncut and returns it in three blocks of 6144 samples, which no
-        # pass cuts again.
+        # asked once per pass and told its kind: the structured Gram's
+        # window with the Gram's M-row buffer, then V's with the same
+        # buffer or, in fit_both, V V^H's, paired with 2M rows per sample,
+        # a chunk of residuals and its product buffer. A complex window in
+        # the phase form gets chunks cut for 2M rows in both passes. Each
+        # pass walks the bounds it gets: at M = 24 the rule leaves the
+        # complex window uncut and returns it in three blocks of 6144
+        # samples, which no pass cuts again.
         seen, returned = [], []
         original = linalg._chunk_bounds
 
-        def spy(m, n, k, dtype, paired=False):
-            seen.append((m, n, k, dtype.kind, paired))
-            returned.append(original(m, n, k, dtype, paired))
+        def spy(m, n, k, dtype, kind="gram"):
+            seen.append((m, n, k, dtype.kind, kind))
+            returned.append(original(m, n, k, dtype, kind))
             return returned[-1]
 
         monkeypatch.setattr(linalg, "_chunk_bounds", spy)
@@ -553,19 +553,19 @@ class TestChunkedResiduals:
         x = rng.standard_normal((4, 8192))
         wide = rng.standard_normal((24, 18433)) + 1j * rng.standard_normal((24, 18433))
         phased = draw_signal(rng, 3, 8192, True)
-        for fit, paired in [(fit_rvar_ls, False), (fit_both, True)]:
+        for fit, kind in [(fit_rvar_ls, "residuals"), (fit_both, "paired")]:
             seen.clear()
             fit(x, 2)
-            assert seen == [(4, 8192, 2, "f", False), (4, 8192, 2, "f", paired)]
+            assert seen == [(4, 8192, 2, "f", "gram"), (4, 8192, 2, "f", kind)]
             seen.clear()
             returned.clear()
             fit(wide, 1)
-            assert seen == [(24, 18433, 1, "c", False), (24, 18433, 1, "c", paired)]
+            assert seen == [(24, 18433, 1, "c", "gram"), (24, 18433, 1, "c", kind)]
             assert returned == [([1, 6145, 12289, 18433], False, False)] * 2
             seen.clear()
             returned.clear()
             fit(phased, 3)
-            assert seen == [(3, 8192, 3, "c", False), (3, 8192, 3, "c", paired)]
+            assert seen == [(3, 8192, 3, "c", "gram"), (3, 8192, 3, "c", kind)]
             assert returned[0] == returned[1] and returned[0][1:] == (True, True)
 
 
@@ -600,13 +600,47 @@ class PhaseChunks:
 class TestPhaseForm:
     """Cut complex windows of order K >= 3 (`linalg._chunk_bounds`) are copied
     once per chunk, time-major, and read as K+1 phases, one product each,
-    for the lag products and the residuals alike. Under ``chunks(width)``,
-    width 1 .. 64, the form's chunks are 1 to about width/2 samples wide,
-    so many are shorter than K+1 samples."""
+    for the lag products and the residuals alike, and so are the lag
+    products of real windows of K >= 4 and 8 <= M <= 68 of several chunks
+    or blocks. Under ``chunks(width)``, width 1 .. 64, the complex form's
+    chunks are 1 to about width/2 samples wide, so many are shorter than
+    K+1 samples."""
 
     @pytest.fixture
     def phase_chunks(self, chunks):
         return PhaseChunks(chunks)
+
+    def test_real_gram_matches_the_dense_gram(self, chunks):
+        # Real windows inside the rule, cut into the M-row chunks of
+        # ``chunks(width)``, one sample wide included, or left uncut in
+        # phase blocks of 1 .. width samples. Each entry of T T^H and of
+        # the dense Gram is a sum of at most N products, so each is within
+        # N u sqrt(G_ii G_jj) of the exact one (Cauchy-Schwarz), and the
+        # two within twice that; the check allows four times.
+        u = np.finfo(float).eps / 2
+        seen = []
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(width=st.integers(1, 64), uncut=st.booleans(), seed=st.integers(0, 2**31),
+               data=st.data())
+        def check(width, uncut, seed, data):
+            m, k = data.draw(st.integers(8, 10)), data.draw(st.integers(4, 6))
+            n = k + 2 * (m * (k + 1) + 1) + data.draw(st.integers(width, 4 * width))
+            x = draw_signal(np.random.default_rng(seed), m, n, False)
+            with chunks(width), pytest.MonkeyPatch.context() as patch:
+                if uncut:
+                    patch.setattr(linalg, "_MIN_CHUNK", width + 1)
+                    patch.setattr(linalg, "_PHASE_BLOCK", data.draw(st.integers(1, width)))
+                bounds, cut, phased = linalg._chunk_bounds(m, n, k, x.dtype)
+                assert phased and cut != uncut
+                g = _regressor_gram(x, k)
+            seen.append(np.diff(bounds).max())
+            expected = linalg.gram_hermitian(build_regressor_t(x, k))
+            scale = np.sqrt(expected.diagonal())
+            assert (np.abs(g - expected) <= 4 * n * u * np.outer(scale, scale)).all()
+
+        check()
+        assert min(seen) == 1 and max(seen) > 7
 
     def test_gram_matches_the_dense_gram(self, chunks, phase_chunks):
         @settings(max_examples=40, deadline=None, derandomize=True)
@@ -690,41 +724,64 @@ class TestPhaseForm:
         check()
         phase_chunks.check()
 
-    @pytest.mark.parametrize("m, k, n, complex_field, phased", [
-        (3, 3, 8192, True, True),
-        (4, 3, 8192, False, False),  # real
-        (4, 2, 8192, True, False),  # K <= 2
-        (2, 4, 8192, True, False),  # (K+1)M = 10
-        (1, 11, 8192, True, False),  # M = 1
-        (3, 3, 3000, True, False),  # one chunk
-        (24, 3, 6300, True, False),  # M > 22: blocks, never cut
+    @pytest.mark.parametrize("m, k, n, complex_field, gram_phased, residuals_phased", [
+        (3, 3, 8192, True, True, True),
+        (4, 3, 8192, False, False, False),  # real, M < 8
+        (8, 4, 8192, False, True, False),  # real: the Gram only
+        (68, 4, 6200, False, True, False),  # real, uncut: the Gram only
+        (4, 2, 8192, True, False, False),  # K <= 2
+        (2, 4, 8192, True, False, False),  # (K+1)M = 10
+        (1, 11, 8192, True, False, False),  # M = 1
+        (3, 3, 3000, True, False, False),  # one chunk
+        (24, 3, 6300, True, False, False),  # M > 22: blocks, never cut
     ])
     def test_only_the_rule_enters_the_phase_form(self, monkeypatch, m, k, n, complex_field,
-                                                 phased):
+                                                 gram_phased, residuals_phased):
         # Everything the rule leaves runs the other forms' code: the
-        # lag products, the per-lag residuals and their Gram.
-        entered = []
+        # lag products, the per-lag residuals and their Gram. Every
+        # phase form's time-major copy starts on a 64-byte boundary.
+        entered = {linalg: [], model: []}
+        offsets = set()
         original = linalg._phase_windows
 
-        def spy(window, k, samples):
-            entered.append(samples)
-            return original(window, k, samples)
+        def spy(module):
+            def phases(window, k, samples):
+                entered[module].append(samples)
+                offsets.add(window.ctypes.data % 64)
+                return original(window, k, samples)
+            return phases
 
-        monkeypatch.setattr(linalg, "_phase_windows", spy)
-        monkeypatch.setattr(model, "_phase_windows", spy)
+        monkeypatch.setattr(linalg, "_phase_windows", spy(linalg))
+        monkeypatch.setattr(model, "_phase_windows", spy(model))
         rng = np.random.default_rng(m + n)
         x = draw_signal(rng, m, n, complex_field)
         _, cut, in_phase_form = linalg._chunk_bounds(m, n, k, x.dtype)
-        assert (cut, in_phase_form) == (n - k > 6144 and m <= 22, phased)
+        assert (cut, in_phase_form) == (n - k > 6144 and m <= 22, gram_phased)
         fit = fit_rvar_ls(x, k)
         both = fit_both(x, k)
         svar_residuals(both.lic, x)
         assert fit.V.flags.c_contiguous
-        # Three passes of fit_both's and fit_rvar_ls's Grams and residuals,
-        # and the structural residuals.
-        assert (len(entered) > 0) == phased
-        if phased:
-            assert sum(entered) == 5 * (n - k)
+        # The Grams of fit_both and fit_rvar_ls, then their residuals and
+        # the structural residuals.
+        assert sum(entered[linalg]) == gram_phased * 2 * (n - k)
+        assert sum(entered[model]) == residuals_phased * 3 * (n - k)
+        assert offsets == ({0} if gram_phased else set())
+
+    @pytest.mark.parametrize("m, k, n", [(8, 4, 8192), (16, 8, 9000), (68, 4, 6200)])
+    def test_real_residuals_never_take_the_phase_form(self, monkeypatch, m, k, n):
+        # Real windows whose Gram takes the phase form, cut and uncut:
+        # V, V V^H and both kinds of caller residuals keep the per-lag
+        # products.
+        calls = []
+        monkeypatch.setattr(model, "_phase_residuals",
+                            lambda *args: calls.append(args[1:3]))
+        x = draw_signal(np.random.default_rng(m + k), m, n, False)
+        assert linalg._chunk_bounds(m, n, k, x.dtype)[2]
+        fit = fit_rvar_ls(x, k)
+        both = fit_both(x, k)
+        svar_residuals(both.lic, x)
+        rvar_residuals(fit, x)
+        assert calls == []
 
 
 class TestSvarResiduals:

@@ -22,7 +22,11 @@ time. ``16,4,65536`` and ``2,3,300000`` are the real cut windows on
 which the residuals' per-lag products measured slowest and fastest
 against a stack of T's rows (CHANGES.md), and ``3,3,65536,c`` takes the
 phase form (`linalg._chunk_bounds`) at its smallest M, as ``8,8,32768,c``
-does at a larger one. ``2,30,65536`` is a high-order structured Gram,
+does at a larger one. ``16,8,65536`` and ``32,8,16384`` are real windows
+inside the rule's region for a real Gram in the phase form, the first
+cut into chunks and the second left uncut and walked in phase blocks, at
+the high order and mid M where that form gains most over the per-lag
+products. ``2,30,65536`` is a high-order structured Gram,
 whose block rows hold 31 lag blocks each; ``1,200,65536`` (811 rows) is
 one more, left to an argument for its length. The two ``3,1,400`` ``dup``
 shapes, real and complex, fail at index 3. The BLAS pool runs on one
@@ -62,8 +66,8 @@ from svarlic.exceptions import SvarlicError  # noqa: E402
 SHAPES = ("3,2,256", "4,2,65536", "8,8,32768,c", "64,8,8192", "2,0,300,c",
           "5,1,600", "16,4,2048", "4,2,4098", "4,2,4098,c", "2,6,4102,c", "16,4,166",
           "4,0,65536", "1,2,5000,c", "24,1,6145", "24,1,6146", "24,1,6145,c", "24,1,6146,c",
-          "16,4,65536", "2,3,300000", "3,3,65536,c", "2,30,65536", "3,1,400,dup",
-          "3,1,400,c,dup")
+          "16,4,65536", "2,3,300000", "3,3,65536,c", "16,8,65536", "32,8,16384",
+          "2,30,65536", "3,1,400,dup", "3,1,400,c,dup")
 
 
 def digest(value: object) -> str:
