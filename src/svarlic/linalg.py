@@ -70,12 +70,12 @@ products (`_phase_products`), or the phase's residuals
 each with (K+1)M output rows or columns or inner dimension instead of M.
 The rule gives the form to every pass over a cut complex window with
 K >= 3, M >= 2 and (K+1)M >= 12, and to the Gram pass alone of a real
-window of several chunks or blocks with K >= 4 and 8 <= M <= 68: real
-residuals, V and ``V V^H``, keep their per-lag products. A complex
+window of several chunks or blocks with 4 <= K <= 16 and 8 <= M <= 68:
+real residuals, V and ``V V^H``, keep their per-lag products. A complex
 window is cut for 2M rows per sample, the copy and a conjugated copy, or
 the copy and the chunk's residuals; a real Gram reads its copy alone, in
-the window's M-row chunks or, uncut, in blocks of at most
-`_PHASE_BLOCK` samples.
+chunks at least K+1 samples narrower than the widest M-row chunk or,
+uncut, in blocks of at most `_PHASE_BLOCK` samples.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -235,10 +235,15 @@ def _chunk_bounds(m: int, n: int, k: int, dtype: np.dtype,
     cut for 2M rows: into the fewest near-equal chunks whose 2M rows of
     width + M samples fit in the elements of the M-row buffer of the
     widest chunk, each at least one sample wide. The Gram pass of a real
-    window of more than one chunk or block takes the form with K >= 4 and
-    8 <= M <= 68, in the window's M-row chunks or, uncut, in the fewest
-    near-equal blocks of at most `_PHASE_BLOCK` samples; real residuals
-    never take it.
+    window of more than one chunk or block takes the form with
+    4 <= K <= 16 and 8 <= M <= 68; real residuals never take it. Cut, it
+    walks the fewest near-equal chunks of at most K+1 samples fewer than
+    the widest M-row chunk, each at least one sample wide, so its copy,
+    which holds each chunk's K leading samples, and its vector of ones
+    fit in the M+1 rows of that chunk that the per-lag form's buffer
+    holds: in the M-row chunks LIC's traced peak rose by about
+    (K-1)M x 8 bytes, 1327 B at (16,8,65536). Uncut, it walks the fewest
+    near-equal blocks of at most `_PHASE_BLOCK` samples.
 
     The complex form, measured against the stacked or per-lag forms
     (in-process paired calls, one thread, 2-core Xeon): the routes inside
@@ -273,7 +278,10 @@ def _chunk_bounds(m: int, n: int, k: int, dtype: np.dtype,
 
     Inside the region LS and `fit_both` read at most 1.002. The bounds sit
     where the rows and columns cross: M = 6 loses below K = 16, K = 3 ties
-    at M = 8 and loses at M = 64, and M = 72 loses at K = 4 and 16."""
+    at M = 8 and loses at M = 64, and M = 72 loses at K = 4 and 16. The
+    sweep stops at K = 16, and so does the region: near the M bound the
+    ratio rises with K, and an uncut block of 1024 samples leaves each
+    phase about 1024 / (K+1) rows."""
     width = _chunk_width(m)
     if n - k <= width or width < _MIN_CHUNK and n - k <= _CHUNK_SAMPLES:
         return [k, n], False, False
@@ -281,10 +289,14 @@ def _chunk_bounds(m: int, n: int, k: int, dtype: np.dtype,
     if dtype.kind == "c":
         phased = cut and k >= 3 and m >= 2 and (k + 1) * m >= 12
     else:
-        phased = kind == "gram" and k >= 4 and 8 <= m <= 68
-    if cut and (kind == "paired" or phased and dtype.kind == "c"):
+        phased = kind == "gram" and 4 <= k <= 16 and 8 <= m <= 68
+    if cut and (kind == "paired" or phased):
         chunks = -(-(n - k) // width)
-        width = max(-(-(n - k) // chunks) // 2 - m, 1)
+        widest = -(-(n - k) // chunks)
+        if kind == "paired" or dtype.kind == "c":
+            width = max(widest // 2 - m, 1)
+        else:
+            width = max(widest - k - 1, 1)
     elif not cut:
         width = _PHASE_BLOCK if phased else _CHUNK_SAMPLES
     chunks = -(-(n - k) // width)
@@ -370,14 +382,17 @@ def _aligned(shape: tuple[int, ...], dtype: np.dtype) -> NDArray:
     take it, so their offset no longer moves with the heap's history: at
     the offsets it gave them, 16 or 48 bytes mod 64, the complex (8,8)
     Gram pass ran 6.5-8% slower and the real (16,8) one 27-30% (one
-    thread, 2-core Xeon)."""
+    thread, 2-core Xeon). Whole fits with the buffers aligned ran LIC
+    0.81x as long as with numpy's own at real (16,8,65536) and 0.96x at
+    complex (8,8,32768) (`tools/ab_inprocess.py`). The address is read
+    through the array interface: `ctypes` left 56 bytes traced behind."""
     size = int(np.prod(shape)) * np.dtype(dtype).itemsize
     raw = np.empty(size + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start:start + size].view(dtype).reshape(shape)
+    return np.ndarray(shape, dtype, raw, -raw.__array_interface__["data"][0] % 64)
 
 
-def _phase_products(x: NDArray, k: int, bounds: list[int]) -> tuple[NDArray, NDArray]:
+def _phase_products(x: NDArray, k: int,
+                    bounds: list[int]) -> tuple[Sequence[NDArray], NDArray]:
     """`_window_products` in the phase form, over the chunks or blocks
     `bounds` of `x`'s window.
 
@@ -387,13 +402,17 @@ def _phase_products(x: NDArray, k: int, bounds: list[int]) -> tuple[NDArray, NDA
     second buffer: its phase product is the chunk's samples of that phase,
     read in the copy as an r x M view, transposed, times ``Y_j``, an
     M x (K+1)M product whose column block c holds the phase's terms of
-    ``P_{K-c}^T``. Summed over the phases and chunks, its K+1 blocks are
-    transposed once at the end, in reverse, as one K+1 x M x M view. A
+    ``P_{K-c}^T``. Summed over the phases and chunks, in one M x K+1 x M
+    array, its blocks are returned transposed, as views, in reverse. A
     complex window copies the chunk's samples once more, conjugated, into
     a second buffer, 2M rows per sample, and takes ``Y_j^T conj(Y_j)``'s
     last M columns, read as a strided view of that copy: a (K+1)M x M
     product whose block of rows d holds the phase's terms of ``P_{K-d}``,
-    so the products are that sum's blocks in reverse. The row sums come
+    so the products are that sum's blocks in reverse. The complex
+    orientation stays: the real one ran the complex Gram pass 1.24x as
+    long at (8,8,32768) and 1.08x at (4,3,65536); on real windows the
+    complex one ran 1.06x at (64,8,8192), 1.00x at (32,8,16384) and 0.93x
+    at (16,8,65536) (interleaved calls, one thread). The row sums come
     from one matrix-vector product of ones per chunk: at complex (8,8) a
     ones column beside the conjugated copy ran each phase's product 1.4x
     slower (38.5 against 27.0 us), nine times per chunk, where the
@@ -404,8 +423,9 @@ def _phase_products(x: NDArray, k: int, bounds: list[int]) -> tuple[NDArray, NDA
     window = _aligned((width + k, m), x.dtype)
     current = window[k:] if real else _aligned((width, m), x.dtype)
     ones = np.ones(width, dtype=x.dtype)
-    total = np.zeros((m, (k + 1) * m) if real else ((k + 1) * m, m), dtype=x.dtype)
+    total = np.zeros((m, k + 1, m) if real else (k + 1, m, m), dtype=x.dtype)
     term = np.empty_like(total)
+    out = term.reshape(m, -1) if real else term.reshape(-1, m)
     row_sums = np.zeros(m, dtype=x.dtype)
     for a, b in zip(bounds[:-1], bounds[1:]):
         window[:b - a + k] = x[:, a - k:b].T
@@ -413,14 +433,17 @@ def _phase_products(x: NDArray, k: int, bounds: list[int]) -> tuple[NDArray, NDA
             np.conjugate(window[k:b - a + k], out=current[:b - a])
         for j, y in _phase_windows(window, k, b - a):
             if real:
-                np.matmul(current[j:b - a:k + 1].T, y, out=term)
+                np.matmul(current[j:b - a:k + 1].T, y, out=out)
             else:
-                np.matmul(y.T, current[j:b - a:k + 1], out=term)
+                np.matmul(y.T, current[j:b - a:k + 1], out=out)
             total += term
         row_sums += ones[:b - a] @ window[k:b - a + k]
-    if real:
-        return total.reshape(m, k + 1, m).transpose(1, 2, 0)[::-1], row_sums
-    return total.reshape(k + 1, m, m)[::-1], row_sums
+    if not real:
+        return total[::-1], row_sums
+    # Made from P_K down, so that the views a caller frees first, the
+    # list's last, hold the shape blocks numpy had cached, not new ones:
+    # made from P_0, they left up to 96 B more at LIC's traced peak.
+    return [total[:, c].T for c in range(k + 1)][::-1], row_sums
 
 
 def _finite(values: NDArray, what: str, source: NDArray | None = None,

@@ -158,18 +158,18 @@ PASS_KINDS = ["gram", "residuals", "paired"]
 def phase_rule(m, k, window, complex_field, kind):
     """The phase rule of `_chunk_bounds`, restated: every pass over a cut
     complex window with K >= 3, M >= 2 and (K+1)M >= 12, and the Gram of
-    a real window of more than one chunk or block with K >= 4 and
+    a real window of more than one chunk or block with 4 <= K <= 16 and
     8 <= M <= 68."""
     cut = _MIN_CHUNK <= _chunk_width(m) < window
     if complex_field:
         return cut and k >= 3 and m >= 2 and (k + 1) * m >= 12
     several = cut or window > _CHUNK_SAMPLES
-    return several and kind == "gram" and k >= 4 and 8 <= m <= 68
+    return several and kind == "gram" and 4 <= k <= 16 and 8 <= m <= 68
 
 
 class TestChunkBounds:
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(m=st.integers(1, 100), k=st.integers(0, 16), window=st.integers(1, 300000),
+    @given(m=st.integers(1, 100), k=st.integers(0, 20), window=st.integers(1, 300000),
            complex_field=st.booleans(), kind=st.sampled_from(PASS_KINDS))
     def test_every_pass_gets_near_equal_chunks_of_bounded_width(self, m, k, window,
                                                                 complex_field, kind):
@@ -198,6 +198,10 @@ class TestChunkBounds:
         (8, 4, 65536, False, "gram", True),
         (7, 4, 65536, False, "gram", False),  # M < 8
         (8, 3, 65536, False, "gram", False),  # K < 4
+        (8, 16, 65536, False, "gram", True),
+        (8, 17, 65536, False, "gram", False),  # K > 16
+        (64, 16, 8192, False, "gram", True),
+        (64, 17, 8192, False, "gram", False),
         (68, 4, 8192, False, "gram", True),  # uncut, in blocks
         (69, 4, 8192, False, "gram", False),  # M > 68
         (68, 4, 4 + 6144, False, "gram", False),  # one block
@@ -230,7 +234,10 @@ class TestChunkBounds:
         # into as few near-equal chunks as keep its 2M rows of width + M
         # samples within the M-row buffer of the widest chunk, each at
         # least one sample wide. A real Gram walks a cut window in the
-        # M-row chunks in either form, as the residuals do.
+        # M-row chunks or, in the phase form, in the fewest near-equal
+        # chunks K+1 samples narrower than the widest of them, so that its
+        # copy of width + K samples and its ones fit in the M+1 rows of
+        # that chunk that the per-lag form holds.
         n, real = k + window, np.dtype(float)
         plain, cut, _ = _chunk_bounds(m, n, k, real, "residuals")
         paired, paired_cut, _ = _chunk_bounds(m, n, k, real, "paired")
@@ -239,7 +246,16 @@ class TestChunkBounds:
         if not cut:
             assert (paired, paired_cut) == (plain, cut)
             return
-        assert _chunk_bounds(m, n, k, real)[:2] == (plain, cut)
+        gram, gram_cut, real_phased = _chunk_bounds(m, n, k, real)
+        assert gram_cut
+        if real_phased:
+            widths, widest = np.diff(gram), plain[-1] - plain[-2]
+            assert widths.max() - widths.min() <= 1 and widths[-1] == widths.max()
+            assert widths.max() <= widest - k - 1
+            assert (widths.max() + k) * m + widths.max() <= (m + 1) * widest
+            assert -(-window // (len(widths) - 1)) > widest - k - 1
+        else:
+            assert gram == plain
         widths = np.diff(paired)
         assert (paired[0], paired[-1]) == (k, n)
         assert 1 <= widths.min() and widths.max() - widths.min() <= 1

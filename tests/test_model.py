@@ -601,8 +601,8 @@ class TestPhaseForm:
     """Cut complex windows of order K >= 3 (`linalg._chunk_bounds`) are copied
     once per chunk, time-major, and read as K+1 phases, one product each,
     for the lag products and the residuals alike, and so are the lag
-    products of real windows of K >= 4 and 8 <= M <= 68 of several chunks
-    or blocks. Under ``chunks(width)``, width 1 .. 64, the complex form's
+    products of real windows of 4 <= K <= 16 and 8 <= M <= 68 of several
+    chunks or blocks. Under ``chunks(width)``, width 1 .. 64, the complex form's
     chunks are 1 to about width/2 samples wide, so many are shorter than
     K+1 samples."""
 
@@ -611,10 +611,11 @@ class TestPhaseForm:
         return PhaseChunks(chunks)
 
     def test_real_gram_matches_the_dense_gram(self, chunks):
-        # Real windows inside the rule, cut into the M-row chunks of
-        # ``chunks(width)``, one sample wide included, or left uncut in
-        # phase blocks of 1 .. width samples. Each entry of T T^H and of
-        # the dense Gram is a sum of at most N products, so each is within
+        # Real windows inside the rule, cut into chunks K+1 samples
+        # narrower than the M-row chunks of ``chunks(width)``, down to one
+        # sample wide, or left uncut in phase blocks of 1 .. width
+        # samples. Each entry of T T^H and of the dense Gram is a sum of
+        # at most N products, so each is within
         # N u sqrt(G_ii G_jj) of the exact one (Cauchy-Schwarz), and the
         # two within twice that; the check allows four times.
         u = np.finfo(float).eps / 2
