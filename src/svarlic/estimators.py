@@ -35,7 +35,7 @@ Under the shared positive-diagonal factor convention the two routes agree
 exactly in exact arithmetic; `fit_both` runs them side by side and reports
 the floating-point discrepancy. Its route 1 needs only ``V V^H``, not V:
 it sums that Gram over chunks of the signal
-(`model._residuals`), and whitens through the one step `rvar_to_svar`
+(`linalg._residuals`), and whitens through the one step `rvar_to_svar`
 takes after forming ``V V^H`` from a whole V (`_whiten`). It factors the
 Grams in the order ``S S^H``, ``T T^H``, ``V V^H``, freeing ``T T^H`` and
 its factor before the residual pass, so its peak memory is the direct
@@ -66,6 +66,7 @@ from .linalg import (
     _finish_gram,
     _finite,
     _inverse_bottom_rows,
+    _residuals,
     _solve_factored,
     cholesky_lower,
     gram_hermitian,
@@ -76,7 +77,7 @@ from .model import (
     _check_signal,
     _fitted,
     _regressor_gram,
-    _residuals,
+    _rescaled,
     _unstack_coefficients,
 )
 
@@ -148,7 +149,7 @@ def fit_rvar_ls(x: ArrayLike, k: int) -> RvarCoefficients:
 
     The flush floor is read off the Gram's diagonal, and the Gram is freed
     once the coefficients are solved, before `V` is formed. `V` is formed
-    in one loop over chunks of the signal (`model._residuals`), beside one
+    in one loop over chunks of the signal (`linalg._residuals`), beside one
     chunk-sized buffer, so the route never holds the Gram or a second
     array of V's size beside it. `rvar_residuals` evaluates the same
     expression on the same arrays, so it reproduces `V` bit for bit.
@@ -198,15 +199,11 @@ def _flush_floor(gram: NDArray, m: int) -> float:
 def _whiten(vv: NDArray, c: NDArray, lags: tuple[NDArray, ...]) -> SvarCoefficients:
     """Structural coefficients from a reduced form's `c` and `A_i` and the
     Gram ``V V^H`` of its residuals: `L` is the inverse of the lower factor
-    of ``V V^H``, ``R_i = L A_i`` and ``t = L c``."""
+    of ``V V^H``, ``R_i = L A_i`` and ``t = L c`` (`model._rescaled`)."""
     mixing = _inverse_bottom_rows(
         _factor(vv, "residual Gram matrix VV^H", "residuals are rank deficient"),
         vv.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        lags = tuple(mixing @ a for a in lags)
-        t = mixing @ c
-    # A non-finite row of `mixing` makes that row of `t` non-finite too.
-    _finite(np.concatenate((t, *lags), axis=None), "rescaled coefficient")
+    lags, t = _rescaled(mixing, lags, c, "rescaled coefficient")
     return _fitted(SvarCoefficients, L=mixing, R=lags, t=t)
 
 
@@ -365,7 +362,7 @@ def fit_both(x: ArrayLike, k: int) -> FitComparison:
 
     The least-squares half is `fit_rvar_ls` then `rvar_to_svar` without
     V: ``V V^H`` is summed chunk by chunk in the residuals' loop
-    (`model._residuals`), so V is never held whole where the window is
+    (`linalg._residuals`), so V is never held whole where the window is
     cut, and V is flushed, as `fit_rvar_ls` flushes it, on that Gram's
     trace, ``||V||_F^2``. The flush stays: it is `fit_rvar_ls`'s rule,
     and whether ``T T^H``'s pivot rule always rejects the series it

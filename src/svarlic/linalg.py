@@ -44,38 +44,35 @@ solve and inverse, the residual routines and the rescaling of a reduced
 form all raise through it, so no public routine returns a silent inf or
 NaN or leaks a numpy warning.
 
-Every pass over the samples is cut by one rule, `_chunk_bounds`, which
-returns the pass's blocks, whether it cut them and whether the pass takes
-the phase form, and is walked by one of two chunk loops.
+Every pass over the samples lives here, in one of two chunk loops, and
+walks the blocks of one rule, `_chunk_bounds`, which returns the pass's
+blocks, whether it cut them and whether the pass takes the phase form;
+no pass cuts its blocks again or overrides the form.
 `_window_products` sums the Gram products of the signal: the K+1 lag
 products of the structured regressor Gram, and with K = 0 the plain
 ``a a^H`` of `gram_hermitian` and of the regressor Gram where T is
-stacked whole. `model._residuals` forms the residuals, one
-product per lag, in the Gram's chunks, and sums `fit_both`'s ``V V^H``
-in chunks cut for 2M rows per sample, a chunk of residuals beside its
-product buffer. A window the rule does not cut comes back in blocks of
-at most `_CHUNK_SAMPLES` samples, so every pass's working memory is
-bounded on every window. A Gram pass copies a cut chunk into a buffer,
-and so a block of a complex window of several blocks, so no product
-conjugates more than one block; everything else, the residuals' lag
-products included, reads the signal in place.
+stacked whole. `_residuals` forms the residuals of either model form,
+``mixing x(n) - intercept - sum_i A_i x(n-i)``, the least-squares fit's
+V and the public residual routines' alike, one product per lag on
+slices of the signal with the mixing matrix, where there is one, as one
+more, and sums `fit_both`'s ``V V^H``, a chunk of residuals beside its
+product buffer. A pass whose window comes back as one block reads it in
+place; every other pass's working memory is bounded by its chunk or
+block, never by N. A Gram pass copies each chunk or block it walks into
+a buffer, conjugated if complex, so no product conjugates more than one
+block; the residuals' lag products read the signal in place.
 
 Both loops fork once more where the rule returns the phase form: each
 chunk and its K leading samples are copied once, time-major, into a
 buffer that starts on a 64-byte boundary (`_aligned`), and read as K+1
 phases (`_phase_windows`), whose rows are the windows ``[x(n-K) .. x(n)]``
 of every (K+1)-th sample. One product per phase gives all K+1 lag
-products (`_phase_products`), or the phase's residuals
-(`model._phase_residuals`), so each pass keeps K+1 products per chunk,
-each with (K+1)M output rows or columns or inner dimension instead of M.
-The rule gives the form to every pass over a cut complex window with
-K >= 3, M >= 2 and (K+1)M >= 12, and to the Gram pass alone of a real
-window of several chunks or blocks with 4 <= K <= 16 and 8 <= M <= 68:
-real residuals, V and ``V V^H``, keep their per-lag products. A complex
-window is cut for 2M rows per sample, the copy and a conjugated copy, or
-the copy and the chunk's residuals; a real Gram reads its copy alone, in
-chunks at least K+1 samples narrower than the widest M-row chunk or,
-uncut, in blocks of at most `_PHASE_BLOCK` samples.
+products (`_phase_products`), or the phase's residuals, by the
+coefficient block ``[-A_K .. -A_1 | mixing]`` transposed
+(`_phase_residuals`), so each pass keeps K+1 products per chunk, each
+with (K+1)M output rows or columns or inner dimension instead of M.
+`_chunk_bounds` states which passes take each form and how wide their
+chunks are cut.
 
 Both estimation pipelines in :mod:`svarlic.estimators` run through this one
 kernel, so cross-method tests isolate method differences, not kernel
@@ -85,6 +82,7 @@ differences.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import pairwise
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -167,7 +165,7 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
 
 
 #: Every pass over the samples, the Gram products (`_window_products`) and
-#: the residuals (`model._residuals`), walks its window in the chunks of
+#: the residuals (`_residuals`), walks its window in the chunks of
 #: `_chunk_bounds`: near-equal, and as few as keep each chunk at or below
 #: `_CHUNK_SAMPLES` samples and each M x M product at or below `_CHUNK_WORK`
 #: multiply-adds, ``M^2`` per sample. OpenBLAS 0.3.31 on SkylakeX runs a
@@ -182,7 +180,9 @@ def gram_hermitian(a: ArrayLike) -> NDArray:
 #: nothing from that kernel and lose to per-call cost in narrow chunks.
 #: The rule still returns such a window in blocks of at most
 #: `_CHUNK_SAMPLES` samples, which the residuals' per-lag pass walks, and
-#: the Gram products where it is complex, so that no buffer grows with N.
+#: the Gram products where it is complex, so that no buffer grows with N;
+#: a real Gram pass outside the phase form has no buffer, reads the window
+#: in place, and gets it whole.
 #: The M-row buffer of the widest chunk (`_chunk_width`) also decides where
 #: the regressor Gram stacks T whole (`model._regressor_gram` states the
 #: rule). The residuals' K lag products per chunk write M rows per sample
@@ -218,16 +218,20 @@ def _chunk_bounds(m: int, n: int, k: int, dtype: np.dtype,
     window, and whether the pass takes the phase form (`_phase_windows`):
     the package's one rule for a pass over the samples. `kind` names the
     pass: ``"gram"``, the lag products of `_window_products`;
-    ``"residuals"``, the residuals of `model._residuals`; or ``"paired"``,
+    ``"residuals"``, the residuals of `_residuals`; or ``"paired"``,
     `fit_both`'s ``V V^H``. The chunks are near-equal, the last one the
-    widest, and none holds more than `_CHUNK_SAMPLES` samples.
+    widest, and only a real Gram pass's one block holds more than
+    `_CHUNK_SAMPLES` samples. The answer is final: every pass walks the
+    bounds it gets, in the form it is told, and a pass whose bounds are
+    one block ``[K, N]`` reads it in place.
 
     The rule cuts a window wider than `_chunk_width` where that width is
     at least `_MIN_CHUNK` (M <= 22), into the fewest chunks of at most
     that width: they fit a pass whose buffer holds M rows per sample, as
     the Gram products' does. A window the rule does not cut comes back in
     the fewest near-equal blocks of at most `_CHUNK_SAMPLES` samples, one
-    if it fits in one.
+    if it fits in one, except for a real Gram pass outside the phase form,
+    which has no buffer and gets it as one block.
 
     Every pass over a cut complex window takes the phase form with K >= 3,
     M >= 2 and at least 12 rows in a phase window, (K+1)M. Those passes,
@@ -298,6 +302,8 @@ def _chunk_bounds(m: int, n: int, k: int, dtype: np.dtype,
         else:
             width = max(widest - k - 1, 1)
     elif not cut:
+        if not phased and kind == "gram" and dtype.kind != "c":
+            return [k, n], False, False
         width = _PHASE_BLOCK if phased else _CHUNK_SAMPLES
     chunks = -(-(n - k) // width)
     return [k + i * (n - k) // chunks for i in range(chunks + 1)], cut, phased
@@ -330,26 +336,25 @@ def _window_products(x: NDArray, k: int,
 
     The package's one chunk loop for Gram products, over the bounds of
     `_chunk_bounds`. A window the rule returns in the phase form goes to
-    `_phase_products`, which only the structured Gram reaches (K >= 3,
-    with `sums`). Any other window of one chunk, or real one the rule
-    leaves uncut, takes one product per lag and no buffer. Each chunk of
-    any other cut window, and each block of a complex window of several
-    blocks, is copied, conjugated if complex, into one reused buffer that
-    every product reads while it is in cache, so no complex window of
-    more than `_CHUNK_SAMPLES` samples is conjugated whole. The copy is a
-    second operand, so numpy sends ``P_0`` to gemm, which OpenBLAS runs in
-    its small-matrix kernel, and not to syrk, which has none.
+    `_phase_products`, where the rule puts only structured Grams. A
+    window it returns as one block takes one product per lag and no
+    buffer. Each chunk or block of any other window is copied, conjugated
+    if complex, into one reused buffer that every product reads while it
+    is in cache, so no complex window of more than `_CHUNK_SAMPLES`
+    samples is conjugated whole. The copy is a second operand, so numpy
+    sends ``P_0`` to gemm, which OpenBLAS runs in its small-matrix
+    kernel, and not to syrk, which has none.
     With `sums`, a row of ones under the copy gives ``P_0`` one more
     column, the chunk's row sums. Each chunk's products go through
     preallocated arrays, so the working memory is the buffer. Run it with
     overflow and invalid operations ignored: the caller checks the result.
     """
     m, n = x.shape
-    bounds, cut, phased = _chunk_bounds(m, n, k, x.dtype, "gram")
+    bounds, _, phased = _chunk_bounds(m, n, k, x.dtype, "gram")
     if phased:
         return _phase_products(x, k, bounds)
     # No copy: the buffer took 9.4 against 4.9 us at (3,2,256).
-    if len(bounds) == 2 or not cut and x.dtype.kind != "c":
+    if len(bounds) == 2:
         window = x[:, k:]
         window_h = window.conj().T
         products = [window @ window_h]
@@ -361,7 +366,7 @@ def _window_products(x: NDArray, k: int,
     lead = np.zeros((m, m + sums), dtype=x.dtype)  # P_0 beside the row sums
     lags = np.zeros((k, m, m), dtype=x.dtype)  # P_1 .. P_K
     lead_term, lag_terms = np.empty_like(lead), np.empty_like(lags)
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    for a, b in pairwise(bounds):
         chunk = buffer[:, :b - a]
         if x.dtype.kind == "c":
             np.conjugate(x[:, a:b], out=chunk[:m])
@@ -391,8 +396,7 @@ def _aligned(shape: tuple[int, ...], dtype: np.dtype) -> NDArray:
     return np.ndarray(shape, dtype, raw, -raw.__array_interface__["data"][0] % 64)
 
 
-def _phase_products(x: NDArray, k: int,
-                    bounds: list[int]) -> tuple[Sequence[NDArray], NDArray]:
+def _phase_products(x: NDArray, k: int, bounds: list[int]) -> tuple[NDArray, NDArray]:
     """`_window_products` in the phase form, over the chunks or blocks
     `bounds` of `x`'s window.
 
@@ -403,20 +407,20 @@ def _phase_products(x: NDArray, k: int,
     read in the copy as an r x M view, transposed, times ``Y_j``, an
     M x (K+1)M product whose column block c holds the phase's terms of
     ``P_{K-c}^T``. Summed over the phases and chunks, in one M x K+1 x M
-    array, its blocks are returned transposed, as views, in reverse. A
-    complex window copies the chunk's samples once more, conjugated, into
-    a second buffer, 2M rows per sample, and takes ``Y_j^T conj(Y_j)``'s
-    last M columns, read as a strided view of that copy: a (K+1)M x M
-    product whose block of rows d holds the phase's terms of ``P_{K-d}``,
-    so the products are that sum's blocks in reverse. The complex
-    orientation stays: the real one ran the complex Gram pass 1.24x as
-    long at (8,8,32768) and 1.08x at (4,3,65536); on real windows the
-    complex one ran 1.06x at (64,8,8192), 1.00x at (32,8,16384) and 0.93x
-    at (16,8,65536) (interleaved calls, one thread). The row sums come
-    from one matrix-vector product of ones per chunk: at complex (8,8) a
-    ones column beside the conjugated copy ran each phase's product 1.4x
-    slower (38.5 against 27.0 us), nine times per chunk, where the
-    matrix-vector product takes 12 us once."""
+    array, its blocks are returned transposed in reverse, one view of K+1
+    blocks. A complex window copies the chunk's samples once more,
+    conjugated, into a second buffer, 2M rows per sample, and takes
+    ``Y_j^T conj(Y_j)``'s last M columns, read as a strided view of that
+    copy: a (K+1)M x M product whose block of rows d holds the phase's
+    terms of ``P_{K-d}``, so the products are that sum's blocks in
+    reverse. The complex orientation stays: the real one ran the complex
+    Gram pass 1.24x as long at (8,8,32768) and 1.08x at (4,3,65536); on
+    real windows the complex one ran 1.06x at (64,8,8192), 1.00x at
+    (32,8,16384) and 0.93x at (16,8,65536) (interleaved calls, one
+    thread). The row sums come from one matrix-vector product of ones per
+    chunk: at complex (8,8) a ones column beside the conjugated copy ran
+    each phase's product 1.4x slower (38.5 against 27.0 us), nine times
+    per chunk, where the matrix-vector product takes 12 us once."""
     m = x.shape[0]
     width = bounds[-1] - bounds[-2]
     real = x.dtype.kind != "c"
@@ -427,7 +431,7 @@ def _phase_products(x: NDArray, k: int,
     term = np.empty_like(total)
     out = term.reshape(m, -1) if real else term.reshape(-1, m)
     row_sums = np.zeros(m, dtype=x.dtype)
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    for a, b in pairwise(bounds):
         window[:b - a + k] = x[:, a - k:b].T
         if not real:
             np.conjugate(window[k:b - a + k], out=current[:b - a])
@@ -438,12 +442,123 @@ def _phase_products(x: NDArray, k: int,
                 np.matmul(y.T, current[j:b - a:k + 1], out=out)
             total += term
         row_sums += ones[:b - a] @ window[k:b - a + k]
-    if not real:
-        return total[::-1], row_sums
-    # Made from P_K down, so that the views a caller frees first, the
-    # list's last, hold the shape blocks numpy had cached, not new ones:
-    # made from P_0, they left up to 96 B more at LIC's traced peak.
-    return [total[:, c].T for c in range(k + 1)][::-1], row_sums
+    return (total.transpose(1, 2, 0) if real else total)[::-1], row_sums
+
+
+def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
+               lags: tuple[NDArray, ...], gram: bool = False) -> NDArray:
+    """``mixing x(n) - intercept - sum_i lags[i-1] x(n-i)`` over
+    n = K+1 .. N for a checked signal `x` and order `k`, with `mixing` None
+    for the identity: an M x (N-K) array, one column per sample, of the
+    type of all the operands, so real `mixing` and `intercept` with a
+    complex lag give complex residuals. With `gram`, the M x M Gram of
+    that array instead, not yet made Hermitian (`_finish_gram`).
+
+    The package's one chunk loop for residuals, over the blocks that
+    `_chunk_bounds` returns, asked once, `gram` paired with 2M rows per
+    sample. A window it returns in the phase form goes to
+    `_phase_residuals`. Every other chunk or block takes one product per
+    lag, on slices of `x`, through one reused scratch buffer, after the
+    chunk's `mixing` product or copy of `x` less the intercept. Each
+    chunk's residuals go into that chunk of the result or, with `gram`,
+    into one reused chunk buffer whose Gram is summed: with the scratch
+    buffer, 2M rows per sample. So with `gram` the result is never held
+    whole where the window is more than one chunk, neither S nor T is
+    stacked, and the working memory beside the result is one chunk's.
+    """
+    m, n = x.shape
+    operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
+    dtype = np.result_type(*operands)
+    # fit_both's V V^H holds a chunk of residuals beside its product
+    # buffer, 2M rows per sample. At (4,2,65536) Gram-width chunks ran it
+    # 10% faster but peaked at 0.37 MiB against 0.23, and chunks cut for
+    # T's q rows ran it 1.5x slower.
+    bounds, cut, phased = _chunk_bounds(m, n, k, dtype, "paired" if gram else "residuals")
+    if phased:
+        return _phase_residuals(x, k, bounds, dtype, mixing, intercept, lags, gram)
+    width = bounds[-1] - bounds[-2]
+    r = np.empty((m, width if gram else n - k), dtype=dtype)
+    scratch = np.empty((m, width), dtype=dtype)  # lag products, then v's copy
+    for a, b in pairwise(bounds):
+        v = r[:, :b - a] if gram else r[:, a - k:b - k]
+        product = scratch[:, :b - a]
+        if mixing is not None:
+            np.matmul(mixing, x[:, a:b], out=v)
+            v -= intercept[:, None]
+        elif len(bounds) > 2:
+            # A copy, then the subtraction, ran fit_both 6% slower on cut
+            # chunks and took 348 against 178 us on a (64, 4092) block.
+            np.subtract(x[:, a:b], intercept[:, None], out=v)
+        else:  # fused, numpy buffered the intercept: (3,2,256) peaks +20-26%
+            v[...] = x[:, a:b]
+            v -= intercept[:, None]
+        for i, lag in enumerate(lags, 1):
+            np.matmul(lag, x[:, a - i:b - i], out=product)
+            v -= product
+        if gram:
+            # A cut chunk's copy sends v @ w.T to gemm: syrk ran both
+            # 1.17x at (4,2,65536). Assigned, it took 1.9 us against 3.5
+            # for np.conjugate(out=). An uncut real block's stays syrk,
+            # as `gram_hermitian` forms it.
+            w = scratch[:, :b - a]
+            if dtype.kind == "c":
+                np.conjugate(v, out=w)
+            elif cut:
+                w[...] = v
+            else:
+                w = v
+            if a == k:  # the first chunk's term is the accumulator
+                g = v @ w.T
+            else:
+                g += v @ w.T
+    return g if gram else r
+
+
+def _phase_residuals(x: NDArray, k: int, bounds: list[int], dtype: np.dtype,
+                     mixing: NDArray | None, intercept: NDArray,
+                     lags: tuple[NDArray, ...], gram: bool) -> NDArray:
+    """`_residuals` in the phase form, over the chunks `bounds` that
+    `_chunk_bounds` cut for it, of a window whose residuals are complex,
+    of type `dtype`.
+
+    Each chunk and its K leading samples are copied once, time-major, into
+    one reused buffer of the residuals' type, and each of its phases
+    ``Y_j`` (`_phase_windows`) times the transposed block
+    ``[-lags[K-1] .. -lags[0] | mixing]``, the window's order, writes rows
+    j, j + K+1, .. of a time-major chunk of residuals: K+1 products of
+    inner dimension (K+1)M per chunk, where the per-lag loop's have M.
+    The chunk goes into the result transposed, and the intercept comes
+    off the whole result once. With `gram`, it comes off the chunk in
+    place, and the chunk's Gram is summed through its conjugate, written
+    into the copy's buffer, which the chunk's products no longer read."""
+    m, n = x.shape
+    width = bounds[-1] - bounds[-2]
+    window = _aligned((width + k, m), dtype)
+    chunk = _aligned((width, m), dtype)
+    block = np.concatenate((*(-lag for lag in reversed(lags)),
+                            np.eye(m) if mixing is None else mixing), axis=1, dtype=dtype).T
+    if not gram:
+        r = np.empty((m, n - k), dtype=dtype)
+    for a, b in pairwise(bounds):
+        window[:b - a + k] = x[:, a - k:b].T
+        v = chunk[:b - a]
+        for j, y in _phase_windows(window, k, b - a):
+            np.matmul(y, block, out=v[j::k + 1])
+        if not gram:
+            r[:, a - k:b - k] = v.T
+            continue
+        v -= intercept
+        w = np.conjugate(v, out=window[:b - a])
+        if a == k:  # the first chunk's term is the accumulator
+            g = v.T @ w
+        else:
+            g += v.T @ w
+    if gram:
+        return g
+    # Once over the result: per chunk, numpy buffered the broadcast
+    # intercept below 2048 samples, 0.3 MiB at (8,3,8200), and ran 1.2x.
+    r -= intercept[:, None]
+    return r
 
 
 def _finite(values: NDArray, what: str, source: NDArray | None = None,

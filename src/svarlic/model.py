@@ -33,45 +33,37 @@ finiteness off that Gram rather than scanning the signal
 (`_check_signal`).
 
 Residuals of either form, the least-squares fit's `V` and `fit_both`'s
-``V V^H`` included, are one expression and one loop, `_residuals`, over
-the blocks of the sample window that `linalg._chunk_bounds`, the one rule
-for every pass over the samples, returns with whether it cut them and
-whether the pass takes the phase form. Each chunk or block takes one
-product per lag on slices of the signal, with the mixing matrix L, where
-there is one, as one more. Where the rule returns the phase form (a cut
-window of complex residuals, K >= 3, M >= 2 and (K+1)M >= 12), each
-chunk is instead copied once, time-major, and each of its K+1 phases,
-the windows ``[x(n-K) .. x(n)]`` of every (K+1)-th sample, writes its
-residuals with one product by the coefficient block
-``[-A_K .. -A_1 | I]``, or ``[-R_K .. -R_1 | L]``, transposed
-(`_phase_residuals`).
-So no fit or residual routine stacks T, and the working memory beside
-the result is one chunk's: T is stacked whole only by
+``V V^H`` included, are one expression and one loop,
+`linalg._residuals`, a pass over the samples like the Gram's lag
+products, with the mixing matrix L, where there is one, as one more
+product. So no fit or residual routine stacks T, and the working memory
+beside the result is one chunk's: T is stacked whole only by
 `build_regressor_t`, `build_regressor_s` and the Gram where it fits in
 that buffer. The structured Gram stacks T over one snippet of 4K
 samples, the ends of the signal each followed by K zeros, for its edge
 terms.
+
+An inverse factor rescales a model's coefficients in one step,
+`_rescaled`: the least-squares route's whitening and the reduced form a
+structural model implies both take it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import pairwise
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .exceptions import DimensionMismatch, OrderTooLarge
 from .linalg import (
-    _aligned,
     _as_float_matrix,
     _check_lower_factor,
-    _chunk_bounds,
     _chunk_width,
     _finish_gram,
     _finite,
     _inverse_bottom_rows,
-    _phase_windows,
+    _residuals,
     _window_products,
     as_matrix,
     gram_hermitian,
@@ -272,10 +264,10 @@ def _regressor_gram(x: NDArray, k: int) -> NDArray:
     at the end. So only the K+1 products ``P_0 .. P_K`` pass over the
     samples (about ``M^2 (K+1) N`` multiplies, against ``q^2 N`` for the
     dense product). They and the intercept row's window sums are summed
-    over the blocks of `linalg._chunk_bounds` (`_window_products`), so
-    the working memory is one chunk-sized buffer where the window is cut,
-    or of several blocks and complex or in the phase form, never T's
-    ``M (K+1) N`` values.
+    over the chunks of linalg's one rule for every pass over the samples
+    (`_window_products`), so the working memory is one chunk-sized buffer
+    where the window is cut, or of several blocks and complex or in the
+    phase form, never T's ``M (K+1) N`` values.
 
     The edge terms come from one stack in T's own layout
     (`_stack_regressor`) of a snippet of 4K samples: the first K samples
@@ -353,129 +345,14 @@ def build_regressor_t(x: ArrayLike, k: int) -> NDArray:
     return _stack_regressor(*_check_signal(as_signal(x), k))
 
 
-def _residuals(x: NDArray, k: int, mixing: NDArray | None, intercept: NDArray,
-               lags: tuple[NDArray, ...], gram: bool = False) -> NDArray:
-    """``mixing x(n) - intercept - sum_i lags[i-1] x(n-i)`` over
-    n = K+1 .. N for a checked signal `x` and order `k`, with `mixing` None
-    for the identity: an M x (N-K) array, one column per sample, of the
-    type of all the operands, so real `mixing` and `intercept` with a
-    complex lag give complex residuals. With `gram`, the M x M Gram of
-    that array instead, not yet made Hermitian (`linalg._finish_gram`).
-
-    One loop over the blocks that `linalg._chunk_bounds` returns, asked
-    once, `gram` paired with 2M rows per sample; nothing cuts them again.
-    A window it returns in the phase form goes to `_phase_residuals`.
-    Every other chunk or block takes one product per lag, on slices of `x`,
-    through one reused scratch buffer, after the chunk's `mixing`
-    product or copy of `x` less the intercept. Each chunk's residuals go
-    into that chunk of the result or, with `gram`, into one reused chunk
-    buffer whose Gram is summed: with the scratch buffer, 2M rows per
-    sample. So with `gram` the result is never held whole where the
-    window is more than one chunk, neither S nor T is stacked, and the
-    working memory beside the result is one chunk's.
-    """
-    m, n = x.shape
-    operands = (x, intercept, *lags) if mixing is None else (x, mixing, intercept, *lags)
-    dtype = np.result_type(*operands)
-    # fit_both's V V^H holds a chunk of residuals beside its product
-    # buffer, 2M rows per sample. At (4,2,65536) Gram-width chunks ran it
-    # 10% faster but peaked at 0.37 MiB against 0.23, and chunks cut for
-    # T's q rows ran it 1.5x slower.
-    bounds, cut, phased = _chunk_bounds(m, n, k, dtype, "paired" if gram else "residuals")
-    if phased:
-        return _phase_residuals(x, k, bounds, dtype, mixing, intercept, lags, gram)
-    width = bounds[-1] - bounds[-2]
-    r = np.empty((m, width if gram else n - k), dtype=dtype)
-    scratch = np.empty((m, width), dtype=dtype)  # lag products, then v's copy
-    for a, b in pairwise(bounds):
-        v = r[:, :b - a] if gram else r[:, a - k:b - k]
-        product = scratch[:, :b - a]
-        if mixing is not None:
-            np.matmul(mixing, x[:, a:b], out=v)
-            v -= intercept[:, None]
-        elif len(bounds) > 2:
-            # A copy, then the subtraction, ran fit_both 6% slower on cut
-            # chunks and took 348 against 178 us on a (64, 4092) block.
-            np.subtract(x[:, a:b], intercept[:, None], out=v)
-        else:  # fused, numpy buffered the intercept: (3,2,256) peaks +20-26%
-            v[...] = x[:, a:b]
-            v -= intercept[:, None]
-        for i, lag in enumerate(lags, 1):
-            np.matmul(lag, x[:, a - i:b - i], out=product)
-            v -= product
-        if gram:
-            # A cut chunk's copy sends v @ w.T to gemm: syrk ran both
-            # 1.17x at (4,2,65536). Assigned, it took 1.9 us against 3.5
-            # for np.conjugate(out=). An uncut real block's stays syrk,
-            # as `gram_hermitian` forms it.
-            w = scratch[:, :b - a]
-            if dtype.kind == "c":
-                np.conjugate(v, out=w)
-            elif cut:
-                w[...] = v
-            else:
-                w = v
-            if a == k:  # the first chunk's term is the accumulator
-                g = v @ w.T
-            else:
-                g += v @ w.T
-    return g if gram else r
-
-
-def _phase_residuals(x: NDArray, k: int, bounds: list[int], dtype: np.dtype,
-                     mixing: NDArray | None, intercept: NDArray,
-                     lags: tuple[NDArray, ...], gram: bool) -> NDArray:
-    """`_residuals` in the phase form, over the chunks `bounds` that
-    `linalg._chunk_bounds` cut for it, of a window whose residuals are
-    complex, of type `dtype`.
-
-    Each chunk and its K leading samples are copied once, time-major, into
-    one reused buffer of the residuals' type, and each of its phases
-    ``Y_j`` (`linalg._phase_windows`) times the transposed block
-    ``[-lags[K-1] .. -lags[0] | mixing]``, the window's order, writes rows
-    j, j + K+1, .. of a time-major chunk of residuals: K+1 products of
-    inner dimension (K+1)M per chunk, where the per-lag loop's have M.
-    The chunk goes into the result transposed, and the intercept comes
-    off the whole result once. With `gram`, it comes off the chunk in
-    place, and the chunk's Gram is summed through its conjugate, written
-    into the copy's buffer, which the chunk's products no longer read."""
-    m, n = x.shape
-    width = bounds[-1] - bounds[-2]
-    window = _aligned((width + k, m), dtype)
-    chunk = _aligned((width, m), dtype)
-    block = np.concatenate((*(-lag for lag in reversed(lags)),
-                            np.eye(m) if mixing is None else mixing), axis=1, dtype=dtype).T
-    if not gram:
-        r = np.empty((m, n - k), dtype=dtype)
-    for a, b in pairwise(bounds):
-        window[:b - a + k] = x[:, a - k:b].T
-        v = chunk[:b - a]
-        for j, y in _phase_windows(window, k, b - a):
-            np.matmul(y, block, out=v[j::k + 1])
-        if not gram:
-            r[:, a - k:b - k] = v.T
-            continue
-        v -= intercept
-        w = np.conjugate(v, out=window[:b - a])
-        if a == k:  # the first chunk's term is the accumulator
-            g = v.T @ w
-        else:
-            g += v.T @ w
-    if gram:
-        return g
-    # Once over the result: per chunk, numpy buffered the broadcast
-    # intercept below 2048 samples, 0.3 MiB at (8,3,8200), and ran 1.2x.
-    r -= intercept[:, None]
-    return r
-
-
 def _caller_residuals(model: SvarCoefficients | RvarCoefficients, x: ArrayLike,
                       mixing: NDArray | None, intercept: NDArray,
                       lags: tuple[NDArray, ...]) -> NDArray:
-    """`_residuals` of a caller's signal `x` under `model`'s coefficients:
-    `x` is scanned once, and a residual that overflows raises
-    `NumericalOverflow` (`linalg._finite`). The least-squares fit calls
-    `_residuals` itself: an overflowing `V` fails its Gram's check."""
+    """`linalg._residuals` of a caller's signal `x` under `model`'s
+    coefficients: `x` is scanned once, and a residual that overflows
+    raises `NumericalOverflow` (`linalg._finite`). The least-squares fit
+    calls `_residuals` itself: an overflowing `V` fails its Gram's
+    check."""
     x, k = _check_signal(as_signal(x), model.order, model.branches)
     with np.errstate(over="ignore", invalid="ignore"):
         r = _residuals(x, k, mixing, intercept, lags)
@@ -485,8 +362,8 @@ def _caller_residuals(model: SvarCoefficients | RvarCoefficients, x: ArrayLike,
 def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:
     """Structural residuals ``w(n) = L x(n) - t - sum_i R_i x(n-i)``.
 
-    Evaluated chunk by chunk of the signal (`_residuals`), the expression
-    `rvar_residuals` and the least-squares fit use. Returns an
+    Evaluated chunk by chunk of the signal (`linalg._residuals`), the
+    expression `rvar_residuals` and the least-squares fit use. Returns an
     M x (N-K) array, one column per sample n = K+1 .. N. Raises
     `NumericalOverflow` if a residual overflows double precision.
     """
@@ -496,7 +373,7 @@ def svar_residuals(model: SvarCoefficients, x: ArrayLike) -> NDArray:
 def rvar_residuals(model: RvarCoefficients, x: ArrayLike) -> NDArray:
     """Reduced-form residuals ``v(n) = x(n) - c - sum_i A_i x(n-i)``.
 
-    Evaluated chunk by chunk of the signal (`_residuals`), the same
+    Evaluated chunk by chunk of the signal (`linalg._residuals`), the same
     expression the least-squares fit uses for `V`, so on a fitted model the
     result reproduces the stored `V` bit for bit. Raises
     `NumericalOverflow` if a residual overflows double precision.
@@ -551,12 +428,24 @@ def whitening_error(model: SvarCoefficients, x: ArrayLike) -> float:
     return float(_finite(error, "whitening error"))
 
 
+def _rescaled(mixing: NDArray, lags: tuple[NDArray, ...], intercept: NDArray,
+              what: str) -> tuple[tuple[NDArray, ...], NDArray]:
+    """``mixing @ lags[i]`` and ``mixing @ intercept``: the one step that
+    rescales a model's coefficients by an inverse factor `mixing`. It
+    raises `NumericalOverflow` saying that `what` overflows if a product
+    is not finite (`linalg._finite`). A non-finite entry of `mixing`
+    makes its row of the intercept's product non-finite too, ``inf * 0``
+    included, so the products' check covers `mixing`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lags = tuple(mixing @ a for a in lags)
+        intercept = mixing @ intercept
+    _finite(np.concatenate((intercept, *lags), axis=None), what)
+    return lags, intercept
+
+
 def _implied_reduced_form(model: SvarCoefficients) -> tuple[NDArray, tuple[NDArray, ...], NDArray]:
     """(L^{-1}, A_i = L^{-1} R_i, c = L^{-1} t) for forward simulation,
     raising `NumericalOverflow` if an entry overflows double precision."""
     with np.errstate(over="ignore", invalid="ignore"):
         linv = _inverse_bottom_rows(model.L, model.branches)
-        a = tuple(linv @ r for r in model.R)
-        c = linv @ model.t
-    _finite(np.concatenate((linv, *a, c), axis=None), "implied reduced-form coefficient")
-    return linv, a, c
+    return (linv, *_rescaled(linv, model.R, model.t, "implied reduced-form coefficient"))

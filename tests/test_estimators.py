@@ -953,8 +953,8 @@ class TestPerLagBlocks:
                 assert rvar_residuals(fit, x).tobytes() == fit.V.tobytes()
                 both = fit_both(x, k).ls
                 gram = model._regressor_gram(x, k)
-                mixed = model._residuals(x, k, mixing, fit.c, fit.A)
-                mixed_gram = model._residuals(x, k, mixing, fit.c, fit.A, gram=True)
+                mixed = linalg._residuals(x, k, mixing, fit.c, fit.A)
+                mixed_gram = linalg._residuals(x, k, mixing, fit.c, fit.A, gram=True)
             seen.append(-(-(n - k) // width))
             # Under the patch a complex window's Gram is summed over blocks.
             expected = model._regressor_gram(x, k)

@@ -505,8 +505,8 @@ class TestChunkedResiduals:
                       if mixed else None)
             intercept = rng.standard_normal(m)
             with chunks(width):
-                r = model._residuals(x, k, mixing, intercept, lags)
-                g = model._residuals(x, k, mixing, intercept, lags, gram=True)
+                r = linalg._residuals(x, k, mixing, intercept, lags)
+                g = linalg._residuals(x, k, mixing, intercept, lags, gram=True)
             expected = r @ r.conj().T
             assert g.dtype == r.dtype
             np.testing.assert_allclose(g, expected, rtol=0,
@@ -548,7 +548,6 @@ class TestChunkedResiduals:
             return returned[-1]
 
         monkeypatch.setattr(linalg, "_chunk_bounds", spy)
-        monkeypatch.setattr(model, "_chunk_bounds", spy)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 8192))
         wide = rng.standard_normal((24, 18433)) + 1j * rng.standard_normal((24, 18433))
@@ -675,8 +674,8 @@ class TestPhaseForm:
                                     np.eye(m) if mixing is None else mixing), axis=1)
             expected = block @ build_regressor_t(x, k)
             with chunks(width):
-                r = model._residuals(x, k, mixing, intercept, lags)
-                g = model._residuals(x, k, mixing, intercept, lags, gram=True)
+                r = linalg._residuals(x, k, mixing, intercept, lags)
+                g = linalg._residuals(x, k, mixing, intercept, lags, gram=True)
             assert r.shape == expected.shape and r.flags.c_contiguous
             np.testing.assert_allclose(r, expected, rtol=0,
                                        atol=1e-13 * np.abs(expected).max())
@@ -741,19 +740,24 @@ class TestPhaseForm:
         # Everything the rule leaves runs the other forms' code: the
         # lag products, the per-lag residuals and their Gram. Every
         # phase form's time-major copy starts on a 64-byte boundary.
-        entered = {linalg: [], model: []}
+        entered = {"_phase_products": [], "_phase_residuals": []}
         offsets = set()
-        original = linalg._phase_windows
 
-        def spy(module):
-            def phases(window, k, samples):
-                entered[module].append(samples)
-                offsets.add(window.ctypes.data % 64)
-                return original(window, k, samples)
-            return phases
+        def spy(name):
+            original = getattr(linalg, name)
 
-        monkeypatch.setattr(linalg, "_phase_windows", spy(linalg))
-        monkeypatch.setattr(model, "_phase_windows", spy(model))
+            def phase_form(x, k, bounds, *args):
+                entered[name].append(bounds[-1] - bounds[0])
+                return original(x, k, bounds, *args)
+            return phase_form
+
+        def phases(window, k, samples, original=linalg._phase_windows):
+            offsets.add(window.ctypes.data % 64)
+            return original(window, k, samples)
+
+        for name in entered:
+            monkeypatch.setattr(linalg, name, spy(name))
+        monkeypatch.setattr(linalg, "_phase_windows", phases)
         rng = np.random.default_rng(m + n)
         x = draw_signal(rng, m, n, complex_field)
         _, cut, in_phase_form = linalg._chunk_bounds(m, n, k, x.dtype)
@@ -764,8 +768,8 @@ class TestPhaseForm:
         assert fit.V.flags.c_contiguous
         # The Grams of fit_both and fit_rvar_ls, then their residuals and
         # the structural residuals.
-        assert sum(entered[linalg]) == gram_phased * 2 * (n - k)
-        assert sum(entered[model]) == residuals_phased * 3 * (n - k)
+        assert sum(entered["_phase_products"]) == gram_phased * 2 * (n - k)
+        assert sum(entered["_phase_residuals"]) == residuals_phased * 3 * (n - k)
         assert offsets == ({0} if gram_phased else set())
 
     @pytest.mark.parametrize("m, k, n", [(8, 4, 8192), (16, 8, 9000), (68, 4, 6200)])
@@ -774,7 +778,7 @@ class TestPhaseForm:
         # V, V V^H and both kinds of caller residuals keep the per-lag
         # products.
         calls = []
-        monkeypatch.setattr(model, "_phase_residuals",
+        monkeypatch.setattr(linalg, "_phase_residuals",
                             lambda *args: calls.append(args[1:3]))
         x = draw_signal(np.random.default_rng(m + k), m, n, False)
         assert linalg._chunk_bounds(m, n, k, x.dtype)[2]

@@ -80,10 +80,20 @@ class TestRepros:
     @pytest.mark.parametrize("routine", [
         lambda: companion_spectral_radius(huge_lag(mixing=1e-300)),
         lambda: simulate_series(huge_lag(mixing=1e-300), 10, seed=0),
-    ], ids=["companion_spectral_radius", "simulate_series"])
+        # L^-1 = 1e310 itself overflows; with K = 0 and t = 0 only the
+        # intercept's product, inf * 0, carries it to the check.
+        lambda: companion_spectral_radius(SvarCoefficients(L=[[1e-310]])),
+    ], ids=["companion_spectral_radius", "simulate_series", "inverse-overflows"])
     def test_overflowing_implied_reduced_form(self, routine):
         with pytest.raises(NumericalOverflow, match="implied reduced-form coefficient"):
             routine()
+
+    def test_overflowing_whitened_coefficients(self):
+        # A caller's reduced form whose V is tiny beside its lag: L = 7e9
+        # fits, L A_1 = 7e309 does not.
+        model = RvarCoefficients(c=[0.0], A=(np.array([[1e300]]),), V=[[1e-10, 1e-10]])
+        with pytest.raises(NumericalOverflow, match="^rescaled coefficient overflows"):
+            rvar_to_svar(model)
 
     def test_simulation_driving_term_overflow_is_caught(self):
         # L^-1 = 1e308 fits; L^-1 times a unit shock does not.

@@ -21,7 +21,7 @@ same for the Gram products, which conjugate such a window one block at a
 time. ``16,4,65536`` and ``2,3,300000`` are the real cut windows on
 which the residuals' per-lag products measured slowest and fastest
 against a stack of T's rows (CHANGES.md), and ``3,3,65536,c`` takes the
-phase form (`linalg._chunk_bounds`) at its smallest M, as ``8,8,32768,c``
+phase form (linalg's chunk rule) at its smallest M, as ``8,8,32768,c``
 does at a larger one. ``16,8,65536`` and ``32,8,16384`` are real windows
 inside the rule's region for a real Gram in the phase form, the first
 cut into chunks and the second left uncut and walked in phase blocks, at
